@@ -1,107 +1,8 @@
 """Parsing English region descriptions into scene graphs with a customized
 transition-based dependency parser, plus the alignment supervision, the
-one-to-one tuple F metric, and F-score image retrieval built on top of it."""
+one-to-one tuple F metric, and F-score image retrieval built on top of it.
 
-from .align import (
-    AlignMode,
-    AlignmentResult,
-    SynonymLexicon,
-    align,
-    aligned_subgraph,
-    derive_gold,
-    syn_match,
-    tokenize,
-    wbw_match,
-)
-from .corpus import (
-    RegionRecord,
-    SplitSpec,
-    SynthGrammar,
-    TrainInstance,
-    build_instances,
-    generate_synthetic,
-    load_corpus,
-    load_split,
-    make_splits,
-    read_config,
-    save_corpus,
-)
-from .errors import (
-    AlignmentConflict,
-    ArcConflict,
-    CorpusCorrupt,
-    IllegalAction,
-    MalformedArcs,
-    OracleStuck,
-    SgparseError,
-)
-from .graph import (
-    Arc,
-    ArcRule,
-    ArcSet,
-    EdgeLabel,
-    NodeRef,
-    SceneGraph,
-    is_acyclic,
-    normalize_label,
-    to_edge_centric,
-    to_node_centric,
-    to_node_centric_lenient,
-    to_node_centric_with_spans,
-)
-from .model import (
-    Adam,
-    ModelParams,
-    TrainConfig,
-    Trainer,
-    Vocab,
-    encode,
-    feature,
-    grad_check,
-    greedy_parse,
-    load_checkpoint,
-    parse,
-    save_checkpoint,
-    score,
-    sentence_pass,
-    step_loss,
-)
-from .retrieval import (
-    ImageEntry,
-    RetrievalResult,
-    build_index,
-    evaluate_retrieval,
-    format_results,
-    merge_graphs,
-    rank_images,
-    subgraph_of,
-)
-from .spice import (
-    CorpusEval,
-    TupleBag,
-    corpus_f,
-    evaluate_corpus,
-    extract_tuples,
-    f_score,
-    format_report,
-    match_count,
-)
-from .transition import (
-    Action,
-    Configuration,
-    REDUCE,
-    SHIFT,
-    apply,
-    format_trace,
-    initial,
-    inventory,
-    is_terminal,
-    left,
-    legal_actions,
-    oracle,
-    oracle_parse,
-    preferred,
-    right,
-)
+The library API lives in the submodules (`sgparse.model`, `sgparse.spice`,
+...); this package re-exports nothing."""
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ file passed with --config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -93,6 +94,20 @@ def _align_mode(settings: Settings) -> AlignMode:
     return AlignMode(settings.get("align_mode", "full"))
 
 
+def _load_records(settings: Settings) -> list[RegionRecord]:
+    """The --corpus records; the malformed-record count goes to stderr."""
+    records, skipped = load_corpus(settings.require("corpus"))
+    print(f"malformed_skipped={skipped}", file=sys.stderr)
+    return records
+
+
+def _parse_text(params: ModelParams, text: str) -> SceneGraph:
+    """Tokenize, parse and convert one sentence.  The three stages are looked
+    up in this module on every call, so wrappers installed here see each one."""
+    tokens = tokenize(text)
+    return to_node_centric_lenient(model_parse(tokens, params), tokens)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text, encoding="utf-8")
@@ -155,7 +170,7 @@ def cmd_train(args) -> int:
     lexicon = _load_lexicon(settings)
     rule = _arc_rule(settings)
     mode = _align_mode(settings)
-    records, _ = load_corpus(settings.require("corpus"))
+    records = _load_records(settings)
     eval_records = records
     if args.split_train and args.split_eval:
         spec = SplitSpec(load_split(args.split_train), load_split(args.split_eval))
@@ -182,16 +197,12 @@ def cmd_train(args) -> int:
     print(f"instances={stats['used']} skipped_cyclic={stats['cyclic']} "
           f"skipped_arc_conflict={stats['arc_conflict']} "
           f"skipped_non_projective={stats['non_projective']}")
-
-    def parse_phrase(record: RegionRecord) -> SceneGraph:
-        tokens = tokenize(record.phrase)
-        return to_node_centric_lenient(model_parse(tokens, params), tokens)
-
     for epoch in range(1, config.epochs + 1):
         mean_loss = trainer.run_epoch(train_items)
-        candidates = parallel_map(parse_phrase, eval_records)
+        candidates = parallel_map(lambda r: _parse_text(params, r.phrase), eval_records)
         eval_f = corpus_f(candidates, [r.graph for r in eval_records], lexicon)
         print(f"epoch={epoch} mean_loss={mean_loss:.4f} eval_f={eval_f:.4f}")
+    print(f"oracle_stuck_skipped={trainer.skipped}", file=sys.stderr)
     save_checkpoint(params, settings.require("checkpoint"), rng_seed=config.rng_seed)
     return 0
 
@@ -203,8 +214,7 @@ def cmd_parse(args) -> int:
     try:
         out_lines = []
         for line in source:
-            tokens = tokenize(line)
-            graph = to_node_centric_lenient(model_parse(tokens, params), tokens)
+            graph = _parse_text(params, line)
             out_lines.append(json.dumps(graph_to_json(graph), sort_keys=True))
     finally:
         if args.input:
@@ -217,13 +227,8 @@ def cmd_eval(args) -> int:
     settings = Settings(args)
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
-    records, _ = load_corpus(settings.require("corpus"))
-
-    def parse_record(record: RegionRecord) -> SceneGraph:
-        tokens = tokenize(record.phrase)
-        return to_node_centric_lenient(model_parse(tokens, params), tokens)
-
-    candidates = parallel_map(parse_record, records)
+    records = _load_records(settings)
+    candidates = parallel_map(lambda r: _parse_text(params, r.phrase), records)
     report = evaluate_corpus(candidates, [r.graph for r in records], lexicon)
     sys.stdout.write(format_report(report))
     return 0
@@ -233,7 +238,7 @@ def cmd_retrieve(args) -> int:
     settings = Settings(args)
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
-    records, _ = load_corpus(settings.require("corpus"))
+    records = _load_records(settings)
     by_image: dict[int, list[SceneGraph]] = {}
     for record in records:
         by_image.setdefault(record.image_id, []).append(record.graph)
@@ -247,12 +252,7 @@ def cmd_retrieve(args) -> int:
             if image_id != record.image_id and subgraph_of(record.graph, graph)
         )
         queries.append((record.phrase, truth))
-
-    def parser(text: str) -> SceneGraph:
-        tokens = tokenize(text)
-        return to_node_centric_lenient(model_parse(tokens, params), tokens)
-
-    result = evaluate_retrieval(queries, parser, index, lexicon)
+    result = evaluate_retrieval(queries, functools.partial(_parse_text, params), index, lexicon)
     _write_text(args.out, format_results(result))
     return 0
 

@@ -37,3 +37,7 @@ class OracleStuck(SgparseError):
 
 class CorpusCorrupt(SgparseError):
     """Too large a fraction of corpus records failed to parse."""
+
+
+class CheckpointCorrupt(SgparseError):
+    """A checkpoint's header and payload do not describe one complete model."""

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import OracleStuck
+from .errors import CheckpointCorrupt, OracleStuck
 from .graph import ArcRule, ArcSet
 from .transition import (
     Action,
@@ -123,28 +123,6 @@ class ModelParams:
         self.tensors["mlp_b1"] = ad.tensor(np.zeros(mlp_hidden))
         self.tensors["mlp_w2"] = ad.tensor(xavier(len(self.actions), mlp_hidden))
         self.tensors["mlp_b2"] = ad.tensor(np.zeros(len(self.actions)))
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        expect = {
-            "embeddings": (len(self.vocab), self.emb_dim),
-            "pad": (self.d_ctx,),
-            "mlp_w1": (self.mlp_hidden, 4 * self.d_ctx),
-            "mlp_b1": (self.mlp_hidden,),
-            "mlp_w2": (len(self.actions), self.mlp_hidden),
-            "mlp_b2": (len(self.actions),),
-        }
-        for layer in range(self.layers):
-            in_dim = self.emb_dim if layer == 0 else self.d_ctx
-            for direction in ("fwd", "bwd"):
-                expect[f"lstm{layer}_{direction}_w"] = (_GATES * self.hidden, in_dim + self.hidden)
-                expect[f"lstm{layer}_{direction}_b"] = (_GATES * self.hidden,)
-        for name, shape in expect.items():
-            got = self.tensors[name].data.shape
-            if got != shape:
-                raise ValueError(f"tensor {name} has shape {got}, expected {shape}")
-        if set(expect) != set(self.tensors):
-            raise ValueError("parameter tensor names out of sync")
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return self.tensors
@@ -162,17 +140,11 @@ class TrainConfig:
     epochs: int = 4
     word_dropout_alpha: float = 0.25
     rng_seed: int = 0
-    # "widen_margin" asks for an extra unit of margin when REDUCE is the sole
-    # correct action; "boost_competitors" adds the unit to every competitor's
-    # score before taking the max.  The two produce identical losses.
-    reduce_loss_mode: str = "widen_margin"
 
     def __post_init__(self):
         if min(self.learning_rate, self.adam_epsilon, self.adam_beta1,
                self.adam_beta2, self.word_dropout_alpha) <= 0 or self.epochs <= 0:
             raise ValueError("all training hyperparameters must be positive")
-        if self.reduce_loss_mode not in ("widen_margin", "boost_competitors"):
-            raise ValueError(f"unknown reduce_loss_mode {self.reduce_loss_mode!r}")
 
 
 class Adam:
@@ -285,13 +257,14 @@ def step_loss(
     y_plus: frozenset[Action],
     legal: frozenset[Action],
     action_index: Mapping[Action, int],
-    reduce_loss_mode: str = "widen_margin",
 ) -> tuple[float, ad.Tensor | None]:
     """Hinge loss of one step; returns the value and a tape node when positive.
 
     The best correct action must outscore the best incorrect legal action by
-    a margin of 1, raised to 2 when REDUCE is the only correct action.  When
-    every legal action is correct the loss is zero.
+    a margin of 1, raised to 2 when REDUCE is the only correct action
+    (equivalently, every competitor's score is raised by 1 before the max).
+    When every legal action is correct the loss is zero.  Ties between equal
+    scores go to the lowest action index.
     """
     if not y_plus:
         raise ValueError("y_plus must not be empty")
@@ -301,17 +274,8 @@ def step_loss(
     if not wrong:
         return 0.0, None
     data = scores.data
-    reduce_only = y_plus == frozenset({REDUCE})
-    bonus = 1.0 if reduce_only else 0.0
-    if reduce_loss_mode == "widen_margin":
-        margin = 1.0 + bonus
-        best_wrong = max(sorted(action_index[a] for a in wrong), key=lambda i: data[i])
-    else:
-        margin = 1.0
-        best_wrong = max(
-            sorted(action_index[a] for a in wrong), key=lambda i: data[i] + bonus
-        )
-        margin += bonus
+    margin = 2.0 if y_plus == frozenset({REDUCE}) else 1.0
+    best_wrong = max(sorted(action_index[a] for a in wrong), key=lambda i: data[i])
     best_correct = max(sorted(action_index[a] for a in y_plus), key=lambda i: data[i])
     value = margin - data[best_correct] + data[best_wrong]
     if value <= 0.0:
@@ -328,7 +292,6 @@ def sentence_pass(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-    reduce_loss_mode: str = "widen_margin",
 ) -> tuple[float, list[ad.Tensor], int]:
     """Oracle-guided pass over one sentence.
 
@@ -344,7 +307,7 @@ def sentence_pass(
         y_plus = oracle(c, gold, reduce_set)
         legal = legal_actions(c, params.arc_rule)
         scores = score(feature(c, vectors, params), params)
-        value, term = step_loss(scores, y_plus, legal, params.action_index, reduce_loss_mode)
+        value, term = step_loss(scores, y_plus, legal, params.action_index)
         total += value
         if term is not None:
             terms.append(term)
@@ -374,7 +337,6 @@ class Trainer:
             tokens, gold, reduce_set, self.params,
             train_mode=True, rng=self.rng,
             dropout_alpha=self.config.word_dropout_alpha,
-            reduce_loss_mode=self.config.reduce_loss_mode,
         )
         if terms:
             ad.backward(ad.addsum(terms))
@@ -571,30 +533,40 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    """Rebuild ModelParams from a checkpoint; returns (params, header)."""
+    """Rebuild ModelParams from a checkpoint; returns (params, header).
+
+    Raises CheckpointCorrupt when the header line is unreadable or lacks an
+    entry, when it does not list exactly the tensors, in save order and with
+    the shapes, that its dims define, or when the payload does not hold
+    exactly their float32 values.
+    """
     raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
+    try:
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline].decode("utf-8"))
+    except ValueError as err:  # no header line, or one that is not UTF-8 JSON
+        raise CheckpointCorrupt(f"{path}: unreadable header ({err})") from err
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('format_version')!r}")
-    words = tuple(w for w, _ in header["vocab"])
-    counts = {w: int(c) for w, c in header["vocab"] if c}
-    vocab = Vocab(words=words, counts=counts)
-    dims = header["dims"]
-    params = ModelParams(
-        vocab,
-        ArcRule(header["arc_rule"]),
-        emb_dim=dims["emb_dim"],
-        hidden=dims["hidden"],
-        mlp_hidden=dims["mlp_hidden"],
-        layers=dims["layers"],
-        seed=0,
-    )
+    try:
+        words = tuple(w for w, _ in header["vocab"])
+        counts = {w: int(c) for w, c in header["vocab"] if c}
+        dims = {key: header["dims"][key] for key in ("emb_dim", "hidden", "mlp_hidden", "layers")}
+        rule, declared = ArcRule(header["arc_rule"]), header["tensors"]
+    except KeyError as err:
+        raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
+    params = ModelParams(Vocab(words=words, counts=counts), rule, seed=0, **dims)
+    names = sorted(params.tensors)
+    if declared != [[name, list(params.tensors[name].data.shape)] for name in names]:
+        raise CheckpointCorrupt(f"{path}: header tensors do not match the model its dims define")
+    expected = 4 * sum(params.tensors[name].data.size for name in names)
+    if len(raw) - newline - 1 != expected:
+        raise CheckpointCorrupt(
+            f"{path}: payload holds {len(raw) - newline - 1} bytes, expected {expected}")
     offset = newline + 1
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        params.tensors[name].data = values.astype(np.float64).reshape(shape)
-    params._check_shapes()
+    for name in names:
+        tensor = params.tensors[name]
+        values = np.frombuffer(raw, dtype="<f4", count=tensor.data.size, offset=offset)
+        offset += tensor.data.size * 4
+        tensor.data = values.astype(np.float64).reshape(tensor.data.shape)
     return params, header

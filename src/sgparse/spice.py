@@ -28,6 +28,9 @@ class TupleBag:
     def total(self) -> int:
         return len(self.objects) + len(self.attributes) + len(self.relations)
 
+    def sizes(self) -> CategoryCounts:
+        return CategoryCounts(len(self.objects), len(self.attributes), len(self.relations))
+
     def categories(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         return {
             "objects": self.objects,
@@ -118,6 +121,22 @@ def match_count(
     return CategoryCounts(**counts)
 
 
+def _prf(matched: int, n_cand: int, n_ref: int) -> ScoreTriple:
+    """Precision/recall/F of `matched` one-to-one pairs between `n_cand`
+    candidate and `n_ref` reference tuples.
+
+    Two empty sides score 1.0 by convention; when exactly one side is empty
+    the score is 0.0.
+    """
+    if n_cand == 0 and n_ref == 0:
+        return ScoreTriple(1.0, 1.0, 1.0)
+    precision = matched / n_cand if n_cand else 0.0
+    recall = matched / n_ref if n_ref else 0.0
+    if precision + recall == 0.0:
+        return ScoreTriple(precision, recall, 0.0)
+    return ScoreTriple(precision, recall, 2.0 * precision * recall / (precision + recall))
+
+
 def f_score(
     candidate: SceneGraph, reference: SceneGraph, lexicon: SynonymLexicon | None = None
 ) -> ScoreTriple:
@@ -128,15 +147,7 @@ def f_score(
     """
     cand = extract_tuples(candidate)
     ref = extract_tuples(reference)
-    n_cand, n_ref = cand.total(), ref.total()
-    if n_cand == 0 and n_ref == 0:
-        return ScoreTriple(1.0, 1.0, 1.0)
-    matched = match_count(cand, ref, lexicon).total()
-    precision = matched / n_cand if n_cand else 0.0
-    recall = matched / n_ref if n_ref else 0.0
-    if precision + recall == 0.0:
-        return ScoreTriple(precision, recall, 0.0)
-    return ScoreTriple(precision, recall, 2.0 * precision * recall / (precision + recall))
+    return _prf(match_count(cand, ref, lexicon).total(), cand.total(), ref.total())
 
 
 def corpus_f(
@@ -145,13 +156,7 @@ def corpus_f(
     lexicon: SynonymLexicon | None = None,
 ) -> float:
     """Arithmetic mean of the per-region F scores."""
-    if len(candidates) != len(references):
-        raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
-    if not candidates:
-        return 0.0
-    scores = parallel_map(lambda pair: f_score(pair[0], pair[1], lexicon).f,
-                          zip(candidates, references))
-    return float(sum(scores) / len(scores))
+    return evaluate_corpus(candidates, references, lexicon).mean_f
 
 
 @dataclass(frozen=True)
@@ -168,36 +173,22 @@ def evaluate_corpus(
     references: Sequence[SceneGraph],
     lexicon: SynonymLexicon | None = None,
 ) -> CorpusEval:
+    """Mean per-region F and per-category micro scores, from one tuple
+    extraction and one matching per region."""
     if len(candidates) != len(references):
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
 
     def region(pair):
-        cand_graph, ref_graph = pair
-        cand, ref = extract_tuples(cand_graph), extract_tuples(ref_graph)
-        counts = match_count(cand, ref, lexicon)
-        sizes_c = {k: len(v) for k, v in cand.categories().items()}
-        sizes_r = {k: len(v) for k, v in ref.categories().items()}
-        return counts, sizes_c, sizes_r, f_score(cand_graph, ref_graph, lexicon).f
+        cand, ref = extract_tuples(pair[0]), extract_tuples(pair[1])
+        return match_count(cand, ref, lexicon), cand.sizes(), ref.sizes()
 
     rows = parallel_map(region, zip(candidates, references))
-    totals = {k: [0, 0, 0] for k in ("objects", "attributes", "relations")}
-    fs = []
-    for counts, sizes_c, sizes_r, f in rows:
-        fs.append(f)
-        for k in totals:
-            totals[k][0] += getattr(counts, k)
-            totals[k][1] += sizes_c[k]
-            totals[k][2] += sizes_r[k]
-
-    def micro(matched: int, n_cand: int, n_ref: int) -> ScoreTriple:
-        if n_cand == 0 and n_ref == 0:
-            return ScoreTriple(1.0, 1.0, 1.0)
-        p = matched / n_cand if n_cand else 0.0
-        r = matched / n_ref if n_ref else 0.0
-        f = 2 * p * r / (p + r) if p + r else 0.0
-        return ScoreTriple(p, r, f)
-
-    categories = {k: micro(*totals[k]) for k in totals}
+    fs = [_prf(matched.total(), n_cand.total(), n_ref.total()).f
+          for matched, n_cand, n_ref in rows]
+    categories = {}
+    for k, name in enumerate(CategoryCounts._fields):
+        matched, n_cand, n_ref = (sum(row[side][k] for row in rows) for side in range(3))
+        categories[name] = _prf(matched, n_cand, n_ref)
     mean_f = float(sum(fs) / len(fs)) if fs else 0.0
     return CorpusEval(n_regions=len(fs), mean_f=mean_f, categories=categories)
 

@@ -4,6 +4,8 @@ import pytest
 
 from sgparse.cli import main
 from sgparse.corpus import generate_synthetic, save_corpus
+from sgparse.graph import ArcRule
+from sgparse.model import ModelParams, Vocab, save_checkpoint
 
 
 def run(argv, capsys):
@@ -164,6 +166,70 @@ class TestTrainWithSplits:
         ], capsys)
         assert code == 1
         assert "overlap" in stderr
+
+
+class TestSkipCounts:
+    def test_malformed_and_stuck_counts_on_stderr(self, trained, tmp_path, capsys):
+        _, checkpoint = trained
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(10, seed=9), corpus)
+        with corpus.open("a") as handle:
+            handle.write("{not json\n")
+        errors = {}
+        for argv in (["train", "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt")],
+                     ["eval", "--checkpoint", str(checkpoint)],
+                     ["retrieve", "--checkpoint", str(checkpoint)]):
+            code, stdout, stderr = run(argv + ["--corpus", str(corpus)], capsys)
+            assert code == 0
+            assert "malformed_skipped" not in stdout and "oracle_stuck" not in stdout
+            errors[argv[0]] = stderr.split()
+        for command, words in errors.items():
+            assert "malformed_skipped=1" in words, command
+        assert "oracle_stuck_skipped=0" in errors["train"]
+
+
+def _rewrite_header(raw, edit):
+    head, payload = raw.split(b"\n", 1)
+    header = json.loads(head)
+    edit(header["tensors"])
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
+
+
+def _drop_last_tensor(raw):
+    # the last tensor in save order is the "pad" vector, stored at the payload's end
+    _, shape = json.loads(raw.split(b"\n", 1)[0])["tensors"][-1]
+    return _rewrite_header(raw[:-4 * shape[0]], lambda tensors: tensors.pop())
+
+
+def _rename_last_tensor(tensors):
+    tensors[-1][0] = "padding"
+
+
+CORRUPTIONS = {
+    "trailing_bytes": lambda raw: raw + b"\0\0\0\0",
+    "short_payload": lambda raw: raw[:-4],
+    "tensor_missing": _drop_last_tensor,
+    "header_key_missing": lambda raw: raw.replace(b'"dims"', b'"sizes"', 1),
+    "header_line_missing": lambda raw: raw.split(b"\n", 1)[0],
+    "unknown_tensor": lambda raw: _rewrite_header(raw, _rename_last_tensor),
+}
+
+
+class TestCheckpointCorrupt:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_rejected_with_one_line_error(self, corruption, tmp_path, capsys):
+        params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
+                             emb_dim=4, hidden=3, mlp_hidden=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        source = tmp_path / "lines.txt"
+        source.write_text("a dog\n")
+        code, stdout, stderr = run(["parse", "--checkpoint", str(path),
+                                    "--input", str(source)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert str(path) in stderr
 
 
 class TestWorkerPool:

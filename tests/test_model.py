@@ -178,17 +178,6 @@ class TestStepLoss:
         value, _ = step_loss(scores, frozenset({REDUCE}), frozenset({REDUCE, SHIFT}), self.index)
         assert value == pytest.approx(2.0)
 
-    def test_both_reduce_loss_modes_agree(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            scores = ad.tensor(rng.standard_normal(len(self.actions)))
-            legal = frozenset(self.actions)
-            for y_plus in (frozenset({REDUCE}), frozenset({SHIFT}),
-                           frozenset({SHIFT, left(EdgeLabel.BEGN)})):
-                a = step_loss(scores, y_plus, legal, self.index, "widen_margin")[0]
-                b = step_loss(scores, y_plus, legal, self.index, "boost_competitors")[0]
-                assert a == pytest.approx(b)
-
     def test_all_legal_correct_is_zero(self):
         scores = self.make_scores({SHIFT: -5.0})
         value, term = step_loss(scores, frozenset({SHIFT}), frozenset({SHIFT}), self.index)
