@@ -41,7 +41,7 @@ from .model import (
     save_checkpoint,
 )
 from .pool import parallel_map
-from .retrieval import build_index, evaluate_retrieval, format_results, subgraph_of
+from .retrieval import build_index, evaluate_retrieval, format_results, object_labels, subgraph_of
 from .spice import corpus_f, evaluate_corpus, format_report
 from .transition import format_trace, oracle_parse
 
@@ -243,13 +243,15 @@ def cmd_retrieve(args) -> int:
     for record in records:
         by_image.setdefault(record.image_id, []).append(record.graph)
     index = build_index(sorted(by_image.items()))
-    combined = {entry.image_id: entry.graph for entry in index}
     queries = []
     for record in records:
+        # an image can hold the query exactly only if it holds every object label
+        labels = object_labels(record.graph)
         truth = {record.image_id}
         truth.update(
-            image_id for image_id, graph in combined.items()
-            if image_id != record.image_id and subgraph_of(record.graph, graph)
+            entry.image_id for entry in index
+            if entry.image_id != record.image_id and labels <= entry.labels
+            and subgraph_of(record.graph, entry.graph)
         )
         queries.append((record.phrase, truth))
     result = evaluate_retrieval(queries, functools.partial(_parse_text, params), index, lexicon)

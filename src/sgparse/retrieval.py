@@ -3,16 +3,27 @@
 Each image's region graphs are unioned into one combined graph (instance
 multiplicity preserved); a query description is parsed to a graph and images
 are ranked by the F score between the query graph and each combined graph.
+
+Only images that share a compatible object label with the query are scored.
+Attribute and relation tuples carry their object's label, and tuples are
+compared slot by slot, so a pair with no compatible object label has no
+matched tuple at all and its F is 0.0 -- unless both graphs are empty, which
+score 1.0.  The query's object labels are expanded through the lexicon on
+the query side only, which is the direction `match_count` compares in.
+Likewise an image can contain a query exactly only if its object-label
+multiset contains the query's.
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .align import SynonymLexicon
-from .graph import SceneGraph
+from .graph import SceneGraph, normalize_label
 from .pool import parallel_map
 from .spice import extract_tuples, f_score, match_count
 
@@ -30,10 +41,19 @@ def merge_graphs(graphs: Sequence[SceneGraph]) -> SceneGraph:
     return SceneGraph(objects=tuple(objects), attributes=tuple(attributes), relations=tuple(relations))
 
 
+def object_labels(graph: SceneGraph) -> Counter[str]:
+    """Multiset of the graph's normalised object labels."""
+    return Counter(normalize_label(label) for label in graph.objects)
+
+
 @dataclass(frozen=True)
 class ImageEntry:
     image_id: Hashable
     graph: SceneGraph
+    labels: Counter[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", object_labels(self.graph))
 
 
 def build_index(images: Iterable[tuple[Hashable, Sequence[SceneGraph]]]) -> list[ImageEntry]:
@@ -47,13 +67,35 @@ def subgraph_of(query: SceneGraph, container: SceneGraph) -> bool:
     return match_count(q, extract_tuples(container)).total() == q.total()
 
 
+def _expand_labels(graph: SceneGraph, lexicon: SynonymLexicon | None = None) -> set[str]:
+    """Every image object label that some object label of `graph` is
+    compatible with: each word may become itself or one of its synonyms."""
+    table = lexicon.table if lexicon is not None else {}
+    expanded = set()
+    for label in object_labels(graph):
+        choices = [{word} | table.get(word, frozenset()) for word in label.split()]
+        expanded.update(" ".join(words) for words in itertools.product(*choices))
+    return expanded
+
+
 def rank_images(
     query_graph: SceneGraph, index: Sequence[ImageEntry], lexicon: SynonymLexicon | None = None
 ) -> list[Hashable]:
-    """Image ids by descending F score; ties break by ascending image id."""
+    """Image ids by descending F score; ties break by ascending image id.
+
+    Images that share no compatible object label with the query get F = 0.0
+    without scoring (1.0 when both graphs are empty)."""
     if not index:
         raise ValueError("cannot rank against an empty index")
-    scored = [(f_score(query_graph, entry.graph, lexicon).f, entry.image_id) for entry in index]
+    wanted = _expand_labels(query_graph, lexicon)
+    scored = []
+    for entry in index:
+        # two empty graphs are the one label-disjoint pair that scores above 0
+        if wanted.isdisjoint(entry.labels) and (wanted or entry.labels):
+            f = 0.0
+        else:
+            f = f_score(query_graph, entry.graph, lexicon).f
+        scored.append((f, entry.image_id))
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return [image_id for _, image_id in scored]
 

@@ -84,40 +84,82 @@ def _compatible(a: tuple[str, ...], b: tuple[str, ...], lexicon: SynonymLexicon)
 
 
 def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size via augmenting paths (Kuhn)."""
+    """Maximum bipartite matching size (Hopcroft–Karp, without recursion).
+
+    Each phase layers the left vertices by a breadth-first search from the
+    free ones, then augments along layered paths found by an explicit-stack
+    depth-first search.  The loop ends when no free right vertex is
+    reachable, i.e. when no augmenting path is left.
+    """
+    match_left = [-1] * len(adjacency)
     match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
     matched = 0
-    for u in range(len(adjacency)):
-        if augment(u, [False] * n_right):
-            matched += 1
-    return matched
+    while True:
+        free = [u for u, v in enumerate(match_left) if v == -1]
+        layer = [-1] * len(adjacency)
+        for u in free:
+            layer[u] = 0
+        queue, reachable = list(free), False
+        for u in queue:                     # the queue grows while it is read
+            for v in adjacency[u]:
+                w = match_right[v]
+                if w == -1:
+                    reachable = True
+                elif layer[w] == -1:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if not reachable:
+            return matched
+        next_edge = [0] * len(adjacency)
+        for root in free:
+            path, via = [root], []
+            while path:
+                u = path[-1]
+                edges = adjacency[u]
+                while next_edge[u] < len(edges):
+                    v = edges[next_edge[u]]
+                    next_edge[u] += 1
+                    w = match_right[v]
+                    if w == -1:
+                        via.append(v)
+                        for left, right in zip(path, via):
+                            match_left[left] = right
+                            match_right[right] = left
+                        matched += 1
+                        path = []
+                        break
+                    if layer[w] == layer[u] + 1:
+                        path.append(w)
+                        via.append(v)
+                        break
+                else:
+                    layer[u] = -1           # dead end for the rest of this phase
+                    path.pop()
+                    if via:
+                        via.pop()
 
 
 def match_count(
     candidate: TupleBag, reference: TupleBag, lexicon: SynonymLexicon | None = None
 ) -> CategoryCounts:
-    """Size of the maximum one-to-one matching per tuple category."""
+    """Size of the maximum one-to-one matching per tuple category.
+
+    Compatibility is decided once per distinct (candidate, reference) tuple
+    value, and every instance of a value shares that value's edge list."""
     lexicon = lexicon or SynonymLexicon.empty()
     counts = {}
     ref_cats = reference.categories()
     for name, cand_tuples in candidate.categories().items():
         ref_tuples = ref_cats[name]
-        adjacency = [
-            [j for j, r in enumerate(ref_tuples) if _compatible(c, r, lexicon)]
-            for c in cand_tuples
-        ]
-        counts[name] = _max_matching(adjacency, len(ref_tuples))
+        positions: dict[tuple[str, ...], list[int]] = {}
+        for j, r in enumerate(ref_tuples):
+            positions.setdefault(r, []).append(j)
+        edges: dict[tuple[str, ...], list[int]] = {}
+        for c in cand_tuples:
+            if c not in edges:
+                edges[c] = [j for r, js in positions.items() if _compatible(c, r, lexicon)
+                            for j in js]
+        counts[name] = _max_matching([edges[c] for c in cand_tuples], len(ref_tuples))
     return CategoryCounts(**counts)
 
 

@@ -1,11 +1,15 @@
+import functools
 import json
 
 import pytest
 
-from sgparse.cli import main
-from sgparse.corpus import generate_synthetic, save_corpus
+from sgparse import retrieval
+from sgparse.align import SynonymLexicon
+from sgparse.cli import _parse_text, main
+from sgparse.corpus import generate_synthetic, load_corpus, save_corpus
 from sgparse.graph import ArcRule
-from sgparse.model import ModelParams, Vocab, save_checkpoint
+from sgparse.model import ModelParams, Vocab, load_checkpoint, save_checkpoint
+from sgparse.spice import f_score
 
 
 def run(argv, capsys):
@@ -136,6 +140,48 @@ class TestTrainEvalParse:
         rows = stdout.rstrip("\n").split("\n")
         assert rows[0].startswith("0\t")
         assert rows[-1].split("\t")[3] == ""
+
+
+def _brute_force_rank(query_graph, index, lexicon=None):
+    scored = [(f_score(query_graph, entry.graph, lexicon).f, entry.image_id) for entry in index]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return [image_id for _, image_id in scored]
+
+
+class TestRetrieveWithLexicon:
+    @pytest.mark.parametrize("source", ["fixture", "synthetic"])
+    def test_results_equal_brute_force(self, source, trained, data_dir, tmp_path, capsys,
+                                       monkeypatch):
+        _, checkpoint = trained
+        corpus = tmp_path / "corpus.jsonl"
+        if source == "fixture":
+            corpus = f"{data_dir}/fixture_corpus.jsonl"
+        else:   # 40 regions give several multi-image ground-truth sets
+            save_corpus(generate_synthetic(40, seed=9), corpus)
+        lexicon_path = f"{data_dir}/lexicon.txt"
+        out = tmp_path / "results.txt"
+        code, _, _ = run(["retrieve", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                          "--lexicon", lexicon_path, "--out", str(out)], capsys)
+        assert code == 0
+
+        # every query against every image: subgraph_of for the truth sets and
+        # F for the rankings, with no label filter
+        records, _ = load_corpus(corpus)
+        by_image = {}
+        for record in records:
+            by_image.setdefault(record.image_id, []).append(record.graph)
+        index = retrieval.build_index(sorted(by_image.items()))
+        queries = [
+            (record.phrase, {entry.image_id for entry in index
+                             if entry.image_id == record.image_id
+                             or retrieval.subgraph_of(record.graph, entry.graph)})
+            for record in records
+        ]
+        monkeypatch.setattr(retrieval, "rank_images", _brute_force_rank)
+        params, _ = load_checkpoint(checkpoint)
+        expected = retrieval.evaluate_retrieval(queries, functools.partial(_parse_text, params),
+                                                index, SynonymLexicon.load(lexicon_path))
+        assert out.read_text() == retrieval.format_results(expected)
 
 
 class TestTrainWithSplits:

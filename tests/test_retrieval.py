@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sgparse import retrieval
+from sgparse.align import SynonymLexicon
 from sgparse.graph import SceneGraph
 from sgparse.retrieval import (
     build_index,
     evaluate_retrieval,
     format_results,
     merge_graphs,
+    object_labels,
     rank_images,
     subgraph_of,
 )
+from sgparse.spice import f_score
+
+LEXICON = SynonymLexicon.load(__file__.rsplit("/", 1)[0] + "/data/lexicon.txt")
 
 
 def obj_graph(*labels):
@@ -162,3 +169,111 @@ class TestFormatResults:
         assert lines[0].split("\t")[0] == "0"
         assert "R@5=1.0000" in text
         assert "median_rank=1" in text
+
+
+def brute_force_rank(query_graph, index, lexicon=None):
+    """F against every image, sorted by (-F, image id): the unfiltered ranker."""
+    scored = [(f_score(query_graph, entry.graph, lexicon).f, entry.image_id) for entry in index]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return [image_id for _, image_id in scored]
+
+
+def brute_force_truth(query_graph, index):
+    return {entry.image_id for entry in index if subgraph_of(query_graph, entry.graph)}
+
+
+def filtered_truth(query_graph, index):
+    """The ground-truth filter of `sgparse retrieve`."""
+    labels = object_labels(query_graph)
+    return {entry.image_id for entry in index
+            if labels <= entry.labels and subgraph_of(query_graph, entry.graph)}
+
+
+# "dog", "big dog" and "large puppy" are linked only through the lexicon;
+# case and spacing variants must normalise to the same label.
+LABELS = ["man", "guy", "person", "dog", "puppy", "tree", "big dog", "large puppy",
+          "Man", "big  Dog", "red car"]
+
+
+@st.composite
+def scene_graphs(draw, max_objects=4):
+    objects = draw(st.lists(st.sampled_from(LABELS), max_size=max_objects))
+    if not objects:
+        return SceneGraph()
+    node = st.integers(0, len(objects) - 1)
+    attributes = draw(st.lists(st.tuples(node, st.sampled_from(["red", "big", "large"])),
+                               max_size=3))
+    relations = draw(st.lists(st.tuples(node, st.sampled_from(["near", "in front of"]), node),
+                              max_size=3))
+    return SceneGraph(objects=tuple(objects), attributes=tuple(attributes),
+                      relations=tuple(relations))
+
+
+images = st.lists(st.lists(scene_graphs(), max_size=3), min_size=1, max_size=8)
+
+
+class TestFilteredAgreesWithBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(query=scene_graphs(), regions=images, lexicon=st.sampled_from([None, LEXICON]))
+    def test_rankings_identical(self, query, regions, lexicon):
+        index = build_index(enumerate(regions))
+        assert rank_images(query, index, lexicon) == brute_force_rank(query, index, lexicon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=scene_graphs(), regions=images)
+    def test_truth_sets_identical(self, query, regions):
+        index = build_index(enumerate(regions))
+        assert filtered_truth(query, index) == brute_force_truth(query, index)
+
+    @pytest.mark.parametrize("lexicon", [None, LEXICON])
+    def test_empty_query(self, lexicon):
+        index = build_index([(1, [obj_graph("dog")]), (2, []), (3, [SceneGraph()])])
+        query = SceneGraph()
+        assert rank_images(query, index, lexicon) == brute_force_rank(query, index, lexicon)
+        assert rank_images(query, index, lexicon) == [2, 3, 1]
+        assert filtered_truth(query, index) == brute_force_truth(query, index) == {1, 2, 3}
+
+    @pytest.mark.parametrize("lexicon", [None, LEXICON])
+    def test_image_with_empty_graph(self, lexicon):
+        index = build_index([(1, []), (2, [obj_graph("tree")]), (3, [obj_graph("dog")])])
+        query = obj_graph("dog")
+        assert rank_images(query, index, lexicon) == brute_force_rank(query, index, lexicon)
+        assert rank_images(query, index, lexicon) == [3, 1, 2]
+        assert filtered_truth(query, index) == brute_force_truth(query, index) == {3}
+
+    def test_multiword_label_through_synonyms(self):
+        index = build_index([(1, [obj_graph("large dog")]), (2, [obj_graph("large puppy")]),
+                             (3, [obj_graph("big cat")]), (4, [obj_graph("dog")])])
+        query = SceneGraph(objects=("big  Dog",), attributes=((0, "red"),))
+        ranking = rank_images(query, index, LEXICON)
+        assert ranking == brute_force_rank(query, index, LEXICON)
+        assert ranking[:2] == [1, 2]
+        assert rank_images(query, index) == brute_force_rank(query, index) == [1, 2, 3, 4]
+
+    def test_image_linked_only_through_synonym(self):
+        index = build_index([(1, [obj_graph("tree")]), (2, [obj_graph("man")])])
+        query = obj_graph("guy")
+        assert rank_images(query, index, LEXICON) == brute_force_rank(query, index, LEXICON)
+        assert rank_images(query, index, LEXICON) == [2, 1]
+        assert rank_images(query, index) == [1, 2]       # no lexicon: all tie at 0
+        assert filtered_truth(query, index) == brute_force_truth(query, index) == set()
+
+    def test_all_zero_ties_sort_by_id(self):
+        index = build_index([(7, [obj_graph("tree")]), (3, [obj_graph("car")]),
+                             (5, [SceneGraph()])])
+        query = SceneGraph(objects=("horse", "horse"), relations=((0, "near", 1),))
+        assert rank_images(query, index, LEXICON) == brute_force_rank(query, index, LEXICON)
+        assert rank_images(query, index, LEXICON) == [3, 5, 7]
+
+    def test_only_label_sharing_images_are_scored(self, monkeypatch):
+        scored = []
+
+        def counting_f_score(candidate, reference, lexicon=None):
+            scored.append(reference.objects)
+            return f_score(candidate, reference, lexicon)
+
+        monkeypatch.setattr(retrieval, "f_score", counting_f_score)
+        index = build_index([(1, [obj_graph("man")]), (2, [obj_graph("tree")]),
+                             (3, [obj_graph("person", "car")]), (4, [SceneGraph()])])
+        assert rank_images(obj_graph("man"), index, LEXICON) == [1, 3, 2, 4]
+        assert scored == [("man",), ("person", "car")]

@@ -7,6 +7,7 @@ from sgparse.align import SynonymLexicon
 from sgparse.graph import SceneGraph
 from sgparse.spice import (
     TupleBag,
+    _max_matching,
     corpus_f,
     evaluate_corpus,
     extract_tuples,
@@ -115,7 +116,49 @@ class TestMatchCount:
                 assert getattr(counts, name) <= min(len(cands), len(refs))
 
 
+def kuhn_matching(adjacency, n_right):
+    """Recursive augmenting-path matching; reference for the iterative one."""
+    match_right = [-1] * n_right
+
+    def augment(u, seen):
+        for v in adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, [False] * n_right) for u in range(len(adjacency)))
+
+
+class TestMaxMatching:
+    def test_agrees_with_recursive_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n_left, n_right = (int(k) for k in rng.integers(0, 40, size=2))
+            density = float(rng.random()) * 0.3
+            adjacency = [
+                [int(v) for v in rng.permutation(n_right) if rng.random() < density]
+                for _ in range(n_left)
+            ]
+            assert _max_matching(adjacency, n_right) == kuhn_matching(adjacency, n_right)
+
+    def test_needs_an_augmenting_path(self):
+        # a greedy first pick (0-0) must be undone to reach size 2
+        assert _max_matching([[0, 1], [0]], 2) == 2
+
+    def test_empty_sides(self):
+        assert _max_matching([], 3) == 0
+        assert _max_matching([[], []], 0) == 0
+
+
 class TestFScore:
+    def test_many_same_label_objects(self):
+        # the recursive matcher this replaced overflowed the stack here
+        g = SceneGraph(objects=("man",) * 1200)
+        assert f_score(g, g).f == 1.0
+
     def test_identity(self, fig_graph):
         assert f_score(fig_graph, fig_graph) == (1.0, 1.0, 1.0)
 
