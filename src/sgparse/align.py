@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .errors import AlignmentConflict
+from .errors import AlignmentConflict, LexiconCorrupt
 from .graph import (
     ArcRule,
     ArcSet,
@@ -67,9 +67,14 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "SynonymLexicon":
-        """Read `word<TAB>syn1,syn2,...` lines; `#` starts a comment line."""
+        """Read `word<TAB>syn1,syn2,...` lines; `#` starts a comment line.
+
+        Every word and synonym must be a single word: matching compares one
+        token with one token, so a multi-word entry could never match.
+        """
         pairs = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -77,10 +82,11 @@ class SynonymLexicon:
             word = word.strip().lower()
             if not word:
                 continue
-            for syn in rest.split(","):
-                syn = syn.strip().lower()
-                if syn:
-                    pairs.append((word, syn))
+            syns = [syn.strip().lower() for syn in rest.split(",")]
+            for entry in [word, *syns]:
+                if len(entry.split()) > 1:
+                    raise LexiconCorrupt(f"{path}:{number}: {entry!r} is not a single word")
+            pairs.extend((word, syn) for syn in syns if syn)
         return cls.from_pairs(pairs)
 
     def matches(self, a: str, b: str) -> bool:
@@ -123,16 +129,9 @@ class AlignMode(Enum):
     NO_SYN = "no-syn"
 
 
-def wbw_match(label: str, tokens: list[str], start: int) -> bool:
-    """True iff the label's words equal tokens[start .. start+len-1] (1-based)."""
-    words = normalize_label(label).split()
-    if not words or start < 1 or start + len(words) - 1 > len(tokens):
-        return False
-    return all(w == tokens[start - 1 + k] for k, w in enumerate(words))
-
-
 def syn_match(label: str, tokens: list[str], start: int, lexicon: SynonymLexicon) -> bool:
-    """Like wbw_match but each word may also match through the lexicon."""
+    """True iff each of the label's words matches tokens[start + k - 1] (1-based)
+    through the lexicon; with an empty lexicon this is word-by-word matching."""
     words = normalize_label(label).split()
     if not words or start < 1 or start + len(words) - 1 > len(tokens):
         return False
@@ -152,13 +151,14 @@ def align(
     first match wins.
     """
     lexicon = lexicon or SynonymLexicon.empty()
+    no_synonyms = SynonymLexicon.empty()
     tokens = tokenize(sentence)
     n = len(tokens)
     spans: dict[NodeRef, tuple[int, int]] = {}
     used_words: set[int] = set()
     aligned: set[NodeRef] = set()
 
-    def try_align(ref: NodeRef, label: str, allow_syn: bool) -> None:
+    def try_align(ref: NodeRef, label: str, synonyms: SynonymLexicon) -> None:
         words = normalize_label(label).split()
         width = len(words)
         if width == 0:
@@ -167,11 +167,7 @@ def align(
             span = range(start, start + width)
             if any(t in used_words for t in span):
                 continue
-            if allow_syn:
-                ok = syn_match(label, tokens, start, lexicon)
-            else:
-                ok = wbw_match(label, tokens, start)
-            if ok:
+            if syn_match(label, tokens, start, synonyms):
                 spans[ref] = (start, start + width - 1)
                 used_words.update(span)
                 aligned.add(ref)
@@ -179,12 +175,12 @@ def align(
 
     for cycle in (1, 2):
         if mode is AlignMode.NO_SYN:
-            object_syn = other_syn = False
+            object_syn = other_syn = no_synonyms
         elif mode is AlignMode.ALL_SYN:
-            object_syn = other_syn = True
+            object_syn = other_syn = lexicon
         else:
-            object_syn = cycle == 2
-            other_syn = True
+            object_syn = lexicon if cycle == 2 else no_synonyms
+            other_syn = lexicon
         for i, label in enumerate(graph.objects):
             ref = NodeRef("object", i)
             if ref not in aligned:

@@ -41,3 +41,7 @@ class CorpusCorrupt(SgparseError):
 
 class CheckpointCorrupt(SgparseError):
     """A checkpoint's header and payload do not describe one complete model."""
+
+
+class LexiconCorrupt(SgparseError):
+    """A synonym lexicon line holds a word or synonym that is not a single word."""

@@ -135,15 +135,12 @@ class ModelParams:
 class TrainConfig:
     learning_rate: float = 0.001
     adam_epsilon: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     epochs: int = 4
     word_dropout_alpha: float = 0.25
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.adam_epsilon, self.adam_beta1,
-               self.adam_beta2, self.word_dropout_alpha) <= 0 or self.epochs <= 0:
+        if min(self.learning_rate, self.adam_epsilon, self.word_dropout_alpha) <= 0 or self.epochs <= 0:
             raise ValueError("all training hyperparameters must be positive")
 
 
@@ -195,17 +192,16 @@ def _lstm_direction(xs: list[ad.Tensor], w: ad.Tensor, b: ad.Tensor, hidden: int
 def encode(
     tokens: Sequence[str],
     params: ModelParams,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
 ) -> list[ad.Tensor]:
     """Context vectors for each token plus a trailing one for ROOT.
 
-    In train mode each occurrence of a word with corpus frequency f is
-    replaced by UNK with probability alpha / (alpha + f).
+    Given an rng (training), each occurrence of a word with corpus frequency
+    f is replaced by UNK with probability alpha / (alpha + f).
     """
     ids = [params.vocab.id(w) for w in tokens]
-    if train_mode and rng is not None:
+    if rng is not None:
         dropped = []
         for word, idx in zip(tokens, ids):
             freq = params.vocab.count(word)
@@ -289,7 +285,6 @@ def sentence_pass(
     gold: ArcSet,
     reduce_set: frozenset[int],
     params: ModelParams,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
 ) -> tuple[float, list[ad.Tensor], int]:
@@ -298,7 +293,7 @@ def sentence_pass(
     Follows the deterministic preferred gold action at every step and
     accumulates hinge terms; returns (summed loss, tape terms, step count).
     """
-    vectors = encode(tokens, params, train_mode=train_mode, rng=rng, dropout_alpha=dropout_alpha)
+    vectors = encode(tokens, params, rng=rng, dropout_alpha=dropout_alpha)
     c = initial(len(tokens))
     total = 0.0
     terms: list[ad.Tensor] = []
@@ -325,8 +320,6 @@ class Trainer:
         self.optimizer = Adam(
             params.parameters(),
             lr=self.config.learning_rate,
-            beta1=self.config.adam_beta1,
-            beta2=self.config.adam_beta2,
             eps=self.config.adam_epsilon,
         )
         self.rng = np.random.default_rng(self.config.rng_seed)
@@ -334,8 +327,7 @@ class Trainer:
 
     def train_sentence(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> float:
         total, terms, _ = sentence_pass(
-            tokens, gold, reduce_set, self.params,
-            train_mode=True, rng=self.rng,
+            tokens, gold, reduce_set, self.params, rng=self.rng,
             dropout_alpha=self.config.word_dropout_alpha,
         )
         if terms:
@@ -360,7 +352,7 @@ class Trainer:
 
 def greedy_parse(tokens: Sequence[str], params: ModelParams) -> tuple[ArcSet, list[Action]]:
     """Greedy decoding restricted to legal actions; deterministic given params."""
-    vectors = encode(tokens, params, train_mode=False)
+    vectors = encode(tokens, params)
     c = initial(len(tokens))
     actions: list[Action] = []
     while not is_terminal(c):

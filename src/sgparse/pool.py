@@ -1,13 +1,14 @@
-"""Worker pool helper with deterministic result ordering.
+"""Per-record map that runs in the calling thread.
 
-SGPARSE_THREADS caps the pool size; per-item work stays pure, so results are
-identical to a sequential run.
+Per-record work (alignment, parsing, tuple matching) is pure Python and
+holds the GIL, so threads cannot speed it up (they measured slower); it
+runs as a plain loop.  The module stays only because the benchmark under
+`perfbench/` imports it, calls `worker_count()`, and wraps `parallel_map`
+where `cli`, `spice` and `retrieval` look it up.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -15,16 +16,8 @@ R = TypeVar("R")
 
 
 def worker_count() -> int:
-    env = os.environ.get("SGPARSE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from sgparse.align import (
     AlignMode,
     SynonymLexicon,
@@ -6,9 +10,9 @@ from sgparse.align import (
     derive_gold,
     syn_match,
     tokenize,
-    wbw_match,
 )
 from sgparse.corpus import generate_synthetic
+from sgparse.errors import LexiconCorrupt
 from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, NodeRef, SceneGraph
 
 
@@ -29,18 +33,22 @@ class TestTokenize:
 
 
 class TestWbwMatch:
+    """Word-by-word matching is `syn_match` with an empty lexicon."""
+
+    NONE = SynonymLexicon.empty()
+
     def test_multiword_match(self, fig_tokens):
-        assert wbw_match("in front of", fig_tokens, 3)
+        assert syn_match("in front of", fig_tokens, 3, self.NONE)
 
     def test_wrong_position(self, fig_tokens):
-        assert not wbw_match("barrier", fig_tokens, 1)
+        assert not syn_match("barrier", fig_tokens, 1, self.NONE)
 
     def test_last_token(self, fig_tokens):
-        assert wbw_match("person", fig_tokens, 7)
+        assert syn_match("person", fig_tokens, 7, self.NONE)
 
     def test_out_of_bounds(self, fig_tokens):
-        assert not wbw_match("person", fig_tokens, 8)
-        assert not wbw_match("in front of", fig_tokens, 6)
+        assert not syn_match("person", fig_tokens, 8, self.NONE)
+        assert not syn_match("in front of", fig_tokens, 6, self.NONE)
 
 
 class TestSynMatch:
@@ -68,6 +76,14 @@ class TestLexiconFile:
         assert lex.matches("men", "man")  # symmetric closure
         assert lex.matches("large", "big")
         assert not lex.matches("dog", "cat")
+
+    @pytest.mark.parametrize("entry", ["man\tyoung man", "young man\tguy",
+                                       "man\tguy, old  fellow", "man guy"])
+    def test_multi_word_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"# comment\ndog\tpuppy\n{entry}\n", encoding="utf-8")
+        with pytest.raises(LexiconCorrupt, match=re.escape(f"{path}:3:")):
+            SynonymLexicon.load(path)
 
 
 class TestAlign:

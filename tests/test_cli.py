@@ -76,6 +76,18 @@ class TestAlign:
              "--out", str(right_out)], capsys)
         assert left_out.read_bytes() != right_out.read_bytes()
 
+    def test_multi_word_synonym_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(5, seed=6), corpus)
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("dog\tpuppy\nman\tyoung man\n", encoding="utf-8")
+        out = tmp_path / "gold.jsonl"
+        code, stdout, stderr = run(["align", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                                    "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {lexicon}:2: 'young man' is not a single word\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -276,20 +288,6 @@ class TestCheckpointCorrupt:
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert str(path) in stderr
-
-
-class TestWorkerPool:
-    def test_thread_cap_preserves_results(self, monkeypatch):
-        from sgparse.graph import SceneGraph
-        from sgparse.spice import corpus_f
-
-        graphs = [SceneGraph(objects=("dog", "cat")), SceneGraph(objects=("dog",))]
-        refs = [SceneGraph(objects=("dog",)), SceneGraph(objects=("cat",))]
-        monkeypatch.setenv("SGPARSE_THREADS", "1")
-        single = corpus_f(graphs, refs)
-        monkeypatch.setenv("SGPARSE_THREADS", "4")
-        pooled = corpus_f(graphs, refs)
-        assert single == pooled
 
 
 class TestGradcheckCommand:

@@ -383,7 +383,13 @@ class TestWordDropout:
         params = small_params([tokens])
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
-        va = encode(["dog"], params, train_mode=True, rng=rng_a, dropout_alpha=1e9)
+        va = encode(["dog"], params, rng=rng_a, dropout_alpha=1e9)
         # with an enormous alpha the word always drops to UNK
-        unk_only = encode(["zebra"], params, train_mode=True, rng=rng_b, dropout_alpha=1e9)
+        unk_only = encode(["zebra"], params, rng=rng_b, dropout_alpha=1e9)
         assert np.allclose(va[0].data, unk_only[0].data)
+
+    def test_no_rng_no_dropout(self):
+        params = small_params([("dog",)])
+        kept = encode(["dog"], params, dropout_alpha=1e9)
+        unk_only = encode(["zebra"], params, dropout_alpha=1e9)
+        assert not np.allclose(kept[0].data, unk_only[0].data)

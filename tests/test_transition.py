@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.corpus import generate_synthetic
 from sgparse.errors import IllegalAction, OracleStuck
-from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel
+from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, to_node_centric_lenient
 from sgparse.transition import (
     REDUCE,
     SHIFT,
@@ -209,6 +210,22 @@ class TestOracleParse:
                 assert a in legal_actions(c, ArcRule.RIGHT)
                 c = apply(c, a)
             assert c.arc_set() == gold
+
+
+class TestRandomLegalWalk:
+    """Any walk of legal actions ends in a well-formed, convertible parse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), n=st.integers(0, 10), data=st.data())
+    def test_terminates_in_2n_steps_with_valid_arcs(self, rule, n, data):
+        c = initial(n)
+        steps = 0
+        while not is_terminal(c) and steps <= 2 * n:
+            c = apply(c, data.draw(st.sampled_from(sorted(legal_actions(c, rule), key=str))))
+            steps += 1
+        assert is_terminal(c) and steps == 2 * n
+        arcs = c.arc_set()  # ArcSet checks its invariants on construction
+        to_node_centric_lenient(arcs, [f"w{i}" for i in range(1, n + 1)])
 
 
 class TestPreferred:
