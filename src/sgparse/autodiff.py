@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for an LSTM stack, an MLP and hinge losses: matrix-vector
+Just enough ops for a BiLSTM stack, an MLP and hinge losses: a fused
+bidirectional LSTM layer over a whole sequence, row gathers, matrix-vector
 products, elementwise arithmetic, tanh/sigmoid, concatenation, slicing and
 scalar picks.  Everything runs in float64; a Tensor records its parents and
 a closure that routes the incoming gradient to them.
@@ -28,6 +29,15 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _take(t: Tensor, g: np.ndarray) -> None:
+    """`_acc` for a freshly computed gradient that no other node holds, which
+    is kept as it is rather than added into a zeroed copy."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def tensor(data) -> Tensor:
@@ -90,9 +100,14 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that overflows for no finite input."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = _sigmoid(a.data)
     out = Tensor(y, parents=(a,))
 
     def backprop(g):
@@ -146,6 +161,107 @@ def row(m: Tensor, index: int) -> Tensor:
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
         m.grad[index] += g
+
+    out._backprop = backprop
+    return out
+
+
+def rows(m: Tensor, ids) -> Tensor:
+    """Gather of matrix rows; repeated ids accumulate their gradients."""
+    ids = np.asarray(ids, dtype=np.intp)
+    out = Tensor(m.data[ids], parents=(m,))
+
+    def backprop(g):
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        np.add.at(m.grad, ids, g)
+
+    out._backprop = backprop
+    return out
+
+
+def _lstm_forward(xs: np.ndarray, w: np.ndarray, b: np.ndarray, hidden: int):
+    """Run one LSTM direction over the rows of xs, in order.
+
+    Each step is `w @ [x; h] + b`, gates input/forget/output/candidate, then
+    `c = f*c + i*g` and `h = o*tanh(c)`.  Returns the hidden states and what
+    the backward pass needs: the step inputs `[x; h_prev]`, the four gate
+    activations, the cell states and their tanh.
+    """
+    steps = xs.shape[0]
+    z = np.empty((steps, xs.shape[1] + hidden))
+    gates = np.empty((steps, 4 * hidden))
+    cells = np.empty((steps, hidden))
+    tanh_cells = np.empty((steps, hidden))
+    hs = np.empty((steps, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for t in range(steps):
+        zt = np.concatenate([xs[t], h])
+        pre = w @ zt + b
+        i = _sigmoid(pre[:hidden])
+        f = _sigmoid(pre[hidden: 2 * hidden])
+        o = _sigmoid(pre[2 * hidden: 3 * hidden])
+        g = np.tanh(pre[3 * hidden:])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        z[t] = zt
+        gates[t, :hidden], gates[t, hidden: 2 * hidden] = i, f
+        gates[t, 2 * hidden: 3 * hidden], gates[t, 3 * hidden:] = o, g
+        cells[t], tanh_cells[t], hs[t] = c, tc, h
+    return hs, (z, gates, cells, tanh_cells)
+
+
+def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
+    """Backpropagation through time for one direction of `_lstm_forward`.
+
+    Returns the gradients of the inputs, the weights and the bias; each
+    weight gradient is one matmul over the per-step pre-activation
+    gradients rather than a sum of per-step outer products.
+    """
+    z, gates, cells, tanh_cells = saved
+    steps = dhs.shape[0]
+    in_dim = z.shape[1] - hidden
+    w_h = w[:, in_dim:]
+    i, f = gates[:, :hidden], gates[:, hidden: 2 * hidden]
+    o, g = gates[:, 2 * hidden: 3 * hidden], gates[:, 3 * hidden:]
+    dpre = np.empty_like(gates)
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in range(steps - 1, -1, -1):
+        dh = dhs[t] + dh_next
+        dc = dh * o[t] * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
+        c_prev = cells[t - 1] if t > 0 else 0.0
+        dpre[t, :hidden] = dc * g[t] * i[t] * (1.0 - i[t])
+        dpre[t, hidden: 2 * hidden] = dc * c_prev * f[t] * (1.0 - f[t])
+        dpre[t, 2 * hidden: 3 * hidden] = dh * tanh_cells[t] * o[t] * (1.0 - o[t])
+        dpre[t, 3 * hidden:] = dc * i[t] * (1.0 - g[t] * g[t])
+        dc_next = dc * f[t]
+        dh_next = dpre[t] @ w_h
+    return dpre @ w[:, :in_dim], dpre.T @ z, dpre.sum(axis=0)
+
+
+def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor], hidden: int) -> Tensor:
+    """Bidirectional LSTM layer over a whole sequence as one tape node.
+
+    Maps the T x in matrix `x` to a T x 2*hidden matrix whose row t holds the
+    forward state after token t followed by the backward state after token
+    t, reading right to left.  `fwd` and `bwd` are each `(w, b)` with w of
+    shape 4*hidden x (in + hidden), gate rows ordered input, forget, output,
+    candidate.
+    """
+    (w_f, b_f), (w_b, b_b) = fwd, bwd
+    h_f, saved_f = _lstm_forward(x.data, w_f.data, b_f.data, hidden)
+    h_b, saved_b = _lstm_forward(x.data[::-1], w_b.data, b_b.data, hidden)
+    out = Tensor(np.concatenate([h_f, h_b[::-1]], axis=1), parents=(x, w_f, b_f, w_b, b_b))
+
+    def backprop(g):
+        dx_f, dw_f, db_f = _lstm_backward(g[:, :hidden], w_f.data, saved_f, hidden)
+        dx_b, dw_b, db_b = _lstm_backward(g[::-1, hidden:], w_b.data, saved_b, hidden)
+        _take(x, dx_f + dx_b[::-1])
+        for param, grad in ((w_f, dw_f), (b_f, db_f), (w_b, dw_b), (b_b, db_b)):
+            _take(param, grad)
 
     out._backprop = backprop
     return out

@@ -129,7 +129,8 @@ def cmd_align(args) -> int:
     rule = _arc_rule(settings)
     mode = _align_mode(settings)
     records, skipped = load_corpus(settings.require("corpus"))
-    instances, stats = build_instances(records, lexicon, rule, mode)
+    alignments = []
+    instances, stats = build_instances(records, lexicon, rule, mode, alignments)
 
     lines = []
     by_region = {r.region_id: r for r in records}
@@ -144,12 +145,14 @@ def cmd_align(args) -> int:
         }, sort_keys=True))
     _write_text(args.out, "".join(line + "\n" for line in lines))
 
-    def aligned_pair(record: RegionRecord):
-        alignment = align(record.phrase, record.graph, lexicon, mode)
+    def aligned_pair(item):
+        record, alignment = item
+        if alignment is None:  # build_instances skips cyclic records unaligned
+            alignment = align(record.phrase, record.graph, lexicon, mode)
         subgraph = aligned_subgraph(record.graph, alignment, tokenize(record.phrase))
         return subgraph, len(alignment.aligned_nodes)
 
-    pairs = parallel_map(aligned_pair, records)
+    pairs = parallel_map(aligned_pair, zip(records, alignments))
     candidates = [subgraph for subgraph, _ in pairs]
     oracle_f = corpus_f(candidates, [r.graph for r in records], lexicon)
     total_nodes = sum(len(r.graph.node_refs()) for r in records)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .align import AlignMode, SynonymLexicon, align, derive_gold, tokenize
+from .align import AlignMode, AlignmentResult, SynonymLexicon, align, derive_gold, tokenize
 from .errors import AlignmentConflict, ArcConflict, CorpusCorrupt, OracleStuck
 from .graph import ArcRule, ArcSet, SceneGraph, is_acyclic, normalize_label
 from .transition import apply, initial, oracle_parse
@@ -236,13 +236,16 @@ def build_instances(
     lexicon: SynonymLexicon | None = None,
     rule: ArcRule = ArcRule.LEFT,
     mode: AlignMode = AlignMode.FULL,
+    alignments: list[AlignmentResult | None] | None = None,
 ) -> tuple[list[TrainInstance], dict[str, int]]:
     """Alignment-derived supervision for every usable record.
 
     Records are dropped (and counted) when their graph is cyclic, when the
     derived arcs violate the single-head property, or when the oracle cannot
     reach the gold arcs (non-projective).  The oracle action sequence is
-    replayed on every kept instance as a safety check.
+    replayed on every kept instance as a safety check.  When `alignments` is
+    a list, each record's alignment is appended to it in record order, None
+    for a cyclic record, which is never aligned.
     """
     instances = []
     stats = {"total": len(records), "used": 0, "cyclic": 0, "arc_conflict": 0,
@@ -250,9 +253,13 @@ def build_instances(
     for record in records:
         if not is_acyclic(record.graph):
             stats["cyclic"] += 1
+            if alignments is not None:
+                alignments.append(None)
             continue
         tokens = tuple(tokenize(record.phrase))
         alignment = align(record.phrase, record.graph, lexicon, mode)
+        if alignments is not None:
+            alignments.append(alignment)
         try:
             gold, reduce_set = derive_gold(alignment, record.graph, rule, len(tokens))
         except (ArcConflict, AlignmentConflict):

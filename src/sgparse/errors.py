@@ -45,3 +45,7 @@ class CheckpointCorrupt(SgparseError):
 
 class LexiconCorrupt(SgparseError):
     """A synonym lexicon line holds a word or synonym that is not a single word."""
+
+
+class ParameterNonFinite(SgparseError):
+    """A training update left a parameter tensor with an infinite or NaN value."""

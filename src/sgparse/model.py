@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointCorrupt, OracleStuck
+from .errors import CheckpointCorrupt, OracleStuck, ParameterNonFinite
 from .graph import ArcRule, ArcSet
 from .transition import (
     Action,
@@ -40,6 +40,10 @@ PAD = "<pad>"
 
 # LSTM gate rows, in order: input, forget, output, candidate.
 _GATES = 4
+
+# Elements per block of the Adam update: with the parameters, both moments,
+# the gradient and two scratch buffers, a block's working set is 1.5 MB.
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,16 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer over named tensors."""
+    """Adaptive-moment optimizer over named tensors.
+
+    Each tensor is updated in place, in blocks of `_ADAM_BLOCK` elements,
+    so that its parameters, moments, gradient and the two scratch buffers
+    stay in cache while one block goes through every step of the update;
+    each step is the same expression, in the same order, as the
+    whole-tensor form `p -= lr * m_hat / (sqrt(v_hat) + eps)`.  Parameter
+    arrays must be C-contiguous, as `ModelParams` and `load_checkpoint`
+    make them.
+    """
 
     def __init__(self, params: Mapping[str, ad.Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 0.01):
@@ -157,36 +170,51 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
     def step(self) -> None:
+        """One update of every tensor from its gradient (zero when None).
+
+        Raises ParameterNonFinite, naming the tensor, when the update leaves
+        one of its values infinite or NaN.
+        """
         self.t += 1
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else 0.0
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * np.square(g)
-            m_hat = self.m[name] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # Each block is checked for non-finite values instead of warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for name, p in self.params.items():
+                self._update(name, p)
+
+    def _update(self, name: str, p: ad.Tensor) -> None:
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name]))
+        flat_g = p.grad.reshape(-1) if p.grad is not None else None
+        for lo in range(0, flat_p.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, flat_p.size)
+            pb, m, v = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            g = flat_g[lo:hi] if flat_g is not None else 0.0
+            s1, s2 = self._scratch[0][: hi - lo], self._scratch[1][: hi - lo]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=s1)
+            np.add(m, s1, out=m)                # m = b1*m + (1-b1)*g
+            np.multiply(v, b2, out=v)
+            np.square(g, out=s1)
+            np.multiply(s1, 1.0 - b2, out=s1)
+            np.add(v, s1, out=v)                # v = b2*v + (1-b2)*g^2
+            np.divide(m, m_scale, out=s1)
+            np.multiply(s1, lr, out=s1)         # lr * m_hat
+            np.divide(v, v_scale, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)             # sqrt(v_hat) + eps
+            np.divide(s1, s2, out=s1)
+            np.subtract(pb, s1, out=pb)
+            if not np.isfinite(pb).all():
+                raise ParameterNonFinite(
+                    f"parameter tensor {name!r} became non-finite at Adam step {self.t}")
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-def _lstm_direction(xs: list[ad.Tensor], w: ad.Tensor, b: ad.Tensor, hidden: int) -> list[ad.Tensor]:
-    h = ad.tensor(np.zeros(hidden))
-    c = ad.tensor(np.zeros(hidden))
-    outs = []
-    for x in xs:
-        pre = ad.add(ad.matvec(w, ad.concat([x, h])), b)
-        i = ad.sigmoid(ad.narrow(pre, 0, hidden))
-        f = ad.sigmoid(ad.narrow(pre, hidden, 2 * hidden))
-        o = ad.sigmoid(ad.narrow(pre, 2 * hidden, 3 * hidden))
-        g = ad.tanh(ad.narrow(pre, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        outs.append(h)
-    return outs
 
 
 def encode(
@@ -210,20 +238,16 @@ def encode(
         ids = dropped
     ids.append(params.vocab.id(ROOT_WORD))
 
-    emb = params.tensors["embeddings"]
-    layer_in = [ad.row(emb, i) for i in ids]
+    tensors = params.tensors
+    layer_in = ad.rows(tensors["embeddings"], ids)
     for layer in range(params.layers):
-        fwd = _lstm_direction(
-            layer_in, params.tensors[f"lstm{layer}_fwd_w"],
-            params.tensors[f"lstm{layer}_fwd_b"], params.hidden,
+        layer_in = ad.bilstm(
+            layer_in,
+            (tensors[f"lstm{layer}_fwd_w"], tensors[f"lstm{layer}_fwd_b"]),
+            (tensors[f"lstm{layer}_bwd_w"], tensors[f"lstm{layer}_bwd_b"]),
+            params.hidden,
         )
-        bwd = _lstm_direction(
-            list(reversed(layer_in)), params.tensors[f"lstm{layer}_bwd_w"],
-            params.tensors[f"lstm{layer}_bwd_b"], params.hidden,
-        )
-        bwd.reverse()
-        layer_in = [ad.concat([f, b]) for f, b in zip(fwd, bwd)]
-    return layer_in
+    return [ad.row(layer_in, t) for t in range(len(ids))]
 
 
 def feature(c: Configuration, vectors: list[ad.Tensor], params: ModelParams) -> ad.Tensor:
@@ -340,13 +364,18 @@ class Trainer:
         """Train over the instances in order; returns the mean sentence loss.
 
         Instances whose gold arcs are unreachable are skipped and counted.
+        A ParameterNonFinite from the update is raised again with the
+        sentence's position in the epoch added.
         """
         losses = []
-        for tokens, gold, reduce_set in instances:
+        for position, (tokens, gold, reduce_set) in enumerate(instances, 1):
             try:
                 losses.append(self.train_sentence(tokens, gold, reduce_set))
             except OracleStuck:
                 self.skipped += 1
+            except ParameterNonFinite as err:
+                raise ParameterNonFinite(f"{err}, after training sentence {position} "
+                                         f"of the epoch ({' '.join(tokens)!r})") from err
         return float(np.mean(losses)) if losses else 0.0
 
 

@@ -77,6 +77,24 @@ class TestOps:
         m = ad.tensor(RNG.standard_normal((4, 3)))
         check(lambda: scalarize(ad.row(m, 2)), m)
 
+    def test_rows_accumulate_repeated_ids(self):
+        m = ad.tensor(RNG.standard_normal((4, 3)))
+        check(lambda: scalarize(ad.row(ad.rows(m, [2, 0, 2]), 2)), m)
+        check(lambda: scalarize(ad.row(ad.rows(m, [2, 0, 2]), 0)), m)
+
+    def test_bilstm(self):
+        x = ad.tensor(RNG.standard_normal((4, 3)))
+        fwd = (ad.tensor(RNG.standard_normal((8, 5)) * 0.5), ad.tensor(RNG.standard_normal(8)))
+        bwd = (ad.tensor(RNG.standard_normal((8, 5)) * 0.5), ad.tensor(RNG.standard_normal(8)))
+        weights = ad.tensor(RNG.standard_normal((1, 4 * 4)))
+
+        def build():
+            out = ad.bilstm(x, fwd, bwd, 2)
+            flat = ad.concat([ad.row(out, t) for t in range(4)])
+            return ad.pick(ad.matvec(weights, flat), 0)
+
+        check(build, x, *fwd, *bwd)
+
     def test_shared_node_accumulates(self):
         a = ad.tensor(RNG.standard_normal(4))
         check(lambda: scalarize(ad.add(ad.mul(a, a), a)), a)

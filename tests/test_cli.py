@@ -3,11 +3,13 @@ import json
 
 import pytest
 
+from sgparse import cli as cli_module
+from sgparse import corpus as corpus_module
 from sgparse import retrieval
 from sgparse.align import SynonymLexicon
 from sgparse.cli import _parse_text, main
-from sgparse.corpus import generate_synthetic, load_corpus, save_corpus
-from sgparse.graph import ArcRule
+from sgparse.corpus import RegionRecord, generate_synthetic, load_corpus, save_corpus
+from sgparse.graph import ArcRule, SceneGraph
 from sgparse.model import ModelParams, Vocab, load_checkpoint, save_checkpoint
 from sgparse.spice import f_score
 
@@ -75,6 +77,28 @@ class TestAlign:
         run(["align", "--corpus", str(corpus), "--arc-rule", "right",
              "--out", str(right_out)], capsys)
         assert left_out.read_bytes() != right_out.read_bytes()
+
+    def test_one_align_call_per_record(self, tmp_path, capsys, monkeypatch):
+        records = generate_synthetic(30, seed=6)
+        cyclic = SceneGraph(objects=("dog", "cat"), relations=((0, "near", 1), (1, "near", 0)))
+        records.append(RegionRecord(image_id=99, region_id=99, phrase="dog near cat",
+                                    graph=cyclic))
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(records, corpus)
+        calls = []
+
+        def counted(align):
+            def wrapper(phrase, *args):
+                calls.append(phrase)
+                return align(phrase, *args)
+            return wrapper
+
+        for owner in (corpus_module, cli_module):  # build_instances and cmd_align
+            monkeypatch.setattr(owner, "align", counted(owner.align))
+        code, _, err = run(["align", "--corpus", str(corpus),
+                            "--out", str(tmp_path / "gold.jsonl")], capsys)
+        assert code == 0 and "cyclic=1" in err
+        assert sorted(calls) == sorted(r.phrase for r in records)
 
     def test_multi_word_synonym_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -298,6 +322,19 @@ class TestGradcheckCommand:
 
 
 class TestErrors:
+    def test_non_finite_parameter_is_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(4, seed=9), corpus)
+        code, _, stderr = run(["train", "--corpus", str(corpus), "--lr", "inf", "--epochs", "1",
+                               "--checkpoint", str(tmp_path / "m.ckpt")], capsys)
+        assert code == 1
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "parameter tensor 'embeddings' became non-finite" in errors[0]
+        assert "training sentence 1 of the epoch" in errors[0]
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_required_setting(self, capsys):
         code, _, stderr = run(["align"], capsys)
         assert code == 1

@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgparse import autodiff as ad
+from sgparse import model
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.corpus import build_instances, generate_synthetic
 from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
+from sgparse.errors import ParameterNonFinite
 from sgparse.model import (
+    ROOT_WORD,
     Adam,
     ModelParams,
     TrainConfig,
@@ -36,6 +42,43 @@ from sgparse.transition import (
 def small_params(tokens_groups, seed=0, rule=ArcRule.LEFT):
     vocab = Vocab.from_sentences(tokens_groups)
     return ModelParams(vocab, rule, emb_dim=12, hidden=8, mlp_hidden=4, seed=seed)
+
+
+def reference_lstm_direction(xs, w, b, hidden):
+    """The per-token tape LSTM that `ad.bilstm` replaced, about a dozen tape
+    nodes per token; kept as the reference for the fused op."""
+    h = ad.tensor(np.zeros(hidden))
+    c = ad.tensor(np.zeros(hidden))
+    outs = []
+    for x in xs:
+        pre = ad.add(ad.matvec(w, ad.concat([x, h])), b)
+        i = ad.sigmoid(ad.narrow(pre, 0, hidden))
+        f = ad.sigmoid(ad.narrow(pre, hidden, 2 * hidden))
+        o = ad.sigmoid(ad.narrow(pre, 2 * hidden, 3 * hidden))
+        g = ad.tanh(ad.narrow(pre, 3 * hidden, 4 * hidden))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        outs.append(h)
+    return outs
+
+
+def reference_encode(tokens, params, rng=None, dropout_alpha=0.25):
+    """`encode` built from per-token row lookups and reference LSTM steps."""
+    assert rng is None, "the reference does not apply word dropout"
+    ids = [params.vocab.id(w) for w in tokens] + [params.vocab.id(ROOT_WORD)]
+    layer_in = [ad.row(params.tensors["embeddings"], i) for i in ids]
+    for layer in range(params.layers):
+        fwd = reference_lstm_direction(
+            layer_in, params.tensors[f"lstm{layer}_fwd_w"],
+            params.tensors[f"lstm{layer}_fwd_b"], params.hidden,
+        )
+        bwd = reference_lstm_direction(
+            list(reversed(layer_in)), params.tensors[f"lstm{layer}_bwd_w"],
+            params.tensors[f"lstm{layer}_bwd_b"], params.hidden,
+        )
+        bwd.reverse()
+        layer_in = [ad.concat([f, b]) for f, b in zip(fwd, bwd)]
+    return layer_in
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +127,97 @@ class TestEncode:
         backward = encode(list(reversed(words)), params)
         # token "c" sits at index 2 both times but its context differs
         assert not np.allclose(forward[2].data, backward[2].data)
+
+
+def run_with_encoder(encoder, instance, params):
+    """Context vectors, every step_loss value of the oracle-guided pass, the
+    gradients of its summed loss, and the greedy actions, with `encoder`
+    standing in for `model.encode`."""
+    tokens, gold, reduce_set = instance
+    values = []
+
+    def recording_step_loss(*args):
+        value, term = step_loss(*args)
+        values.append(value)
+        return value, term
+
+    with mock.patch.object(model, "encode", encoder), \
+            mock.patch.object(model, "step_loss", recording_step_loss):
+        vectors = [v.data for v in model.encode(tokens, params)]
+        for t in params.parameters().values():
+            t.grad = None
+        _, terms, _ = sentence_pass(tokens, gold, reduce_set, params)
+        if terms:
+            ad.backward(ad.addsum(terms))
+        grads = {name: t.grad for name, t in params.parameters().items()}
+        for t in params.parameters().values():
+            t.grad = None
+        _, actions = greedy_parse(tokens, params)
+    return vectors, values, grads, actions
+
+
+def assert_matches_reference(instance, params):
+    vectors, values, grads, actions = run_with_encoder(encode, instance, params)
+    ref_vectors, ref_values, ref_grads, ref_actions = run_with_encoder(
+        reference_encode, instance, params)
+    assert len(vectors) == len(ref_vectors)
+    assert all(np.array_equal(a, b) for a, b in zip(vectors, ref_vectors))
+    assert values == ref_values
+    assert actions == ref_actions
+    for name, t in params.parameters().items():
+        got, want = (np.zeros_like(t.data) if g is None else g
+                     for g in (grads[name], ref_grads[name]))
+        scale = max(np.abs(got).max(), np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+def _instances_by_length(rule):
+    """Synthetic training instances of 1..7 tokens by length, plus the empty
+    sentence (ROOT only)."""
+    instances, _ = build_instances(generate_synthetic(300, seed=21), rule=rule)
+    by_length = {0: [((), ArcSet(0), frozenset())]}
+    for inst in instances:
+        if len(inst.tokens) <= 7:
+            by_length.setdefault(len(inst.tokens), []).append(
+                (inst.tokens, inst.gold, inst.reduce_set))
+    assert sorted(by_length) == list(range(8))
+    return by_length
+
+
+INSTANCES_BY_LENGTH = {rule: _instances_by_length(rule) for rule in ArcRule}
+
+
+class TestFusedBiLSTM:
+    """`ad.bilstm` against the per-token tape LSTM it replaced: the same
+    context vectors, step losses and greedy actions bit for bit, and the
+    same gradients to 1e-12 relative."""
+
+    def test_default_size_on_synthetic_sentences(self):
+        instances, _ = build_instances(generate_synthetic(12, seed=21))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=0)
+        for inst in instances[:5]:
+            assert_matches_reference((inst.tokens, inst.gold, inst.reduce_set), params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), length=st.integers(0, 7),
+           pick=st.integers(0, 1000), emb_dim=st.integers(1, 6), hidden=st.integers(1, 5),
+           layers=st.integers(1, 2), seed=st.integers(0, 1000))
+    def test_small_sizes_and_lengths(self, rule, length, pick, emb_dim, hidden, layers, seed):
+        pool = INSTANCES_BY_LENGTH[rule][length]
+        instance = pool[pick % len(pool)]
+        params = ModelParams(Vocab.from_sentences([instance[0]]), rule, emb_dim=emb_dim,
+                             hidden=hidden, mlp_hidden=3, layers=layers, seed=seed)
+        assert_matches_reference(instance, params)
+
+    def test_word_dropout_reaches_the_embedding_rows(self):
+        tokens = ("dog", "cat", "dog")
+        params = small_params([tokens])
+        vectors = encode(list(tokens), params, rng=np.random.default_rng(0), dropout_alpha=1e9)
+        ad.backward(ad.addsum([ad.pick(v, 0) for v in vectors]))
+        grad = params.tensors["embeddings"].grad
+        touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
+        assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
 
 
 class TestFeature:
@@ -322,7 +456,60 @@ class TestGradCheck:
         assert err > 1e-2
 
 
+def reference_adam_step(opt):
+    """The whole-tensor update that the blocked `Adam.step` replaced."""
+    opt.t += 1
+    for name, p in opt.params.items():
+        g = p.grad if p.grad is not None else 0.0
+        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
+        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * np.square(g)
+        m_hat = opt.m[name] / (1.0 - opt.beta1 ** opt.t)
+        v_hat = opt.v[name] / (1.0 - opt.beta2 ** opt.t)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
 class TestAdam:
+    def test_blocked_step_matches_whole_tensor_reference(self):
+        block = model._ADAM_BLOCK
+        shapes = {"never_grad": (6,), "small": (3, 5), "one_block": (block,),
+                  "ragged": (2 * block + 123,), "gaps": (4, 7)}
+        rng = np.random.default_rng(3)
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        blocked = {name: ad.tensor(data.copy()) for name, data in start.items()}
+        whole = {name: ad.tensor(data.copy()) for name, data in start.items()}
+        opt = Adam(blocked, lr=0.01, eps=1e-3)
+        ref = Adam(whole, lr=0.01, eps=1e-3)
+        for step in range(5):
+            for name, shape in shapes.items():
+                # "gaps" has a gradient on even steps only, so its moments
+                # decay with no gradient while they are nonzero
+                none = name == "never_grad" or (name == "gaps" and step % 2)
+                grad = None if none else rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3)
+                blocked[name].grad = None if grad is None else grad.copy()
+                whole[name].grad = grad
+            opt.step()
+            reference_adam_step(ref)
+            for name in shapes:
+                assert np.array_equal(blocked[name].data, whole[name].data), name
+                assert np.array_equal(opt.m[name], ref.m[name]), name
+                assert np.array_equal(opt.v[name], ref.v[name]), name
+        assert not np.array_equal(blocked["gaps"].data, start["gaps"])
+
+    def test_non_finite_update_names_the_tensor(self):
+        a, b = ad.tensor(np.ones(3)), ad.tensor(np.ones(4))
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        a.grad = np.ones(3)
+        b.grad = np.array([0.0, np.inf, 0.0, 0.0])
+        with pytest.raises(ParameterNonFinite, match="'b'"):
+            opt.step()
+
+    def test_trainer_adds_the_sentence_position(self, fig_instance):
+        tokens, gold, reduce_set = fig_instance
+        params = small_params([tokens])
+        trainer = Trainer(params, TrainConfig(learning_rate=float("inf")))
+        with pytest.raises(ParameterNonFinite, match="'embeddings'.*sentence 1 of the epoch"):
+            trainer.run_epoch([(tokens, gold, reduce_set)])
+
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(0)
         p = ad.tensor(rng.standard_normal(4))

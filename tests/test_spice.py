@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgparse.align import SynonymLexicon
 from sgparse.graph import SceneGraph
@@ -31,6 +32,26 @@ def random_graph(rng, max_objects=4):
         for _ in range(int(rng.integers(0, 3)) if n else 0)
     )
     return SceneGraph(objects=objects, attributes=attributes, relations=relations)
+
+
+LEXICON = SynonymLexicon.load(__file__.rsplit("/", 1)[0] + "/data/lexicon.txt")
+
+
+@st.composite
+def scene_graphs(draw, max_objects=4):
+    """Random graphs over words that the test lexicon relates, the empty
+    graph included."""
+    objects = draw(st.lists(st.sampled_from(["man", "guy", "dog", "puppy", "car", "tree"]),
+                            max_size=max_objects))
+    if not objects:
+        return SceneGraph()
+    node = st.integers(0, len(objects) - 1)
+    attributes = draw(st.lists(st.tuples(node, st.sampled_from(["big", "large", "red"])),
+                               max_size=3))
+    relations = draw(st.lists(st.tuples(node, st.sampled_from(["near", "in front of"]), node),
+                              max_size=3))
+    return SceneGraph(objects=tuple(objects), attributes=tuple(attributes),
+                      relations=tuple(relations))
 
 
 def brute_force_matching(cands, refs, compatible):
@@ -154,6 +175,16 @@ class TestMaxMatching:
 
 
 class TestFScore:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate=scene_graphs(), reference=scene_graphs(),
+           lexicon=st.sampled_from([None, LEXICON]))
+    @example(candidate=SceneGraph(), reference=SceneGraph(), lexicon=None)
+    @example(candidate=SceneGraph(), reference=SceneGraph(objects=("man",)), lexicon=LEXICON)
+    def test_bounded_and_one_against_itself(self, candidate, reference, lexicon):
+        p, r, f = f_score(candidate, reference, lexicon)
+        assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f <= 1.0
+        assert f_score(candidate, candidate, lexicon).f == 1.0
+
     def test_many_same_label_objects(self):
         # the recursive matcher this replaced overflowed the stack here
         g = SceneGraph(objects=("man",) * 1200)
