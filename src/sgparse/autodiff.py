@@ -242,7 +242,7 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
     return dpre @ w[:, :in_dim], dpre.T @ z, dpre.sum(axis=0)
 
 
-def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor], hidden: int) -> Tensor:
+def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) -> Tensor:
     """Bidirectional LSTM layer over a whole sequence as one tape node.
 
     Maps the T x in matrix `x` to a T x 2*hidden matrix whose row t holds the
@@ -252,6 +252,7 @@ def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor], hi
     candidate.
     """
     (w_f, b_f), (w_b, b_b) = fwd, bwd
+    hidden = b_f.data.shape[0] // 4
     h_f, saved_f = _lstm_forward(x.data, w_f.data, b_f.data, hidden)
     h_b, saved_b = _lstm_forward(x.data[::-1], w_b.data, b_b.data, hidden)
     out = Tensor(np.concatenate([h_f, h_b[::-1]], axis=1), parents=(x, w_f, b_f, w_b, b_b))

@@ -245,7 +245,6 @@ def encode(
             layer_in,
             (tensors[f"lstm{layer}_fwd_w"], tensors[f"lstm{layer}_fwd_b"]),
             (tensors[f"lstm{layer}_bwd_w"], tensors[f"lstm{layer}_bwd_b"]),
-            params.hidden,
         )
     return [ad.row(layer_in, t) for t in range(len(ids))]
 

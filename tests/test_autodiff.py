@@ -89,7 +89,7 @@ class TestOps:
         weights = ad.tensor(RNG.standard_normal((1, 4 * 4)))
 
         def build():
-            out = ad.bilstm(x, fwd, bwd, 2)
+            out = ad.bilstm(x, fwd, bwd)
             flat = ad.concat([ad.row(out, t) for t in range(4)])
             return ad.pick(ad.matvec(weights, flat), 0)
 

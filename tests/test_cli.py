@@ -322,17 +322,21 @@ class TestGradcheckCommand:
 
 
 class TestErrors:
+    # a learning rate this large overflows the parameters within two updates,
+    # and the forward pass warns about the overflow on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameter_is_one_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
-        save_corpus(generate_synthetic(4, seed=9), corpus)
-        code, _, stderr = run(["train", "--corpus", str(corpus), "--lr", "inf", "--epochs", "1",
-                               "--checkpoint", str(tmp_path / "m.ckpt")], capsys)
-        assert code == 1
+        save_corpus(generate_synthetic(8, seed=9), corpus)
+        code, stdout, stderr = run(["train", "--corpus", str(corpus), "--lr", "1e300",
+                                    "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt")],
+                                   capsys)
+        assert code == 1 and "epoch=" not in stdout
         assert "Traceback" not in stderr
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
-        assert "parameter tensor 'embeddings' became non-finite" in errors[0]
-        assert "training sentence 1 of the epoch" in errors[0]
+        assert "became non-finite at Adam step" in errors[0]
+        assert "of the epoch" in errors[0]
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_required_setting(self, capsys):

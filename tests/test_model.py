@@ -503,12 +503,20 @@ class TestAdam:
         with pytest.raises(ParameterNonFinite, match="'b'"):
             opt.step()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the loss is inf - inf
     def test_trainer_adds_the_sentence_position(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens])
-        trainer = Trainer(params, TrainConfig(learning_rate=float("inf")))
-        with pytest.raises(ParameterNonFinite, match="'embeddings'.*sentence 1 of the epoch"):
-            trainer.run_epoch([(tokens, gold, reduce_set)])
+        # every gradient stays finite; the infinite bias fails its own update
+        params.tensors["mlp_b2"].data[:] = np.inf
+        stuck = (("a", "b", "c", "d"), ArcSet(4, frozenset({
+            Arc(1, 3, EdgeLabel.OBJT), Arc(4, 2, EdgeLabel.ATTR),
+            Arc(5, 1, EdgeLabel.BEGN), Arc(5, 4, EdgeLabel.BEGN),
+        })), frozenset())
+        trainer = Trainer(params, TrainConfig(rng_seed=0))
+        with pytest.raises(ParameterNonFinite, match="'mlp_b2'.*sentence 2 of the epoch"):
+            trainer.run_epoch([stuck, (tokens, gold, reduce_set)])
+        assert trainer.skipped == 1
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(0)
