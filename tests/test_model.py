@@ -8,8 +8,8 @@ from sgparse import autodiff as ad
 from sgparse import model
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.corpus import build_instances, generate_synthetic
-from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
 from sgparse.errors import ParameterNonFinite
+from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
 from sgparse.model import (
     ROOT_WORD,
     Adam,
