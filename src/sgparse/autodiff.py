@@ -101,9 +101,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that overflows for no finite input."""
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    """Logistic function that overflows for no finite input: `1/(1+e)` where
+    x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -186,30 +187,29 @@ def _lstm_forward(xs: np.ndarray, w: np.ndarray, b: np.ndarray, hidden: int):
     Each step is `w @ [x; h] + b`, gates input/forget/output/candidate, then
     `c = f*c + i*g` and `h = o*tanh(c)`.  Returns the hidden states and what
     the backward pass needs: the step inputs `[x; h_prev]`, the four gate
-    activations, the cell states and their tanh.
+    activations, the cell states and their tanh.  Every step writes into
+    those arrays directly; the sigmoid runs once over the three sigmoid
+    gates.
     """
-    steps = xs.shape[0]
-    z = np.empty((steps, xs.shape[1] + hidden))
+    steps, in_dim = xs.shape
+    three = 3 * hidden
+    z = np.empty((steps, in_dim + hidden))
     gates = np.empty((steps, 4 * hidden))
     cells = np.empty((steps, hidden))
     tanh_cells = np.empty((steps, hidden))
     hs = np.empty((steps, hidden))
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
+    z[:, :in_dim] = xs
+    h = c = np.zeros(hidden)
     for t in range(steps):
-        zt = np.concatenate([xs[t], h])
+        zt, gt = z[t], gates[t]
+        zt[in_dim:] = h
         pre = w @ zt + b
-        i = _sigmoid(pre[:hidden])
-        f = _sigmoid(pre[hidden: 2 * hidden])
-        o = _sigmoid(pre[2 * hidden: 3 * hidden])
-        g = np.tanh(pre[3 * hidden:])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        z[t] = zt
-        gates[t, :hidden], gates[t, hidden: 2 * hidden] = i, f
-        gates[t, 2 * hidden: 3 * hidden], gates[t, 3 * hidden:] = o, g
-        cells[t], tanh_cells[t], hs[t] = c, tc, h
+        gt[:three] = _sigmoid(pre[:three])
+        np.tanh(pre[three:], out=gt[three:])
+        np.add(gt[hidden: 2 * hidden] * c, gt[:hidden] * gt[three:], out=cells[t])
+        c = cells[t]
+        np.tanh(c, out=tanh_cells[t])
+        h = np.multiply(gt[2 * hidden: three], tanh_cells[t], out=hs[t])
     return hs, (z, gates, cells, tanh_cells)
 
 

@@ -170,6 +170,12 @@ def cmd_align(args) -> int:
 
 def cmd_train(args) -> int:
     settings = Settings(args)
+    config = TrainConfig(
+        learning_rate=settings.get("lr", 0.001, float),
+        adam_epsilon=settings.get("adam_eps", 0.01, float),
+        epochs=settings.get("epochs", 4, int),
+        rng_seed=settings.get("seed", 0, int),
+    )
     lexicon = _load_lexicon(settings)
     rule = _arc_rule(settings)
     mode = _align_mode(settings)
@@ -187,12 +193,6 @@ def cmd_train(args) -> int:
         eval_records = [r for r in records if r.image_id in eval_ids]
         records = [r for r in records if r.image_id not in eval_ids]
     instances, stats = build_instances(records, lexicon, rule, mode)
-    config = TrainConfig(
-        learning_rate=settings.get("lr", 0.001, float),
-        adam_epsilon=settings.get("adam_eps", 0.01, float),
-        epochs=settings.get("epochs", 4, int),
-        rng_seed=settings.get("seed", 0, int),
-    )
     vocab = Vocab.from_sentences(inst.tokens for inst in instances)
     params = ModelParams(vocab, rule, seed=config.rng_seed)
     trainer = Trainer(params, config)

@@ -12,6 +12,7 @@ sentence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -95,6 +96,27 @@ class ModelParams:
         layers: int = 2,
         seed: int = 0,
     ):
+        self._set_sizes(vocab, arc_rule, emb_dim, hidden, mlp_hidden, layers)
+        rng = np.random.default_rng(seed)
+
+        def xavier(out_dim: int, in_dim: int) -> np.ndarray:
+            limit = np.sqrt(6.0 / (in_dim + out_dim))
+            return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+        self.tensors: dict[str, ad.Tensor] = {}
+        for name, shape in self._shapes().items():
+            if name in ("embeddings", "pad"):
+                data = rng.uniform(-0.1, 0.1, size=shape)
+            elif len(shape) == 2:
+                data = xavier(*shape)
+            else:
+                data = np.zeros(shape)
+                if name.startswith("lstm"):
+                    data[hidden: 2 * hidden] = 1.0  # forget-gate bias
+            self.tensors[name] = ad.tensor(data)
+
+    def _set_sizes(self, vocab: Vocab, arc_rule: ArcRule, emb_dim: int, hidden: int,
+                   mlp_hidden: int, layers: int) -> None:
         if min(emb_dim, hidden, mlp_hidden, layers) <= 0:
             raise ValueError("all model sizes must be positive")
         self.vocab = vocab
@@ -106,27 +128,21 @@ class ModelParams:
         self.d_ctx = 2 * hidden
         self.actions = inventory(arc_rule)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
-        rng = np.random.default_rng(seed)
 
-        def xavier(out_dim: int, in_dim: int) -> np.ndarray:
-            limit = np.sqrt(6.0 / (in_dim + out_dim))
-            return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-        self.tensors: dict[str, ad.Tensor] = {}
-        self.tensors["embeddings"] = ad.tensor(rng.uniform(-0.1, 0.1, size=(len(vocab), emb_dim)))
-        for layer in range(layers):
-            in_dim = emb_dim if layer == 0 else self.d_ctx
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every tensor's shape, in the order the initial values are drawn."""
+        shapes = {"embeddings": (len(self.vocab), self.emb_dim)}
+        for layer in range(self.layers):
+            in_dim = self.emb_dim if layer == 0 else self.d_ctx
             for direction in ("fwd", "bwd"):
-                w = xavier(_GATES * hidden, in_dim + hidden)
-                b = np.zeros(_GATES * hidden)
-                b[hidden: 2 * hidden] = 1.0  # forget-gate bias
-                self.tensors[f"lstm{layer}_{direction}_w"] = ad.tensor(w)
-                self.tensors[f"lstm{layer}_{direction}_b"] = ad.tensor(b)
-        self.tensors["pad"] = ad.tensor(rng.uniform(-0.1, 0.1, size=self.d_ctx))
-        self.tensors["mlp_w1"] = ad.tensor(xavier(mlp_hidden, 4 * self.d_ctx))
-        self.tensors["mlp_b1"] = ad.tensor(np.zeros(mlp_hidden))
-        self.tensors["mlp_w2"] = ad.tensor(xavier(len(self.actions), mlp_hidden))
-        self.tensors["mlp_b2"] = ad.tensor(np.zeros(len(self.actions)))
+                shapes[f"lstm{layer}_{direction}_w"] = (_GATES * self.hidden, in_dim + self.hidden)
+                shapes[f"lstm{layer}_{direction}_b"] = (_GATES * self.hidden,)
+        shapes["pad"] = (self.d_ctx,)
+        shapes["mlp_w1"] = (self.mlp_hidden, 4 * self.d_ctx)
+        shapes["mlp_b1"] = (self.mlp_hidden,)
+        shapes["mlp_w2"] = (len(self.actions), self.mlp_hidden)
+        shapes["mlp_b2"] = (len(self.actions),)
+        return shapes
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return self.tensors
@@ -144,8 +160,9 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.adam_epsilon, self.word_dropout_alpha) <= 0 or self.epochs <= 0:
-            raise ValueError("all training hyperparameters must be positive")
+        rates = (self.learning_rate, self.adam_epsilon, self.word_dropout_alpha)
+        if not all(math.isfinite(x) and x > 0 for x in rates) or self.epochs <= 0:
+            raise ValueError("all training hyperparameters must be positive and finite")
 
 
 class Adam:
@@ -349,12 +366,15 @@ class Trainer:
         self.skipped = 0
 
     def train_sentence(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> float:
-        total, terms, _ = sentence_pass(
-            tokens, gold, reduce_set, self.params, rng=self.rng,
-            dropout_alpha=self.config.word_dropout_alpha,
-        )
-        if terms:
-            ad.backward(ad.addsum(terms))
+        # Overflow here can only come from parameters that are already huge;
+        # the update's finite check then names the tensor instead of a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, terms, _ = sentence_pass(
+                tokens, gold, reduce_set, self.params, rng=self.rng,
+                dropout_alpha=self.config.word_dropout_alpha,
+            )
+            if terms:
+                ad.backward(ad.addsum(terms))
         self.optimizer.step()
         self.optimizer.zero_grad()
         return total
@@ -378,14 +398,39 @@ class Trainer:
         return float(np.mean(losses)) if losses else 0.0
 
 
+def _slot_scorer(vectors: list[ad.Tensor], params: ModelParams):
+    """Tape-free `score(feature(c, vectors, params), params).data` for greedy
+    decoding.
+
+    `mlp_w1` splits into four `mlp_hidden x 2H` blocks, one per feature slot;
+    each block is applied to every context vector and to `pad` once, so a
+    step adds four precomputed rows instead of multiplying by `mlp_w1`.  The
+    sums run in another order than the full matvec, so scores agree with
+    `score` to rounding, not bit for bit.
+    """
+    d = params.d_ctx
+    w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
+    w2, b2 = params.tensors["mlp_w2"].data, params.tensors["mlp_b2"].data
+    rows = np.stack([v.data for v in vectors] + [params.tensors["pad"].data])
+    pad = len(vectors)
+    p0, p1, p2, p3 = (rows @ w1[:, k * d: (k + 1) * d].T for k in range(4))
+
+    def scores(c: Configuration) -> np.ndarray:
+        top = [pad] * 3 + [token - 1 for token in c.stack[-3:]]
+        hidden = np.tanh(p0[top[-3]] + p1[top[-2]] + p2[top[-1]] + p3[c.buffer[0] - 1] + b1)
+        return w2 @ hidden + b2
+
+    return scores
+
+
 def greedy_parse(tokens: Sequence[str], params: ModelParams) -> tuple[ArcSet, list[Action]]:
     """Greedy decoding restricted to legal actions; deterministic given params."""
-    vectors = encode(tokens, params)
+    scores = _slot_scorer(encode(tokens, params), params)
     c = initial(len(tokens))
     actions: list[Action] = []
     while not is_terminal(c):
         legal = legal_actions(c, params.arc_rule)
-        data = score(feature(c, vectors, params), params).data
+        data = scores(c)
         best = None
         for i, a in enumerate(params.actions):
             if a in legal and (best is None or data[i] > data[best]):
@@ -410,8 +455,8 @@ def _loss_value_plain(
     """
 
     def sigmoid(x):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     ids = [params.vocab.id(w) for w in tokens] + [params.vocab.id(ROOT_WORD)]
     layer_in = [params.tensors["embeddings"].data[i] for i in ids]
@@ -426,12 +471,10 @@ def _loss_value_plain(
             collected = []
             for x in seq:
                 pre = w @ np.concatenate([x, h]) + b
-                i_g = sigmoid(pre[:hidden])
-                f_g = sigmoid(pre[hidden: 2 * hidden])
-                o_g = sigmoid(pre[2 * hidden: 3 * hidden])
+                ifo = sigmoid(pre[:3 * hidden])
                 g_g = np.tanh(pre[3 * hidden:])
-                c = f_g * c + i_g * g_g
-                h = o_g * np.tanh(c)
+                c = ifo[hidden: 2 * hidden] * c + ifo[:hidden] * g_g
+                h = ifo[2 * hidden:] * np.tanh(c)
                 collected.append(h)
             outs[direction] = collected
         outs["bwd"].reverse()
@@ -575,18 +618,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         rule, declared = ArcRule(header["arc_rule"]), header["tensors"]
     except KeyError as err:
         raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
-    params = ModelParams(Vocab(words=words, counts=counts), rule, seed=0, **dims)
-    names = sorted(params.tensors)
-    if declared != [[name, list(params.tensors[name].data.shape)] for name in names]:
+    # The tensors are read from the payload, so none are drawn at random.
+    params = ModelParams.__new__(ModelParams)
+    params._set_sizes(Vocab(words=words, counts=counts), rule, **dims)
+    shapes = params._shapes()
+    names = sorted(shapes)
+    if declared != [[name, list(shapes[name])] for name in names]:
         raise CheckpointCorrupt(f"{path}: header tensors do not match the model its dims define")
-    expected = 4 * sum(params.tensors[name].data.size for name in names)
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    expected = 4 * sum(sizes.values())
     if len(raw) - newline - 1 != expected:
         raise CheckpointCorrupt(
             f"{path}: payload holds {len(raw) - newline - 1} bytes, expected {expected}")
     offset = newline + 1
+    values = {}
     for name in names:
-        tensor = params.tensors[name]
-        values = np.frombuffer(raw, dtype="<f4", count=tensor.data.size, offset=offset)
-        offset += tensor.data.size * 4
-        tensor.data = values.astype(np.float64).reshape(tensor.data.shape)
+        values[name] = np.frombuffer(raw, dtype="<f4", count=sizes[name], offset=offset)
+        offset += sizes[name] * 4
+    params.tensors = {name: ad.tensor(values[name].astype(np.float64).reshape(shape))
+                      for name, shape in shapes.items()}
     return params, header

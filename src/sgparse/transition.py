@@ -39,6 +39,7 @@ def right(label: EdgeLabel) -> Action:
     return Action("RIGHT", label)
 
 
+@lru_cache(maxsize=None)
 def inventory(rule: ArcRule) -> tuple[Action, ...]:
     """The ten actions reachable under one CONT direction, in scorer order.
 

@@ -322,9 +322,9 @@ class TestGradcheckCommand:
 
 
 class TestErrors:
-    # a learning rate this large overflows the parameters within two updates,
-    # and the forward pass warns about the overflow on the way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a learning rate this large overflows the parameters within two updates;
+    # the error line is the only report of it, with no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_parameter_is_one_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         save_corpus(generate_synthetic(8, seed=9), corpus)
@@ -337,6 +337,19 @@ class TestErrors:
         assert len(errors) == 1
         assert "became non-finite at Adam step" in errors[0]
         assert "of the epoch" in errors[0]
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--lr", "--adam-eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_is_one_line(self, flag, value, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(8, seed=9), corpus)
+        code, stdout, stderr = run(["train", "--corpus", str(corpus), flag, value,
+                                    "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt")],
+                                   capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "finite" in stderr
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_required_setting(self, capsys):

@@ -81,6 +81,60 @@ def reference_encode(tokens, params, rng=None, dropout_alpha=0.25):
     return layer_in
 
 
+def reference_lstm_forward(xs, w, b, hidden):
+    """The `ad._lstm_forward` body before its steps wrote into the saved
+    arrays directly: a fresh `[x; h]` per step and one stable sigmoid per
+    gate slice."""
+
+    def sigmoid(x):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+    steps = xs.shape[0]
+    z = np.empty((steps, xs.shape[1] + hidden))
+    gates = np.empty((steps, 4 * hidden))
+    cells = np.empty((steps, hidden))
+    tanh_cells = np.empty((steps, hidden))
+    hs = np.empty((steps, hidden))
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    for t in range(steps):
+        zt = np.concatenate([xs[t], h])
+        pre = w @ zt + b
+        i = sigmoid(pre[:hidden])
+        f = sigmoid(pre[hidden: 2 * hidden])
+        o = sigmoid(pre[2 * hidden: 3 * hidden])
+        g = np.tanh(pre[3 * hidden:])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        z[t] = zt
+        gates[t, :hidden], gates[t, hidden: 2 * hidden] = i, f
+        gates[t, 2 * hidden: 3 * hidden], gates[t, 3 * hidden:] = o, g
+        cells[t], tanh_cells[t], hs[t] = c, tc, h
+    return hs, (z, gates, cells, tanh_cells)
+
+
+def reference_greedy_parse(tokens, params):
+    """Greedy decoding that scores every step on the tape with
+    `score(feature(...))`, as `greedy_parse` did before its slot projections;
+    returns the actions and, per step, the configuration and its scores."""
+    vectors = encode(tokens, params)
+    c = initial(len(tokens))
+    actions, steps = [], []
+    while not model.is_terminal(c):
+        legal = legal_actions(c, params.arc_rule)
+        data = score(feature(c, vectors, params), params).data
+        steps.append((c, data))
+        best = None
+        for i, a in enumerate(params.actions):
+            if a in legal and (best is None or data[i] > data[best]):
+                best = i
+        actions.append(params.actions[best])
+        c = apply(c, params.actions[best])
+    return actions, steps
+
+
 @pytest.fixture(scope="module")
 def fig_instance():
     sentence = "black barrier in front of the person"
@@ -93,6 +147,61 @@ def fig_instance():
     al = align(sentence, graph)
     gold, reduce_set = derive_gold(al, graph, ArcRule.LEFT, len(tokens))
     return tokens, gold, reduce_set
+
+
+def reference_initial_values(vocab, rule, emb_dim, hidden, mlp_hidden, layers, seed):
+    """The `ModelParams` initialisation written out tensor by tensor, in the
+    order of its random draws."""
+    rng = np.random.default_rng(seed)
+
+    def xavier(out_dim, in_dim):
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+    values = {"embeddings": rng.uniform(-0.1, 0.1, size=(len(vocab), emb_dim))}
+    for layer in range(layers):
+        in_dim = emb_dim if layer == 0 else 2 * hidden
+        for direction in ("fwd", "bwd"):
+            values[f"lstm{layer}_{direction}_w"] = xavier(4 * hidden, in_dim + hidden)
+            b = np.zeros(4 * hidden)
+            b[hidden: 2 * hidden] = 1.0
+            values[f"lstm{layer}_{direction}_b"] = b
+    values["pad"] = rng.uniform(-0.1, 0.1, size=2 * hidden)
+    values["mlp_w1"] = xavier(mlp_hidden, 8 * hidden)
+    values["mlp_b1"] = np.zeros(mlp_hidden)
+    values["mlp_w2"] = xavier(len(inventory(rule)), mlp_hidden)
+    values["mlp_b2"] = np.zeros(len(inventory(rule)))
+    return values
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("dims", [dict(emb_dim=200, hidden=256, mlp_hidden=100, layers=2),
+                                      dict(emb_dim=3, hidden=2, mlp_hidden=4, layers=3)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_initial_values_match_reference(self, dims, seed):
+        vocab = Vocab.from_sentences([("dog", "cat")])
+        params = ModelParams(vocab, ArcRule.RIGHT, seed=seed, **dims)
+        want = reference_initial_values(vocab, ArcRule.RIGHT, seed=seed, **dims)
+        assert list(params.tensors) == list(want)
+        assert all(np.array_equal(params.tensors[n].data, want[n]) for n in want)
+
+    def test_load_draws_no_random_values(self, tmp_path):
+        params = small_params([("dog",)], seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
+            loaded, _ = load_checkpoint(path)
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name].data, t.data.astype(np.float32))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_epsilon", "word_dropout_alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainConfig(**{field: value})
 
 
 class TestVocab:
@@ -218,6 +327,84 @@ class TestFusedBiLSTM:
         grad = params.tensors["embeddings"].grad
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
         assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
+
+
+class TestLeanLSTMForward:
+    """`ad._lstm_forward` against its former body: the same hidden states and
+    saved arrays, bit for bit, on every layer and direction of `encode`."""
+
+    @staticmethod
+    def assert_matches_reference(tokens, params):
+        ids = [params.vocab.id(w) for w in tokens] + [params.vocab.id(ROOT_WORD)]
+        xs = params.tensors["embeddings"].data[ids]
+        for layer in range(params.layers):
+            outs = []
+            for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):
+                w = params.tensors[f"lstm{layer}_{direction}_w"].data
+                b = params.tensors[f"lstm{layer}_{direction}_b"].data
+                hs, saved = ad._lstm_forward(seq, w, b, params.hidden)
+                ref_hs, ref_saved = reference_lstm_forward(seq, w, b, params.hidden)
+                assert np.array_equal(hs, ref_hs)
+                assert len(saved) == len(ref_saved)
+                assert all(np.array_equal(a, r) for a, r in zip(saved, ref_saved))
+                outs.append(hs)
+            xs = np.concatenate([outs[0], outs[1][::-1]], axis=1)
+
+    def test_default_size_on_synthetic_sentences(self):
+        instances, _ = build_instances(generate_synthetic(12, seed=21))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=0)
+        for inst in instances[:5]:
+            self.assert_matches_reference(inst.tokens, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), length=st.integers(0, 7),
+           pick=st.integers(0, 1000), emb_dim=st.integers(1, 6), hidden=st.integers(1, 5),
+           layers=st.integers(1, 2), seed=st.integers(0, 1000))
+    def test_small_sizes_and_lengths(self, rule, length, pick, emb_dim, hidden, layers, seed):
+        pool = INSTANCES_BY_LENGTH[rule][length]
+        tokens = pool[pick % len(pool)][0]
+        params = ModelParams(Vocab.from_sentences([tokens]), rule, emb_dim=emb_dim,
+                             hidden=hidden, mlp_hidden=3, layers=layers, seed=seed)
+        self.assert_matches_reference(tokens, params)
+
+
+class TestSlotScores:
+    """Greedy decoding with precomputed slot projections against the tape
+    scorer it replaced: the same actions, and scores within 1e-12 at every
+    step."""
+
+    @staticmethod
+    def assert_matches_reference(tokens, params):
+        ref_actions, steps = reference_greedy_parse(tokens, params)
+        arcs, actions = greedy_parse(tokens, params)
+        assert actions == ref_actions
+        scores = model._slot_scorer(encode(tokens, params), params)
+        for c, ref in steps:
+            assert np.abs(scores(c) - ref).max() <= 1e-12
+        c = initial(len(tokens))
+        for a in actions:
+            c = apply(c, a)
+        assert c.arc_set() == arcs
+
+    def test_default_size_on_synthetic_sentences(self):
+        instances, _ = build_instances(generate_synthetic(30, seed=21))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=0)
+        for inst in instances:
+            self.assert_matches_reference(inst.tokens, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), length=st.integers(0, 7),
+           pick=st.integers(0, 1000), emb_dim=st.integers(1, 6), hidden=st.integers(1, 5),
+           mlp_hidden=st.integers(1, 5), layers=st.integers(1, 2), seed=st.integers(0, 1000))
+    def test_small_sizes_and_lengths(self, rule, length, pick, emb_dim, hidden, mlp_hidden,
+                                     layers, seed):
+        pool = INSTANCES_BY_LENGTH[rule][length]
+        tokens = pool[pick % len(pool)][0]
+        params = ModelParams(Vocab.from_sentences([tokens]), rule, emb_dim=emb_dim,
+                             hidden=hidden, mlp_hidden=mlp_hidden, layers=layers, seed=seed)
+        self.assert_matches_reference(tokens, params)
 
 
 class TestFeature:

@@ -49,6 +49,14 @@ class TestInventory:
         assert len(actions) == 10
         assert right(C) in actions and left(C) not in actions
 
+    @pytest.mark.parametrize("rule", list(ArcRule))
+    def test_scorer_order_and_one_tuple_per_rule(self, rule):
+        cont = left(C) if rule is ArcRule.LEFT else right(C)
+        labels = (A, S, O)
+        assert inventory(rule) == (SHIFT, REDUCE, *map(left, labels), cont, left(B),
+                                   *map(right, labels))
+        assert inventory(rule) is inventory(rule)
+
 
 class TestInitial:
     def test_seven_tokens(self):
