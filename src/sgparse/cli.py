@@ -8,13 +8,16 @@ file passed with --config.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .align import AlignMode, SynonymLexicon, align, aligned_subgraph, derive_gold, tokenize
+from .align import tokenize as _tokenize_batch
 from .corpus import (
     RegionRecord,
     SplitSpec,
@@ -34,6 +37,7 @@ from .model import (
     TrainConfig,
     Trainer,
     Vocab,
+    encode_batch,
     grad_check,
     greedy_parse,
     load_checkpoint,
@@ -101,11 +105,47 @@ def _load_records(settings: Settings) -> list[RegionRecord]:
     return records
 
 
-def _parse_text(params: ModelParams, text: str) -> SceneGraph:
-    """Tokenize, parse and convert one sentence.  The three stages are looked
-    up in this module on every call, so wrappers installed here see each one."""
-    tokens = tokenize(text)
-    return to_node_centric_lenient(model_parse(tokens, params), tokens)
+# Sentences per `encode_batch` pass when a command parses a list of them.
+PARSE_BATCH = 32
+
+
+class _Parser:
+    """Parses the sentences of one command, one call per sentence, asked for
+    in the order given.
+
+    Each call tokenizes, parses and converts its own sentence, looking the
+    three stages up in this module, so wrappers installed here see each
+    one.  The call that reaches a sentence not yet encoded encodes it and
+    the next PARSE_BATCH - 1 sentences of the list in one `encode_batch`
+    pass; those are tokenized through a second name, so a wrapper of
+    `tokenize` still sees one call per parsed sentence.  A sentence that is
+    not ahead in the list is encoded alone.
+    """
+
+    def __init__(self, params: ModelParams, texts: Sequence[str]):
+        self.params = params
+        self.texts = list(texts)
+        self.next = 0
+        self.ready: dict[str, np.ndarray] = {}
+
+    def __call__(self, text: str) -> SceneGraph:
+        tokens = tokenize(text)
+        vectors = self.ready.get(text)
+        if vectors is None:
+            vectors = self._encode(text)
+        return to_node_centric_lenient(model_parse(tokens, self.params, vectors), tokens)
+
+    def _encode(self, text: str) -> np.ndarray:
+        start = self.next
+        while start < len(self.texts) and self.texts[start] != text:
+            start += 1
+        if start == len(self.texts):
+            return encode_batch([_tokenize_batch(text)], self.params)[0]
+        batch = self.texts[start:start + PARSE_BATCH]
+        self.next = start + len(batch)
+        self.ready = dict(zip(batch, encode_batch([_tokenize_batch(t) for t in batch],
+                                                  self.params)))
+        return self.ready[text]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -202,7 +242,8 @@ def cmd_train(args) -> int:
           f"skipped_non_projective={stats['non_projective']}")
     for epoch in range(1, config.epochs + 1):
         mean_loss = trainer.run_epoch(train_items)
-        candidates = parallel_map(lambda r: _parse_text(params, r.phrase), eval_records)
+        parser = _Parser(params, [r.phrase for r in eval_records])
+        candidates = parallel_map(lambda r: parser(r.phrase), eval_records)
         eval_f = corpus_f(candidates, [r.graph for r in eval_records], lexicon)
         print(f"epoch={epoch} mean_loss={mean_loss:.4f} eval_f={eval_f:.4f}")
     print(f"oracle_stuck_skipped={trainer.skipped}", file=sys.stderr)
@@ -215,9 +256,11 @@ def cmd_parse(args) -> int:
     params, _ = load_checkpoint(settings.require("checkpoint"))
     source = open(args.input, encoding="utf-8") if args.input else sys.stdin
     try:
+        lines = list(source)
+        parser = _Parser(params, lines)
         out_lines = []
-        for line in source:
-            graph = _parse_text(params, line)
+        for line in lines:
+            graph = parser(line)
             out_lines.append(json.dumps(graph_to_json(graph), sort_keys=True))
     finally:
         if args.input:
@@ -231,7 +274,8 @@ def cmd_eval(args) -> int:
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
     records = _load_records(settings)
-    candidates = parallel_map(lambda r: _parse_text(params, r.phrase), records)
+    parser = _Parser(params, [r.phrase for r in records])
+    candidates = parallel_map(lambda r: parser(r.phrase), records)
     report = evaluate_corpus(candidates, [r.graph for r in records], lexicon)
     sys.stdout.write(format_report(report))
     return 0
@@ -257,7 +301,8 @@ def cmd_retrieve(args) -> int:
             and subgraph_of(record.graph, entry.graph)
         )
         queries.append((record.phrase, truth))
-    result = evaluate_retrieval(queries, functools.partial(_parse_text, params), index, lexicon)
+    parser = _Parser(params, [text for text, _ in queries])
+    result = evaluate_retrieval(queries, parser, index, lexicon)
     _write_text(args.out, format_results(result))
     return 0
 

@@ -6,11 +6,11 @@ import pytest
 from sgparse import cli as cli_module
 from sgparse import corpus as corpus_module
 from sgparse import retrieval
-from sgparse.align import SynonymLexicon
-from sgparse.cli import _parse_text, main
+from sgparse.align import SynonymLexicon, tokenize
+from sgparse.cli import main
 from sgparse.corpus import RegionRecord, generate_synthetic, load_corpus, save_corpus
-from sgparse.graph import ArcRule, SceneGraph
-from sgparse.model import ModelParams, Vocab, load_checkpoint, save_checkpoint
+from sgparse.graph import ArcRule, SceneGraph, to_node_centric_lenient
+from sgparse.model import ModelParams, Vocab, load_checkpoint, parse, save_checkpoint
 from sgparse.spice import f_score
 
 
@@ -215,9 +215,39 @@ class TestRetrieveWithLexicon:
         ]
         monkeypatch.setattr(retrieval, "rank_images", _brute_force_rank)
         params, _ = load_checkpoint(checkpoint)
-        expected = retrieval.evaluate_retrieval(queries, functools.partial(_parse_text, params),
+        expected = retrieval.evaluate_retrieval(queries, functools.partial(parse_text, params),
                                                 index, SynonymLexicon.load(lexicon_path))
         assert out.read_text() == retrieval.format_results(expected)
+
+
+def parse_text(params, text):
+    """One sentence through `model.parse` alone, encoded on its own."""
+    tokens = tokenize(text)
+    return to_node_centric_lenient(parse(tokens, params), tokens)
+
+
+class TestBatchedParser:
+    """`cli._Parser` gives the graph of `parse_text` for every sentence, in
+    or out of batch order, and tokenizes through `cli.tokenize` once per
+    call."""
+
+    def test_matches_parse_text(self, trained, monkeypatch):
+        corpus, checkpoint = trained
+        params, _ = load_checkpoint(checkpoint)
+        texts = [r.phrase for r in load_corpus(corpus)[0]]
+        texts += ["a dog", texts[0], "", "zyx qqq"]
+        monkeypatch.setattr(cli_module, "PARSE_BATCH", 3)
+        calls = []
+        tokenize = cli_module.tokenize
+        monkeypatch.setattr(cli_module, "tokenize", lambda t: calls.append(t) or tokenize(t))
+        parser = cli_module._Parser(params, texts)
+        # skip some sentences, repeat one, and ask for two out of order or
+        # outside the list
+        asked = texts[:2] + texts[4:] + [texts[1], "not in the list"]
+        graphs = [parser(t) for t in asked]
+        assert calls == asked
+        monkeypatch.setattr(cli_module, "tokenize", tokenize)
+        assert graphs == [parse_text(params, t) for t in asked]
 
 
 class TestTrainWithSplits:

@@ -18,6 +18,7 @@ from sgparse.model import (
     Trainer,
     Vocab,
     encode,
+    encode_batch,
     feature,
     grad_check,
     greedy_parse,
@@ -379,7 +380,7 @@ class TestSlotScores:
         ref_actions, steps = reference_greedy_parse(tokens, params)
         arcs, actions = greedy_parse(tokens, params)
         assert actions == ref_actions
-        scores = model._slot_scorer(encode(tokens, params), params)
+        scores = model._slot_scorer(np.stack([v.data for v in encode(tokens, params)]), params)
         for c, ref in steps:
             assert np.abs(scores(c) - ref).max() <= 1e-12
         c = initial(len(tokens))
@@ -405,6 +406,61 @@ class TestSlotScores:
         params = ModelParams(Vocab.from_sentences([tokens]), rule, emb_dim=emb_dim,
                              hidden=hidden, mlp_hidden=mlp_hidden, layers=layers, seed=seed)
         self.assert_matches_reference(tokens, params)
+
+
+class TestEncodeBatch:
+    """`encode_batch` against `encode`, sentence by sentence: the same
+    context vectors, bit for bit, whatever the batch holds."""
+
+    @staticmethod
+    def assert_matches_encode(token_lists, params):
+        got = encode_batch(token_lists, params)
+        assert len(got) == len(token_lists)
+        for tokens, vectors in zip(token_lists, got):
+            expected = np.stack([v.data for v in encode(tokens, params)])
+            assert vectors.shape == expected.shape
+            assert np.array_equal(vectors, expected)
+
+    def test_default_size_on_synthetic_sentences(self):
+        instances, _ = build_instances(generate_synthetic(40, seed=21))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=0)
+        token_lists = [list(i.tokens) for i in instances]
+        # mixed lengths, ROOT alone, a repeat and words outside the vocabulary
+        token_lists += [[], token_lists[0], ["zyx", "a", "qqq"]]
+        self.assert_matches_encode(token_lists, params)
+
+    def test_empty_batch(self):
+        assert encode_batch([], small_params([("a",)])) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)),
+           picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1000)),
+                          min_size=1, max_size=6),
+           emb_dim=st.integers(1, 6), hidden=st.integers(1, 5),
+           layers=st.integers(1, 2), seed=st.integers(0, 1000))
+    def test_small_sizes_and_lengths(self, rule, picks, emb_dim, hidden, layers, seed):
+        pools = INSTANCES_BY_LENGTH[rule]
+        token_lists = [list(pools[n][k % len(pools[n])][0]) for n, k in picks]
+        params = ModelParams(Vocab.from_sentences(token_lists), rule, emb_dim=emb_dim,
+                             hidden=hidden, mlp_hidden=3, layers=layers, seed=seed)
+        self.assert_matches_encode(token_lists, params)
+
+    @pytest.mark.parametrize("shape, rows", [((1024, 456), 8), ((1024, 768), 4),
+                                             ((32, 10), 16), ((12, 5), 4), ((4, 3000), 4)])
+    def test_row_blocks(self, shape, rows):
+        w = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        blocks = model._row_blocks(w)
+        assert blocks.shape == (shape[0] // rows, 1, rows, shape[1])
+        assert np.array_equal(blocks.reshape(shape), w)
+
+    def test_greedy_parse_from_batch_vectors(self):
+        instances, _ = build_instances(generate_synthetic(20, seed=5))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=3)
+        token_lists = [i.tokens for i in instances]
+        for tokens, vectors in zip(token_lists, encode_batch(token_lists, params)):
+            assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
 
 
 class TestFeature:
