@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for a BiLSTM stack, an MLP and hinge losses: a fused
-bidirectional LSTM layer over a whole sequence, row gathers, matrix-vector
-products, elementwise arithmetic, tanh/sigmoid, concatenation, slicing and
-scalar picks.  Everything runs in float64; a Tensor records its parents and
-a closure that routes the incoming gradient to them.
+The ops of the parser's encoder: an embedding row gather and a fused
+bidirectional LSTM layer over a whole sequence.  `sgparse.model` builds the
+node of its MLP head and hinge loss itself.  Everything runs in float64; a
+Tensor records its parents and a closure that routes the incoming gradient
+to them.
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def _take(t: Tensor, g: np.ndarray) -> None:
-    """`_acc` for a freshly computed gradient that no other node holds, which
-    is kept as it is rather than added into a zeroed copy."""
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a freshly computed gradient, which no other node holds, into
+    `t.grad`; the first one is kept as it is rather than copied."""
     if t.grad is None:
         t.grad = g
     else:
@@ -45,126 +39,11 @@ def tensor(data) -> Tensor:
     return Tensor(data)
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    out = Tensor(w.data @ x.data, parents=(w, x))
-
-    def backprop(g):
-        _acc(w, np.outer(g, x.data))
-        _acc(x, w.data.T @ g)
-
-    out._backprop = backprop
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def backprop(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    out._backprop = backprop
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, parents=(a, b))
-
-    def backprop(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    out._backprop = backprop
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backprop(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    out._backprop = backprop
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
-
-    def backprop(g):
-        _acc(a, g * (1.0 - y * y))
-
-    out._backprop = backprop
-    return out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that overflows for no finite input: `1/(1+e)` where
     x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-    out = Tensor(y, parents=(a,))
-
-    def backprop(g):
-        _acc(a, g * y * (1.0 - y))
-
-    out._backprop = backprop
-    return out
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts]), parents=tuple(parts))
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def backprop(g):
-        for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            _acc(p, g[lo:hi])
-
-    out._backprop = backprop
-    return out
-
-
-def narrow(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[start:stop], parents=(a,))
-
-    def backprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += g
-
-    out._backprop = backprop
-    return out
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    out = Tensor(a.data[index], parents=(a,))
-
-    def backprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
-
-    out._backprop = backprop
-    return out
-
-
-def row(m: Tensor, index: int) -> Tensor:
-    """Row lookup into a matrix, accumulating gradient into that row only."""
-    out = Tensor(m.data[index], parents=(m,))
-
-    def backprop(g):
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        m.grad[index] += g
-
-    out._backprop = backprop
-    return out
 
 
 def rows(m: Tensor, ids) -> Tensor:
@@ -260,21 +139,9 @@ def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) ->
     def backprop(g):
         dx_f, dw_f, db_f = _lstm_backward(g[:, :hidden], w_f.data, saved_f, hidden)
         dx_b, dw_b, db_b = _lstm_backward(g[::-1, hidden:], w_b.data, saved_b, hidden)
-        _take(x, dx_f + dx_b[::-1])
+        accumulate(x, dx_f + dx_b[::-1])
         for param, grad in ((w_f, dw_f), (b_f, db_f), (w_b, dw_b), (b_b, db_b)):
-            _take(param, grad)
-
-    out._backprop = backprop
-    return out
-
-
-def addsum(parts: list[Tensor]) -> Tensor:
-    """Sum of scalar tensors."""
-    out = Tensor(sum(float(p.data) for p in parts), parents=tuple(parts))
-
-    def backprop(g):
-        for p in parts:
-            _acc(p, g)
+            accumulate(param, grad)
 
     out._backprop = backprop
     return out

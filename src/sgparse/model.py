@@ -4,9 +4,11 @@ and a finite-difference gradient check.
 
 The configuration feature concatenates the context vectors of the top three
 stack elements and the buffer front, substituting a learned pad vector for
-missing slots.  Training follows the oracle's preferred action, sums the
-per-step hinge losses over a sentence, and applies one Adam update per
-sentence.
+missing slots.  One scorer, `score`, serves greedy parsing and training: it
+projects every context vector through the first MLP layer once per sentence,
+so a step adds four rows.  Training follows the oracle's preferred action,
+sums the per-step hinge losses over a sentence into one tape node for the
+whole MLP head, and applies one Adam update per sentence.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _GATES = 4
 # Elements per block of the Adam update: with the parameters, both moments,
 # the gradient and two scratch buffers, a block's working set is 1.5 MB.
 _ADAM_BLOCK = 1 << 15
+
+# Adam's decay rates for the first and second moments.
+_BETA1, _BETA2 = 0.9, 0.999
 
 
 @dataclass(frozen=True)
@@ -177,12 +182,9 @@ class Adam:
     make them.
     """
 
-    def __init__(self, params: Mapping[str, ad.Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 0.01):
+    def __init__(self, params: Mapping[str, ad.Tensor], lr: float, eps: float = 0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -202,7 +204,7 @@ class Adam:
                 self._update(name, p)
 
     def _update(self, name: str, p: ad.Tensor) -> None:
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = _BETA1, _BETA2, self.lr, self.eps
         m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name]))
         flat_g = p.grad.reshape(-1) if p.grad is not None else None
@@ -239,8 +241,9 @@ def encode(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-) -> list[ad.Tensor]:
-    """Context vectors for each token plus a trailing one for ROOT.
+) -> ad.Tensor:
+    """Context vectors for each token plus a trailing one for ROOT, as the
+    rows of one (len(tokens) + 1) x 2H tape node.
 
     Given an rng (training), each occurrence of a word with corpus frequency
     f is replaced by UNK with probability alpha / (alpha + f).
@@ -263,7 +266,7 @@ def encode(
             (tensors[f"lstm{layer}_fwd_w"], tensors[f"lstm{layer}_fwd_b"]),
             (tensors[f"lstm{layer}_bwd_w"], tensors[f"lstm{layer}_bwd_b"]),
         )
-    return [ad.row(layer_in, t) for t in range(len(ids))]
+    return layer_in
 
 
 def _row_blocks(w: np.ndarray) -> np.ndarray:
@@ -351,35 +354,49 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
     return [layer_in[rank[i], :len(tokens) + 1] for i, tokens in enumerate(token_lists)]
 
 
-def feature(c: Configuration, vectors: list[ad.Tensor], params: ModelParams) -> ad.Tensor:
-    """Concatenation of the top three stack vectors and the buffer front,
-    with the learned pad vector filling missing slots."""
-    pad = params.tensors["pad"]
+def score(vectors: np.ndarray, params: ModelParams):
+    """The action scorer of one sentence, which greedy parsing and training
+    share, given the context vectors as the rows of one array.
 
-    def vec(index: int) -> ad.Tensor:
-        return vectors[index - 1]
+    Returns `step(c)`, which gives configuration c's four feature slots, its
+    MLP hidden layer and its per-action scores, `w2 @ hidden + b2`.  The
+    slots are the top three stack elements and the buffer front, as rows of
+    `[vectors; pad]`, so the learned pad vector fills missing stack slots.
+    `mlp_w1` splits into four `mlp_hidden x 2H` blocks, one per slot; each
+    block is applied to every row once, so a step adds four precomputed rows
+    instead of multiplying the concatenated slots by `mlp_w1`.
+    """
+    d = params.d_ctx
+    w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
+    w2, b2 = params.tensors["mlp_w2"].data, params.tensors["mlp_b2"].data
+    rows = np.concatenate([vectors, params.tensors["pad"].data[None]])
+    pad = len(vectors)
+    # Four rows per product: OpenBLAS runs products that small on the calling
+    # thread, so parsing never wakes its second thread.
+    p0, p1, p2, p3 = (
+        np.concatenate([rows[i: i + 4] @ w1[:, k * d: (k + 1) * d].T
+                        for i in range(0, len(rows), 4)])
+        for k in range(4)
+    )
 
-    slots = [pad] * 3
-    top = c.stack[-3:]
-    for offset, token in enumerate(top):
-        slots[3 - len(top) + offset] = vec(token)
-    slots.append(vec(c.buffer[0]))
-    return ad.concat(slots)
+    def step(c: Configuration) -> tuple[tuple[int, int, int, int], np.ndarray, np.ndarray]:
+        top = [pad] * 3 + [token - 1 for token in c.stack[-3:]]
+        slots = (top[-3], top[-2], top[-1], c.buffer[0] - 1)
+        hidden = np.tanh(p0[slots[0]] + p1[slots[1]] + p2[slots[2]] + p3[slots[3]] + b1)
+        return slots, hidden, w2 @ hidden + b2
 
-
-def score(feat: ad.Tensor, params: ModelParams) -> ad.Tensor:
-    """Raw per-action scores: W2 tanh(W1 x + b1) + b2."""
-    hidden = ad.tanh(ad.add(ad.matvec(params.tensors["mlp_w1"], feat), params.tensors["mlp_b1"]))
-    return ad.add(ad.matvec(params.tensors["mlp_w2"], hidden), params.tensors["mlp_b2"])
+    return step
 
 
 def step_loss(
-    scores: ad.Tensor,
+    scores: np.ndarray,
     y_plus: frozenset[Action],
     legal: frozenset[Action],
     action_index: Mapping[Action, int],
-) -> tuple[float, ad.Tensor | None]:
-    """Hinge loss of one step; returns the value and a tape node when positive.
+) -> tuple[float, tuple[int, int] | None]:
+    """Hinge loss of one step from its score row; returns the value and, when
+    it is positive, the indices of the best incorrect and the best correct
+    action, whose score difference it is, up to the margin.
 
     The best correct action must outscore the best incorrect legal action by
     a margin of 1, raised to 2 when REDUCE is the only correct action
@@ -394,15 +411,55 @@ def step_loss(
     wrong = legal - y_plus
     if not wrong:
         return 0.0, None
-    data = scores.data
     margin = 2.0 if y_plus == frozenset({REDUCE}) else 1.0
-    best_wrong = max(sorted(action_index[a] for a in wrong), key=lambda i: data[i])
-    best_correct = max(sorted(action_index[a] for a in y_plus), key=lambda i: data[i])
-    value = margin - data[best_correct] + data[best_wrong]
+    best_wrong = max(sorted(action_index[a] for a in wrong), key=lambda i: scores[i])
+    best_correct = max(sorted(action_index[a] for a in y_plus), key=lambda i: scores[i])
+    value = margin - scores[best_correct] + scores[best_wrong]
     if value <= 0.0:
         return 0.0, None
-    term = ad.sub(ad.pick(scores, best_wrong), ad.pick(scores, best_correct))
-    return float(value), term
+    return float(value), (best_wrong, best_correct)
+
+
+def _hinge_head(vectors: ad.Tensor, slots: np.ndarray, hidden: np.ndarray, pairs: np.ndarray,
+                total: float, params: ModelParams) -> ad.Tensor:
+    """One tape node for the MLP head and the summed hinge loss `total` of a
+    sentence's positive steps.
+
+    Step k read the rows `slots[k]` of `[vectors; pad]`, had the hidden layer
+    `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
+    score of `pairs[k, 1]`, plus the margin.  The backward scatters the loss
+    gradient into an S x A score gradient, where S is the number of steps
+    and A the number of actions, and then takes one matmul per weight
+    gradient; each slot's gradient is summed per row with `np.add.at` before
+    it is multiplied out.
+    """
+    t = params.tensors
+    w1, b1, w2, b2, pad = (t[name] for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"))
+    d = params.d_ctx
+    rows = np.concatenate([vectors.data, pad.data[None]])
+
+    def backprop(g):
+        dscores = np.zeros((len(pairs), len(params.actions)))
+        steps = np.arange(len(pairs))
+        dscores[steps, pairs[:, 0]] = g
+        dscores[steps, pairs[:, 1]] = -g
+        ad.accumulate(w2, dscores.T @ hidden)
+        ad.accumulate(b2, dscores.sum(axis=0))
+        dpre = (dscores @ w2.data) * (1.0 - hidden * hidden)
+        ad.accumulate(b1, dpre.sum(axis=0))
+        dw1 = np.empty_like(w1.data)
+        drows = np.zeros_like(rows)
+        for k in range(4):
+            block = slice(k * d, (k + 1) * d)
+            dproj = np.zeros((len(rows), dpre.shape[1]))
+            np.add.at(dproj, slots[:, k], dpre)
+            dw1[:, block] = dproj.T @ rows
+            drows += dproj @ w1.data[:, block]
+        ad.accumulate(w1, dw1)
+        ad.accumulate(vectors, drows[:-1])
+        ad.accumulate(pad, drows[-1])
+
+    return ad.Tensor(total, parents=(vectors, pad, w1, b1, w2, b2), backprop=backprop)
 
 
 def sentence_pass(
@@ -412,28 +469,52 @@ def sentence_pass(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-) -> tuple[float, list[ad.Tensor], int]:
+) -> tuple[float, ad.Tensor | None, int]:
     """Oracle-guided pass over one sentence.
 
     Follows the deterministic preferred gold action at every step and
-    accumulates hinge terms; returns (summed loss, tape terms, step count).
+    scores each step with `score`; returns the summed hinge loss, its tape
+    node (None when no step's loss is positive) and the step count.
     """
     vectors = encode(tokens, params, rng=rng, dropout_alpha=dropout_alpha)
+    scores = score(vectors.data, params)
     c = initial(len(tokens))
     total = 0.0
-    terms: list[ad.Tensor] = []
+    slots, hidden, pairs = [], [], []
     steps = 0
     while not is_terminal(c):
         y_plus = oracle(c, gold, reduce_set)
         legal = legal_actions(c, params.arc_rule)
-        scores = score(feature(c, vectors, params), params)
-        value, term = step_loss(scores, y_plus, legal, params.action_index)
+        step_slots, step_hidden, row = scores(c)
+        value, pair = step_loss(row, y_plus, legal, params.action_index)
         total += value
-        if term is not None:
-            terms.append(term)
+        if pair is not None:
+            slots.append(step_slots)
+            hidden.append(step_hidden)
+            pairs.append(pair)
         steps += 1
         c = apply(c, preferred(y_plus))
-    return total, terms, steps
+    if not pairs:
+        return total, None, steps
+    head = _hinge_head(vectors, np.array(slots), np.array(hidden), np.array(pairs), total, params)
+    return total, head, steps
+
+
+def accumulate_gradients(
+    tokens: Sequence[str],
+    gold: ArcSet,
+    reduce_set: frozenset[int],
+    params: ModelParams,
+    rng: np.random.Generator | None = None,
+    dropout_alpha: float = 0.25,
+) -> float:
+    """Backpropagate one sentence's `sentence_pass` loss, adding its gradient
+    into every parameter's `.grad`; returns the summed loss."""
+    total, loss, _ = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
+                                   dropout_alpha=dropout_alpha)
+    if loss is not None:
+        ad.backward(loss)
+    return total
 
 
 class Trainer:
@@ -454,12 +535,8 @@ class Trainer:
         # Overflow here can only come from parameters that are already huge;
         # the update's finite check then names the tensor instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            total, terms, _ = sentence_pass(
-                tokens, gold, reduce_set, self.params, rng=self.rng,
-                dropout_alpha=self.config.word_dropout_alpha,
-            )
-            if terms:
-                ad.backward(ad.addsum(terms))
+            total = accumulate_gradients(tokens, gold, reduce_set, self.params, rng=self.rng,
+                                         dropout_alpha=self.config.word_dropout_alpha)
         self.optimizer.step()
         self.optimizer.zero_grad()
         return total
@@ -483,37 +560,6 @@ class Trainer:
         return float(np.mean(losses)) if losses else 0.0
 
 
-def _slot_scorer(vectors: np.ndarray, params: ModelParams):
-    """Tape-free `score(feature(c, vectors, params), params).data` for greedy
-    decoding, given the context vectors as the rows of one array.
-
-    `mlp_w1` splits into four `mlp_hidden x 2H` blocks, one per feature slot;
-    each block is applied to every context vector and to `pad` once, so a
-    step adds four precomputed rows instead of multiplying by `mlp_w1`.  The
-    sums run in another order than the full matvec, so scores agree with
-    `score` to rounding, not bit for bit.
-    """
-    d = params.d_ctx
-    w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
-    w2, b2 = params.tensors["mlp_w2"].data, params.tensors["mlp_b2"].data
-    rows = np.concatenate([vectors, params.tensors["pad"].data[None]])
-    pad = len(vectors)
-    # Four rows per product: OpenBLAS runs products that small on the calling
-    # thread, so parsing never wakes its second thread.
-    p0, p1, p2, p3 = (
-        np.concatenate([rows[i: i + 4] @ w1[:, k * d: (k + 1) * d].T
-                        for i in range(0, len(rows), 4)])
-        for k in range(4)
-    )
-
-    def scores(c: Configuration) -> np.ndarray:
-        top = [pad] * 3 + [token - 1 for token in c.stack[-3:]]
-        hidden = np.tanh(p0[top[-3]] + p1[top[-2]] + p2[top[-1]] + p3[c.buffer[0] - 1] + b1)
-        return w2 @ hidden + b2
-
-    return scores
-
-
 def greedy_parse(
     tokens: Sequence[str], params: ModelParams, vectors: np.ndarray | None = None
 ) -> tuple[ArcSet, list[Action]]:
@@ -524,12 +570,12 @@ def greedy_parse(
     """
     if vectors is None:
         vectors = encode_batch([tokens], params)[0]
-    scores = _slot_scorer(vectors, params)
+    scores = score(vectors, params)
     c = initial(len(tokens))
     actions: list[Action] = []
     while not is_terminal(c):
         legal = legal_actions(c, params.arc_rule)
-        data = scores(c)
+        data = scores(c)[2]
         best = None
         for i, a in enumerate(params.actions):
             if a in legal and (best is None or data[i] > data[best]):
@@ -626,9 +672,7 @@ def grad_check(
 
     for t in params.parameters().values():
         t.grad = None
-    _, terms, _ = sentence_pass(tokens, gold, reduce_set, params)
-    if terms:
-        ad.backward(ad.addsum(terms))
+    accumulate_gradients(tokens, gold, reduce_set, params)
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.parameters().items()
@@ -698,9 +742,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Rebuild ModelParams from a checkpoint; returns (params, header).
 
     Raises CheckpointCorrupt when the header line is unreadable or lacks an
-    entry, when it does not list exactly the tensors, in save order and with
-    the shapes, that its dims define, or when the payload does not hold
-    exactly their float32 values.
+    entry, when a dim is not an integer, when it does not list exactly the
+    tensors, in save order and with the shapes, that its dims define, or
+    when the payload does not hold exactly their float32 values.
     """
     raw = Path(path).read_bytes()
     try:
@@ -717,6 +761,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         rule, declared = ArcRule(header["arc_rule"]), header["tensors"]
     except KeyError as err:
         raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
+    for key, value in dims.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CheckpointCorrupt(f"{path}: header dim {key!r} is {value!r}, not an integer")
     # The tensors are read from the payload, so none are drawn at random.
     params = ModelParams.__new__(ModelParams)
     params._set_sizes(Vocab(words=words, counts=counts), rule, **dims)

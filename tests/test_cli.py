@@ -343,6 +343,25 @@ class TestCheckpointCorrupt:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert str(path) in stderr
 
+    # `true` equals 1 in Python, so a 1-layer model is where it must not pass
+    @pytest.mark.parametrize("value", ["3", 3.0, None, True])
+    def test_non_integer_dim_rejected(self, value, tmp_path, capsys):
+        params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
+                             emb_dim=4, hidden=3, mlp_hidden=2, layers=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["dims"]["layers"] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        source = tmp_path / "lines.txt"
+        source.write_text("a dog\n")
+        code, stdout, stderr = run(["parse", "--checkpoint", str(path),
+                                    "--input", str(source)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "'layers'" in stderr
+
 
 class TestGradcheckCommand:
     def test_passes_on_small_model(self, capsys):

@@ -17,9 +17,9 @@ from sgparse.model import (
     TrainConfig,
     Trainer,
     Vocab,
+    accumulate_gradients,
     encode,
     encode_batch,
-    feature,
     grad_check,
     greedy_parse,
     load_checkpoint,
@@ -34,10 +34,14 @@ from sgparse.transition import (
     SHIFT,
     initial,
     inventory,
+    is_terminal,
     left,
     legal_actions,
     apply,
+    oracle,
+    preferred,
 )
+import tape_ops as ops
 
 
 def small_params(tokens_groups, seed=0, rule=ArcRule.LEFT):
@@ -52,13 +56,13 @@ def reference_lstm_direction(xs, w, b, hidden):
     c = ad.tensor(np.zeros(hidden))
     outs = []
     for x in xs:
-        pre = ad.add(ad.matvec(w, ad.concat([x, h])), b)
-        i = ad.sigmoid(ad.narrow(pre, 0, hidden))
-        f = ad.sigmoid(ad.narrow(pre, hidden, 2 * hidden))
-        o = ad.sigmoid(ad.narrow(pre, 2 * hidden, 3 * hidden))
-        g = ad.tanh(ad.narrow(pre, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
+        pre = ops.add(ops.matvec(w, ops.concat([x, h])), b)
+        i = ops.sigmoid(ops.narrow(pre, 0, hidden))
+        f = ops.sigmoid(ops.narrow(pre, hidden, 2 * hidden))
+        o = ops.sigmoid(ops.narrow(pre, 2 * hidden, 3 * hidden))
+        g = ops.tanh(ops.narrow(pre, 3 * hidden, 4 * hidden))
+        c = ops.add(ops.mul(f, c), ops.mul(i, g))
+        h = ops.mul(o, ops.tanh(c))
         outs.append(h)
     return outs
 
@@ -67,7 +71,7 @@ def reference_encode(tokens, params, rng=None, dropout_alpha=0.25):
     """`encode` built from per-token row lookups and reference LSTM steps."""
     assert rng is None, "the reference does not apply word dropout"
     ids = [params.vocab.id(w) for w in tokens] + [params.vocab.id(ROOT_WORD)]
-    layer_in = [ad.row(params.tensors["embeddings"], i) for i in ids]
+    layer_in = [ops.row(params.tensors["embeddings"], i) for i in ids]
     for layer in range(params.layers):
         fwd = reference_lstm_direction(
             layer_in, params.tensors[f"lstm{layer}_fwd_w"],
@@ -78,7 +82,7 @@ def reference_encode(tokens, params, rng=None, dropout_alpha=0.25):
             params.tensors[f"lstm{layer}_bwd_b"], params.hidden,
         )
         bwd.reverse()
-        layer_in = [ad.concat([f, b]) for f, b in zip(fwd, bwd)]
+        layer_in = [ops.concat([f, b]) for f, b in zip(fwd, bwd)]
     return layer_in
 
 
@@ -116,16 +120,90 @@ def reference_lstm_forward(xs, w, b, hidden):
     return hs, (z, gates, cells, tanh_cells)
 
 
-def reference_greedy_parse(tokens, params):
+def vector_rows(vectors):
+    """Per-token row nodes of `encode`'s one T x 2H node, as the tape scorer
+    reads them."""
+    return [ops.row(vectors, t) for t in range(vectors.data.shape[0])]
+
+
+def reference_feature(c, vectors, params):
+    """The concatenated configuration feature that the tape scorer read: the
+    top three stack vectors and the buffer front, with the learned pad
+    vector filling missing slots."""
+    slots = [params.tensors["pad"]] * 3
+    top = c.stack[-3:]
+    for offset, token in enumerate(top):
+        slots[3 - len(top) + offset] = vectors[token - 1]
+    slots.append(vectors[c.buffer[0] - 1])
+    return ops.concat(slots)
+
+
+def reference_score(feat, params):
+    """The tape scorer that `score` replaced: W2 tanh(W1 x + b1) + b2."""
+    t = params.tensors
+    hidden = ops.tanh(ops.add(ops.matvec(t["mlp_w1"], feat), t["mlp_b1"]))
+    return ops.add(ops.matvec(t["mlp_w2"], hidden), t["mlp_b2"])
+
+
+def reference_step_loss(scores, y_plus, legal, action_index):
+    """The tape `step_loss`: the hinge value, a tape term when it is
+    positive, and the (best wrong, best correct) action indices it chose."""
+    wrong = legal - y_plus
+    if not wrong:
+        return 0.0, None, None
+    data = scores.data
+    margin = 2.0 if y_plus == frozenset({REDUCE}) else 1.0
+    best_wrong = max(sorted(action_index[a] for a in wrong), key=lambda i: data[i])
+    best_correct = max(sorted(action_index[a] for a in y_plus), key=lambda i: data[i])
+    value = margin - data[best_correct] + data[best_wrong]
+    if value <= 0.0:
+        return 0.0, None, None
+    term = ops.sub(ops.pick(scores, best_wrong), ops.pick(scores, best_correct))
+    return float(value), term, (best_wrong, best_correct)
+
+
+def reference_gradients(vectors, instance, params):
+    """The oracle-guided training pass as the tape ran it before the one-node
+    MLP head, over per-token vector nodes: every step scored with
+    `reference_score(reference_feature(...))` and its hinge term put on the
+    tape.  Returns per step the scores, the loss value and the chosen pair,
+    then the summed loss and every parameter's gradient."""
+    tokens, gold, reduce_set = instance
+    for t in params.parameters().values():
+        t.grad = None
+    c = initial(len(tokens))
+    steps, total, terms = [], 0.0, []
+    while not is_terminal(c):
+        y_plus = oracle(c, gold, reduce_set)
+        legal = legal_actions(c, params.arc_rule)
+        scores = reference_score(reference_feature(c, vectors, params), params)
+        value, term, pair = reference_step_loss(scores, y_plus, legal, params.action_index)
+        total += value
+        if term is not None:
+            terms.append(term)
+        steps.append((scores.data, value, pair))
+        c = apply(c, preferred(y_plus))
+    if terms:
+        ad.backward(ops.addsum(terms))
+    grads = {name: t.grad for name, t in params.parameters().items()}
+    for t in params.parameters().values():
+        t.grad = None
+    return steps, total, grads
+
+
+def reference_greedy_parse(tokens, params, vectors=None):
     """Greedy decoding that scores every step on the tape with
-    `score(feature(...))`, as `greedy_parse` did before its slot projections;
-    returns the actions and, per step, the configuration and its scores."""
-    vectors = encode(tokens, params)
+    `reference_score(reference_feature(...))`, as `greedy_parse` did before
+    its slot projections, over `vector_rows(encode(...))` unless `vectors`
+    are given; returns the actions and, per step, the configuration and its
+    scores."""
+    if vectors is None:
+        vectors = vector_rows(encode(tokens, params))
     c = initial(len(tokens))
     actions, steps = [], []
-    while not model.is_terminal(c):
+    while not is_terminal(c):
         legal = legal_actions(c, params.arc_rule)
-        data = score(feature(c, vectors, params), params).data
+        data = reference_score(reference_feature(c, vectors, params), params).data
         steps.append((c, data))
         best = None
         for i, a in enumerate(params.actions):
@@ -217,18 +295,17 @@ class TestEncode:
     def test_single_token_dimensions(self):
         params = small_params([("dog",)])
         vectors = encode(["dog"], params)
-        assert len(vectors) == 2  # token + ROOT
-        assert all(v.data.shape == (16,) for v in vectors)
+        assert vectors.data.shape == (2, 16)  # token + ROOT
 
     def test_default_dimensions(self):
         vocab = Vocab.from_sentences([("dog",)])
         params = ModelParams(vocab, ArcRule.LEFT, seed=0)
         vectors = encode(["dog"], params)
-        assert vectors[0].data.shape == (512,)
+        assert vectors.data.shape == (2, 512)
 
     def test_empty_sentence_gives_root_only(self):
         params = small_params([("dog",)])
-        assert len(encode([], params)) == 1
+        assert encode([], params).data.shape == (1, 16)
 
     def test_context_sensitivity(self):
         words = ("a", "b", "c", "d", "e")
@@ -236,49 +313,37 @@ class TestEncode:
         forward = encode(list(words), params)
         backward = encode(list(reversed(words)), params)
         # token "c" sits at index 2 both times but its context differs
-        assert not np.allclose(forward[2].data, backward[2].data)
+        assert not np.allclose(forward.data[2], backward.data[2])
 
 
-def run_with_encoder(encoder, instance, params):
-    """Context vectors, every step_loss value of the oracle-guided pass, the
-    gradients of its summed loss, and the greedy actions, with `encoder`
-    standing in for `model.encode`."""
-    tokens, gold, reduce_set = instance
-    values = []
-
-    def recording_step_loss(*args):
-        value, term = step_loss(*args)
-        values.append(value)
-        return value, term
-
-    with mock.patch.object(model, "encode", encoder), \
-            mock.patch.object(model, "step_loss", recording_step_loss):
-        vectors = [v.data for v in model.encode(tokens, params)]
-        for t in params.parameters().values():
-            t.grad = None
-        _, terms, _ = sentence_pass(tokens, gold, reduce_set, params)
-        if terms:
-            ad.backward(ad.addsum(terms))
-        grads = {name: t.grad for name, t in params.parameters().items()}
-        for t in params.parameters().values():
-            t.grad = None
-        _, actions = greedy_parse(tokens, params)
-    return vectors, values, grads, actions
+def run_with_vectors(vectors, instance, params):
+    """Context vectors, every step loss of the tape training pass, the
+    gradients of its summed loss, and the tape's greedy actions, all over the
+    per-token vector nodes `vectors`."""
+    steps, _, grads = reference_gradients(vectors, instance, params)
+    actions, _ = reference_greedy_parse(instance[0], params, vectors)
+    return [v.data for v in vectors], [value for _, value, _ in steps], grads, actions
 
 
-def assert_matches_reference(instance, params):
-    vectors, values, grads, actions = run_with_encoder(encode, instance, params)
-    ref_vectors, ref_values, ref_grads, ref_actions = run_with_encoder(
-        reference_encode, instance, params)
-    assert len(vectors) == len(ref_vectors)
-    assert all(np.array_equal(a, b) for a, b in zip(vectors, ref_vectors))
-    assert values == ref_values
-    assert actions == ref_actions
+def assert_grads_close(grads, ref_grads, params):
+    """Every gradient within 1e-12 of its tensor's largest gradient entry."""
     for name, t in params.parameters().items():
         got, want = (np.zeros_like(t.data) if g is None else g
                      for g in (grads[name], ref_grads[name]))
         scale = max(np.abs(got).max(), np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+def assert_matches_reference(instance, params):
+    vectors, values, grads, actions = run_with_vectors(
+        vector_rows(encode(instance[0], params)), instance, params)
+    ref_vectors, ref_values, ref_grads, ref_actions = run_with_vectors(
+        reference_encode(instance[0], params), instance, params)
+    assert len(vectors) == len(ref_vectors)
+    assert all(np.array_equal(a, b) for a, b in zip(vectors, ref_vectors))
+    assert values == ref_values
+    assert actions == ref_actions
+    assert_grads_close(grads, ref_grads, params)
 
 
 def _instances_by_length(rule):
@@ -298,9 +363,9 @@ INSTANCES_BY_LENGTH = {rule: _instances_by_length(rule) for rule in ArcRule}
 
 
 class TestFusedBiLSTM:
-    """`ad.bilstm` against the per-token tape LSTM it replaced: the same
-    context vectors, step losses and greedy actions bit for bit, and the
-    same gradients to 1e-12 relative."""
+    """`ad.bilstm` against the per-token tape LSTM it replaced, both read by
+    the tape scorer: the same context vectors, step losses and greedy actions
+    bit for bit, and the same gradients to 1e-12 relative."""
 
     def test_default_size_on_synthetic_sentences(self):
         instances, _ = build_instances(generate_synthetic(12, seed=21))
@@ -324,7 +389,7 @@ class TestFusedBiLSTM:
         tokens = ("dog", "cat", "dog")
         params = small_params([tokens])
         vectors = encode(list(tokens), params, rng=np.random.default_rng(0), dropout_alpha=1e9)
-        ad.backward(ad.addsum([ad.pick(v, 0) for v in vectors]))
+        ad.backward(ops.addsum([ops.pick(v, 0) for v in vector_rows(vectors)]))
         grad = params.tensors["embeddings"].grad
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
         assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
@@ -371,29 +436,54 @@ class TestLeanLSTMForward:
 
 
 class TestSlotScores:
-    """Greedy decoding with precomputed slot projections against the tape
-    scorer it replaced: the same actions, and scores within 1e-12 at every
-    step."""
+    """The slot-projection scorer `score` against the tape scorer it replaced,
+    in greedy decoding and in training.  Greedy decoding takes the same
+    actions, with scores within 1e-12 at every step.  The training pass makes
+    the same hinge decision at every step, from scores within 1e-12; its
+    summed loss agrees to 1e-12 and its gradients to 1e-12 relative."""
 
     @staticmethod
-    def assert_matches_reference(tokens, params):
+    def assert_matches_reference(instance, params):
+        tokens = instance[0]
         ref_actions, steps = reference_greedy_parse(tokens, params)
         arcs, actions = greedy_parse(tokens, params)
         assert actions == ref_actions
-        scores = model._slot_scorer(np.stack([v.data for v in encode(tokens, params)]), params)
+        scores = score(encode(tokens, params).data, params)
         for c, ref in steps:
-            assert np.abs(scores(c) - ref).max() <= 1e-12
+            assert np.abs(scores(c)[2] - ref).max() <= 1e-12
         c = initial(len(tokens))
         for a in actions:
             c = apply(c, a)
         assert c.arc_set() == arcs
 
+        ref_steps, ref_total, ref_grads = reference_gradients(
+            vector_rows(encode(tokens, params)), instance, params)
+        decisions = []
+
+        def recording_step_loss(row, *args):
+            value, pair = step_loss(row, *args)
+            decisions.append((row, value, pair))
+            return value, pair
+
+        with mock.patch.object(model, "step_loss", recording_step_loss):
+            total = accumulate_gradients(*instance, params)
+        grads = {name: t.grad for name, t in params.parameters().items()}
+        for t in params.parameters().values():
+            t.grad = None
+        assert len(decisions) == len(ref_steps)
+        for (row, value, pair), (ref_row, ref_value, ref_pair) in zip(decisions, ref_steps):
+            assert np.abs(row - ref_row).max() <= 1e-12
+            assert pair == ref_pair and (value > 0.0) == (ref_value > 0.0)
+        assert abs(total - ref_total) <= 1e-12
+        assert_grads_close(grads, ref_grads, params)
+
     def test_default_size_on_synthetic_sentences(self):
         instances, _ = build_instances(generate_synthetic(30, seed=21))
+        assert len(instances) == 30
         params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
                              ArcRule.LEFT, seed=0)
         for inst in instances:
-            self.assert_matches_reference(inst.tokens, params)
+            self.assert_matches_reference((inst.tokens, inst.gold, inst.reduce_set), params)
 
     @settings(max_examples=150, deadline=None)
     @given(rule=st.sampled_from(list(ArcRule)), length=st.integers(0, 7),
@@ -402,10 +492,10 @@ class TestSlotScores:
     def test_small_sizes_and_lengths(self, rule, length, pick, emb_dim, hidden, mlp_hidden,
                                      layers, seed):
         pool = INSTANCES_BY_LENGTH[rule][length]
-        tokens = pool[pick % len(pool)][0]
-        params = ModelParams(Vocab.from_sentences([tokens]), rule, emb_dim=emb_dim,
+        instance = pool[pick % len(pool)]
+        params = ModelParams(Vocab.from_sentences([instance[0]]), rule, emb_dim=emb_dim,
                              hidden=hidden, mlp_hidden=mlp_hidden, layers=layers, seed=seed)
-        self.assert_matches_reference(tokens, params)
+        self.assert_matches_reference(instance, params)
 
 
 class TestEncodeBatch:
@@ -417,7 +507,7 @@ class TestEncodeBatch:
         got = encode_batch(token_lists, params)
         assert len(got) == len(token_lists)
         for tokens, vectors in zip(token_lists, got):
-            expected = np.stack([v.data for v in encode(tokens, params)])
+            expected = encode(tokens, params).data
             assert vectors.shape == expected.shape
             assert np.array_equal(vectors, expected)
 
@@ -464,36 +554,31 @@ class TestEncodeBatch:
 
 
 class TestFeature:
-    def test_initial_uses_pad_slots(self):
+    """The feature slots that `score` reads, as rows of `[vectors; pad]`, and
+    the hidden layer it computes from them."""
+
+    @staticmethod
+    def slots(config):
         params = small_params([("a", "b", "c", "d", "e", "f", "g")])
-        vectors = encode(list("abcdefg"), params)
-        feat = feature(initial(7), vectors, params).data
-        pad = params.tensors["pad"].data
-        d = params.d_ctx
-        assert np.array_equal(feat[:d], pad)
-        assert np.array_equal(feat[d:2 * d], pad)
-        assert np.array_equal(feat[2 * d:3 * d], pad)
-        assert np.array_equal(feat[3 * d:], vectors[0].data)
+        vectors = encode(list("abcdefg"), params).data
+        slots, hidden, _ = score(vectors, params)(config)
+        rows = np.concatenate([vectors, params.tensors["pad"].data[None]])
+        w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
+        feat = np.concatenate([rows[i] for i in slots])
+        assert np.abs(hidden - np.tanh(w1 @ feat + b1)).max() <= 1e-12
+        return slots
+
+    def test_initial_uses_pad_slots(self):
+        # rows 0..6 are tokens 1..7, row 7 is ROOT and row 8 the pad vector
+        assert self.slots(initial(7)) == (8, 8, 8, 0)
 
     def test_stack_and_buffer_slots(self):
-        params = small_params([("a", "b", "c", "d", "e", "f", "g")])
-        vectors = encode(list("abcdefg"), params)
-        c = initial(7)
-        config = c.__class__(7, (2, 5, 7), (8,), frozenset())
-        feat = feature(config, vectors, params).data
-        d = params.d_ctx
-        assert np.array_equal(feat[:d], vectors[1].data)       # token 2
-        assert np.array_equal(feat[d:2 * d], vectors[4].data)  # token 5
-        assert np.array_equal(feat[2 * d:3 * d], vectors[6].data)  # token 7
-        assert np.array_equal(feat[3 * d:], vectors[7].data)   # ROOT
+        config = initial(7).__class__(7, (2, 5, 7), (8,), frozenset())
+        assert self.slots(config) == (1, 4, 6, 7)  # tokens 2, 5, 7 and ROOT
 
     def test_deep_stack_keeps_top_three(self):
-        params = small_params([("a", "b", "c", "d", "e", "f", "g")])
-        vectors = encode(list("abcdefg"), params)
         config = initial(7).__class__(7, (1, 2, 3, 4, 5), (6, 7, 8), frozenset())
-        feat = feature(config, vectors, params).data
-        d = params.d_ctx
-        assert np.array_equal(feat[:d], vectors[2].data)  # token 3, not 1
+        assert self.slots(config) == (2, 3, 4, 5)  # tokens 3, 4, 5, not 1
 
 
 class TestScore:
@@ -501,9 +586,9 @@ class TestScore:
         params = small_params([("dog",)])
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.tensors[name].data[:] = 0.0
-        vectors = encode(["dog"], params)
-        out = score(feature(initial(1), vectors, params), params)
-        assert np.array_equal(out.data, np.zeros(len(params.actions)))
+        vectors = encode(["dog"], params).data
+        _, _, out = score(vectors, params)(initial(1))
+        assert np.array_equal(out, np.zeros(len(params.actions)))
 
     def test_hand_computed_two_by_two(self):
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -513,18 +598,17 @@ class TestScore:
         x = np.array([0.5, 0.25])
         hidden = np.tanh(w1 @ x + b1)
         expected = w2 @ hidden + b2
-        out = ad.add(ad.matvec(ad.tensor(w2), ad.tanh(
-            ad.add(ad.matvec(ad.tensor(w1), ad.tensor(x)), ad.tensor(b1)))), ad.tensor(b2))
+        out = ops.add(ops.matvec(ad.tensor(w2), ops.tanh(
+            ops.add(ops.matvec(ad.tensor(w1), ad.tensor(x)), ad.tensor(b1)))), ad.tensor(b2))
         assert np.allclose(out.data, expected)
 
     def test_doubling_output_weights_doubles_scores(self):
         params = small_params([("dog", "cat")])
-        vectors = encode(["dog", "cat"], params)
-        feat = feature(initial(2), vectors, params)
-        base = score(feat, params).data.copy()
+        vectors = encode(["dog", "cat"], params).data
+        base = score(vectors, params)(initial(2))[2]
         params.tensors["mlp_w2"].data *= 2.0
         params.tensors["mlp_b2"].data *= 2.0
-        assert np.allclose(score(feat, params).data, 2.0 * base)
+        assert np.allclose(score(vectors, params)(initial(2))[2], 2.0 * base)
 
 
 class TestStepLoss:
@@ -536,19 +620,19 @@ class TestStepLoss:
         data = np.full(len(self.actions), default)
         for action, value in mapping.items():
             data[self.index[action]] = value
-        return ad.tensor(data)
+        return data
 
     def test_direct_substitution(self):
         scores = self.make_scores({SHIFT: 0.2, left(EdgeLabel.ATTR): 0.5})
         legal = frozenset(self.actions)
-        value, term = step_loss(scores, frozenset({SHIFT}), legal, self.index)
+        value, pair = step_loss(scores, frozenset({SHIFT}), legal, self.index)
         assert value == pytest.approx(1.0 - 0.2 + 0.5)
-        assert term is not None
+        assert pair == (self.index[left(EdgeLabel.ATTR)], self.index[SHIFT])
 
     def test_hinge_region_zero(self):
         scores = self.make_scores({SHIFT: 2.0})
-        value, term = step_loss(scores, frozenset({SHIFT}), frozenset(self.actions), self.index)
-        assert value == 0.0 and term is None
+        value, pair = step_loss(scores, frozenset({SHIFT}), frozenset(self.actions), self.index)
+        assert value == 0.0 and pair is None
 
     def test_reduce_margin_is_two(self):
         scores = self.make_scores({REDUCE: 0.0, SHIFT: 0.0})
@@ -557,8 +641,8 @@ class TestStepLoss:
 
     def test_all_legal_correct_is_zero(self):
         scores = self.make_scores({SHIFT: -5.0})
-        value, term = step_loss(scores, frozenset({SHIFT}), frozenset({SHIFT}), self.index)
-        assert value == 0.0 and term is None
+        value, pair = step_loss(scores, frozenset({SHIFT}), frozenset({SHIFT}), self.index)
+        assert value == 0.0 and pair is None
 
     def test_empty_y_plus_rejected(self):
         scores = self.make_scores({})
@@ -569,14 +653,14 @@ class TestStepLoss:
         rng = np.random.default_rng(9)
         legal = frozenset(self.actions)
         for _ in range(200):
-            scores = ad.tensor(rng.standard_normal(len(self.actions)) * 2)
+            scores = rng.standard_normal(len(self.actions)) * 2
             y_plus = frozenset({REDUCE}) if rng.random() < 0.3 else frozenset({SHIFT})
             value, _ = step_loss(scores, y_plus, legal, self.index)
             if value == 0.0:
                 margin = 2.0 if y_plus == frozenset({REDUCE}) else 1.0
-                best_correct = max(scores.data[self.index[a]] for a in y_plus)
+                best_correct = max(scores[self.index[a]] for a in y_plus)
                 for a in legal - y_plus:
-                    assert best_correct >= scores.data[self.index[a]] + margin
+                    assert best_correct >= scores[self.index[a]] + margin
 
 
 class TestTrainSentence:
@@ -675,8 +759,8 @@ class TestGradCheck:
         b2[params.action_index[SHIFT]] = 100.0
         # after SHIFT the correct action is LEFT(BEGN)
         b2[params.action_index[left(EdgeLabel.BEGN)]] = 200.0
-        value, terms, _ = sentence_pass(tokens, gold, frozenset(), params)
-        assert value == 0.0 and not terms
+        value, loss, _ = sentence_pass(tokens, gold, frozenset(), params)
+        assert value == 0.0 and loss is None
         err = grad_check(params, (tokens, gold, frozenset()), step=1e-3)
         assert err == 0.0
 
@@ -685,8 +769,7 @@ class TestGradCheck:
         params = small_params([tokens], seed=0)
         for t in params.parameters().values():
             t.grad = None
-        _, terms, _ = sentence_pass(tokens, gold, reduce_set, params)
-        ad.backward(ad.addsum(terms))
+        accumulate_gradients(tokens, gold, reduce_set, params)
         name, index = max(
             ((n, int(np.argmax(np.abs(t.grad)))) for n, t in params.parameters().items()
              if t.grad is not None),
@@ -704,10 +787,11 @@ def reference_adam_step(opt):
     opt.t += 1
     for name, p in opt.params.items():
         g = p.grad if p.grad is not None else 0.0
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * np.square(g)
-        m_hat = opt.m[name] / (1.0 - opt.beta1 ** opt.t)
-        v_hat = opt.v[name] / (1.0 - opt.beta2 ** opt.t)
+        b1, b2 = model._BETA1, model._BETA2
+        opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
+        opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * np.square(g)
+        m_hat = opt.m[name] / (1.0 - b1 ** opt.t)
+        v_hat = opt.v[name] / (1.0 - b2 ** opt.t)
         p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
@@ -766,7 +850,7 @@ class TestAdam:
         p = ad.tensor(rng.standard_normal(4))
         g = rng.standard_normal(4)
         start = p.data.copy()
-        opt = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=0.01)
+        opt = Adam({"p": p}, lr=0.1, eps=0.01)
         p.grad = g.copy()
         opt.step()
         m = 0.1 * g
@@ -824,10 +908,10 @@ class TestWordDropout:
         va = encode(["dog"], params, rng=rng_a, dropout_alpha=1e9)
         # with an enormous alpha the word always drops to UNK
         unk_only = encode(["zebra"], params, rng=rng_b, dropout_alpha=1e9)
-        assert np.allclose(va[0].data, unk_only[0].data)
+        assert np.allclose(va.data[0], unk_only.data[0])
 
     def test_no_rng_no_dropout(self):
         params = small_params([("dog",)])
         kept = encode(["dog"], params, dropout_alpha=1e9)
         unk_only = encode(["zebra"], params, dropout_alpha=1e9)
-        assert not np.allclose(kept[0].data, unk_only[0].data)
+        assert not np.allclose(kept.data[0], unk_only.data[0])

@@ -219,6 +219,52 @@ class TestOracleParse:
                 c = apply(c, a)
             assert c.arc_set() == gold
 
+    @settings(max_examples=300, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), n=st.integers(0, 10), data=st.data())
+    def test_random_projective_trees_round_trip(self, rule, n, data):
+        gold, reduce_set = data.draw(projective_gold(n, rule))
+        actions = oracle_parse(n, gold, reduce_set)
+        assert set(actions) <= set(inventory(rule))
+        c = run(n, actions)
+        assert is_terminal(c) and c.arc_set() == gold
+
+
+@st.composite
+def projective_gold(draw, n, rule):
+    """A random projective gold tree over tokens 1..n and ROOT, and the
+    reduce set of the tokens left out of it.
+
+    Every subtree covers a contiguous run of the tree's tokens, so no two arcs
+    cross; ROOT heads the BEGN arcs, and CONT joins adjacent tokens in the
+    direction the arc rule builds it.
+    """
+    root = n + 1
+    in_tree = [t for t in range(1, n + 1) if draw(st.integers(0, 3))]
+    arcs = []
+
+    def runs(tokens):
+        out = []
+        for t in tokens:
+            if not out or draw(st.booleans()):
+                out.append([])
+            out[-1].append(t)
+        return out
+
+    def subtree(tokens):
+        i = draw(st.integers(0, len(tokens) - 1))
+        for side in (tokens[:i], tokens[i + 1:]):
+            for group in runs(side):
+                dep = subtree(group)
+                labels = [A, S, O]
+                if tokens[i] - dep == (1 if rule is ArcRule.LEFT else -1):
+                    labels.append(C)
+                arcs.append(Arc(tokens[i], dep, draw(st.sampled_from(labels))))
+        return tokens[i]
+
+    for group in runs(in_tree):
+        arcs.append(Arc(root, subtree(group), B))
+    return ArcSet(n, frozenset(arcs)), frozenset(range(1, n + 1)) - set(in_tree)
+
 
 class TestRandomLegalWalk:
     """Any walk of legal actions ends in a well-formed, convertible parse."""
