@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The ops of the parser's encoder: an embedding row gather and a fused
-bidirectional LSTM layer over a whole sequence.  `sgparse.model` builds the
-node of its MLP head and hinge loss itself.  Everything runs in float64; a
-Tensor records its parents and a closure that routes the incoming gradient
-to them.
+bidirectional LSTM layer over a whole sequence, which runs `lstm`, the LSTM
+kernel that `sgparse.model.encode_batch` runs on batches of sentences.
+`sgparse.model` builds the node of its MLP head and hinge loss itself.
+Everything runs in float64; a Tensor records its parents and a closure that
+routes the incoming gradient to them.
 """
 
 from __future__ import annotations
@@ -60,40 +61,65 @@ def rows(m: Tensor, ids) -> Tensor:
     return out
 
 
-def _lstm_forward(xs: np.ndarray, w: np.ndarray, b: np.ndarray, hidden: int):
-    """Run one LSTM direction over the rows of xs, in order.
+def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
+    """`w` as the row blocks, shape (blocks, 1, rows, in), that a step of
+    `lstm` over `batch` sequences multiplies.
 
-    Each step is `w @ [x; h] + b`, gates input/forget/output/candidate, then
-    `c = f*c + i*g` and `h = o*tanh(c)`.  Returns the hidden states and what
-    the backward pass needs: the step inputs `[x; h_prev]`, the four gate
-    activations, the cell states and their tanh.  Every step writes into
-    those arrays directly; the sigmoid runs once over the three sigmoid
-    gates.
+    One sequence takes the whole matrix, which numpy multiplies as `w @ z`.
+    A batch takes blocks of 16, 8 or 4 rows: the most that divide the row
+    count and fit in 32 KB, else 4.  OpenBLAS runs a 32 KB block's product
+    on the calling thread and computes the rows of `w @ z` in groups of
+    four, so every row comes out bit for bit as in the full product.
     """
-    steps, in_dim = xs.shape
+    if batch == 1:
+        return w[None, None]
+    out_dim, in_dim = w.shape
+    rows = next((r for r in (16, 8) if out_dim % r == 0 and r * in_dim * 8 <= 1 << 15), 4)
+    return np.ascontiguousarray(w.reshape(out_dim // rows, 1, rows, in_dim))
+
+
+def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
+    """One LSTM direction over a batch of sequences, run in lockstep.
+
+    `xs` is steps x batch x in; sequence k is `xs[:lengths[k], k]`, lengths
+    descending.  With `reverse` each runs from its last row to its first.
+    A step is `w @ [x; h] + b` (gates input, forget, output, candidate),
+    `c = f*c + i*g` and `h = o*tanh(c)`, with each row block of `w` applied
+    to every running sequence.  Returns the hidden states, each at its
+    input's row, and in step order what the backward pass needs: `[x; h]`,
+    the gates, the cells and their tanh, which the steps write in place.
+    """
+    steps, batch, in_dim = xs.shape
+    hidden = b.shape[0] // 4
     three = 3 * hidden
-    z = np.empty((steps, in_dim + hidden))
-    gates = np.empty((steps, 4 * hidden))
-    cells = np.empty((steps, hidden))
-    tanh_cells = np.empty((steps, hidden))
-    hs = np.empty((steps, hidden))
-    z[:, :in_dim] = xs
-    h = c = np.zeros(hidden)
+    blocks, seqs = _row_blocks(w, batch), np.arange(batch)
+    z = np.empty((steps, batch, in_dim + hidden))
+    gates = np.empty((steps, batch, 4 * hidden))
+    cells = np.empty((steps, batch, hidden))
+    tanh_cells = np.empty((steps, batch, hidden))
+    hs = np.zeros((steps, batch, hidden))
+    h = c = np.zeros((batch, hidden))
+    running = batch
     for t in range(steps):
-        zt, gt = z[t], gates[t]
-        zt[in_dim:] = h
-        pre = w @ zt + b
-        gt[:three] = _sigmoid(pre[:three])
-        np.tanh(pre[three:], out=gt[three:])
-        np.add(gt[hidden: 2 * hidden] * c, gt[:hidden] * gt[three:], out=cells[t])
-        c = cells[t]
-        np.tanh(c, out=tanh_cells[t])
-        h = np.multiply(gt[2 * hidden: three], tanh_cells[t], out=hs[t])
+        while lengths[running - 1] <= t:
+            running -= 1
+        zt, gt, seq = z[t, :running], gates[t, :running], seqs[:running]
+        pos = lengths[:running] - 1 - t if reverse else t
+        zt[:, :in_dim], zt[:, in_dim:] = xs[pos, seq], h[:running]
+        pre = np.matmul(blocks, zt[None, :, :, None]).transpose(1, 0, 2, 3)
+        pre = pre.reshape(running, 4 * hidden) + b
+        gt[:, :three] = _sigmoid(pre[:, :three])
+        np.tanh(pre[:, three:], out=gt[:, three:])
+        c = np.add(gt[:, hidden: 2 * hidden] * c[:running], gt[:, :hidden] * gt[:, three:],
+                   out=cells[t, :running])
+        h = gt[:, 2 * hidden: three] * np.tanh(c, out=tanh_cells[t, :running])
+        hs[pos, seq] = h
     return hs, (z, gates, cells, tanh_cells)
 
 
 def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
-    """Backpropagation through time for one direction of `_lstm_forward`.
+    """Backpropagation through time for one sequence of `lstm`, given its
+    saved arrays and the gradients of its hidden states, both in step order.
 
     Returns the gradients of the inputs, the weights and the bias; each
     weight gradient is one matmul over the per-step pre-activation
@@ -132,9 +158,11 @@ def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) ->
     """
     (w_f, b_f), (w_b, b_b) = fwd, bwd
     hidden = b_f.data.shape[0] // 4
-    h_f, saved_f = _lstm_forward(x.data, w_f.data, b_f.data, hidden)
-    h_b, saved_b = _lstm_forward(x.data[::-1], w_b.data, b_b.data, hidden)
-    out = Tensor(np.concatenate([h_f, h_b[::-1]], axis=1), parents=(x, w_f, b_f, w_b, b_b))
+    xs, lengths = x.data[:, None], np.array([x.data.shape[0]])
+    h_f, saved_f = lstm(xs, lengths, w_f.data, b_f.data, reverse=False)
+    h_b, saved_b = lstm(xs, lengths, w_b.data, b_b.data, reverse=True)
+    saved_f, saved_b = ([a[:, 0] for a in saved] for saved in (saved_f, saved_b))
+    out = Tensor(np.concatenate([h_f[:, 0], h_b[:, 0]], axis=1), parents=(x, w_f, b_f, w_b, b_b))
 
     def backprop(g):
         dx_f, dw_f, db_f = _lstm_backward(g[:, :hidden], w_f.data, saved_f, hidden)

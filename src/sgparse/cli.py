@@ -50,17 +50,23 @@ from .spice import corpus_f, evaluate_corpus, format_report
 from .transition import format_trace, oracle_parse
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+# The flags that override config-file keys, by key; the flag is the key with
+# dashes.  Each subcommand takes --config and the flags it reads.
+_FLAGS = {
+    "corpus": dict(help="line-delimited region corpus"),
+    "lexicon": dict(help="synonym lexicon file"),
+    "checkpoint": dict(help="model checkpoint path"),
+    "arc_rule": dict(choices=["left", "right"]),
+    "align_mode": dict(choices=["full", "all-syn", "no-syn"]),
+    "epochs": dict(type=int), "lr": dict(type=float), "adam_eps": dict(type=float),
+    "seed": dict(type=int),
+}
+
+
+def _flags(sub: argparse.ArgumentParser, *keys: str) -> None:
     sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument("--corpus", help="line-delimited region corpus")
-    sub.add_argument("--lexicon", help="synonym lexicon file")
-    sub.add_argument("--checkpoint", help="model checkpoint path")
-    sub.add_argument("--arc-rule", choices=["left", "right"], dest="arc_rule")
-    sub.add_argument("--align-mode", choices=["full", "all-syn", "no-syn"], dest="align_mode")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--adam-eps", type=float, dest="adam_eps")
-    sub.add_argument("--seed", type=int)
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
 
 
 class Settings:
@@ -331,6 +337,8 @@ def cmd_trace(args) -> int:
 def cmd_gradcheck(args) -> int:
     settings = Settings(args)
     seed = settings.get("seed", 0, int)
+    if args.instances < 1:
+        raise SgparseError(f"--instances must be at least 1, not {args.instances}")
     started = time.perf_counter()
     records = generate_synthetic(args.instances, seed)
     instances, _ = build_instances(records)
@@ -353,18 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("synth", help="emit a synthetic corpus")
-    _common_flags(sub)
+    _flags(sub, "seed")
     sub.add_argument("--count", type=int, required=True)
     sub.add_argument("--out", required=True)
     sub.set_defaults(fn=cmd_synth)
 
     sub = subs.add_parser("align", help="derive gold arcs and alignment statistics")
-    _common_flags(sub)
+    _flags(sub, "corpus", "lexicon", "arc_rule", "align_mode")
     sub.add_argument("--out", help="gold arcs output file (stdout when omitted)")
     sub.set_defaults(fn=cmd_align)
 
     sub = subs.add_parser("train", help="train a parser and write a checkpoint")
-    _common_flags(sub)
+    _flags(sub, *_FLAGS)
     sub.add_argument("--split-train", dest="split_train",
                      help="file of training image ids, one per line")
     sub.add_argument("--split-eval", dest="split_eval",
@@ -372,29 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(fn=cmd_train)
 
     sub = subs.add_parser("parse", help="parse text lines into scene graphs")
-    _common_flags(sub)
+    _flags(sub, "checkpoint")
     sub.add_argument("--input", help="text file, one sentence per line (stdin when omitted)")
     sub.add_argument("--out")
     sub.set_defaults(fn=cmd_parse)
 
     sub = subs.add_parser("eval", help="score a checkpoint against a corpus")
-    _common_flags(sub)
+    _flags(sub, "checkpoint", "corpus", "lexicon")
     sub.set_defaults(fn=cmd_eval)
 
     sub = subs.add_parser("retrieve", help="image retrieval over a region corpus")
-    _common_flags(sub)
+    _flags(sub, "checkpoint", "corpus", "lexicon")
     sub.add_argument("--out")
     sub.set_defaults(fn=cmd_retrieve)
 
     sub = subs.add_parser("trace", help="step-by-step action trace for one sentence")
-    _common_flags(sub)
+    _flags(sub, "checkpoint", "lexicon", "arc_rule", "align_mode")
     sub.add_argument("--sentence", required=True)
     sub.add_argument("--gold", help="corpus file holding the sentence's gold graph")
     sub.add_argument("--out")
     sub.set_defaults(fn=cmd_trace)
 
     sub = subs.add_parser("gradcheck", help="verify gradients on a reduced model")
-    _common_flags(sub)
+    _flags(sub, "seed")
     sub.add_argument("--instances", type=int, default=10)
     sub.add_argument("--step", type=float, default=1e-3)
     sub.set_defaults(fn=cmd_gradcheck)

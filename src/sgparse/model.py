@@ -269,66 +269,12 @@ def encode(
     return layer_in
 
 
-def _row_blocks(w: np.ndarray) -> np.ndarray:
-    """`w` as a stack of row blocks, shape (blocks, 1, rows, in), for
-    `_lstm_batch`.
-
-    A block has 16, 8 or 4 rows: the most that divide the row count and fit
-    in 32 KB, else 4.  OpenBLAS runs the product of a 32 KB block on the
-    calling thread, and it computes the rows of `w @ z` in groups of four,
-    so every row comes out bit for bit as in the full product.
-    """
-    out_dim, in_dim = w.shape
-    rows = next((r for r in (16, 8) if out_dim % r == 0 and r * in_dim * 8 <= 1 << 15), 4)
-    return np.ascontiguousarray(w.reshape(out_dim // rows, 1, rows, in_dim))
-
-
-def _lstm_batch(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray,
-                hidden: int, reverse: bool) -> np.ndarray:
-    """The hidden states of `ad._lstm_forward` for several sequences at once.
-
-    Sequence k is `xs[k, :lengths[k]]`, with lengths in descending order;
-    with `reverse` it runs from its last row to its first, and its states
-    are stored back at the rows they belong to.  The sequences advance in
-    lockstep, and each step applies one weight block to every running
-    sequence before the next block, so each step reads `w` from memory once
-    for the whole batch.  The gate arithmetic is `_lstm_forward`'s, row for
-    row, so the states are bit-identical to it.
-    """
-    batch, steps, in_dim = xs.shape
-    three = 3 * hidden
-    blocks = _row_blocks(w)
-    hs = np.zeros((batch, steps, hidden))
-    z = np.zeros((batch, in_dim + hidden))
-    c = np.zeros((batch, hidden))
-    running = batch
-    for t in range(steps):
-        while lengths[running - 1] <= t:
-            running -= 1
-        if reverse:
-            seqs, pos = np.arange(running), lengths[:running] - 1 - t
-            z[:running, :in_dim] = xs[seqs, pos]
-        else:
-            z[:running, :in_dim] = xs[:running, t]
-        pre = np.matmul(blocks, z[None, :running, :, None])
-        pre = pre.transpose(1, 0, 2, 3).reshape(running, 4 * hidden) + b
-        sig = ad._sigmoid(pre[:, :three])
-        c = sig[:, hidden: 2 * hidden] * c[:running] + sig[:, :hidden] * np.tanh(pre[:, three:])
-        h = sig[:, 2 * hidden:] * np.tanh(c)
-        if reverse:
-            hs[seqs, pos] = h
-        else:
-            hs[:running, t] = h
-        z[:running, in_dim:] = h
-    return hs
-
-
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
     """The context vectors of several sentences, for parsing: one
     (len(tokens) + 1) x 2H array per sentence whose rows are the data of
     `encode(tokens, params)`, bit for bit, built without tape nodes.
 
-    The sentences run through each layer together (`_lstm_batch`) on the
+    The sentences run through each layer together (`ad.lstm`) on the
     calling thread.  Each LSTM step then reads every weight once per batch,
     not once per sentence, which keeps a batch of 32 as fast on one core as
     single sentences are with BLAS on two.
@@ -337,21 +283,21 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
         return []
     order = sorted(range(len(token_lists)), key=lambda i: -len(token_lists[i]))
     lengths = np.array([len(token_lists[i]) + 1 for i in order])
-    ids = np.zeros((len(order), lengths[0]), dtype=np.intp)
+    ids = np.zeros((lengths[0], len(order)), dtype=np.intp)
     for k, i in enumerate(order):
-        ids[k, :lengths[k]] = [params.vocab.id(w) for w in token_lists[i]] + [
+        ids[:lengths[k], k] = [params.vocab.id(w) for w in token_lists[i]] + [
             params.vocab.id(ROOT_WORD)]
     tensors = params.tensors
     layer_in = tensors["embeddings"].data[ids]
     for layer in range(params.layers):
         layer_in = np.concatenate([
-            _lstm_batch(layer_in, lengths, tensors[f"lstm{layer}_{direction}_w"].data,
-                        tensors[f"lstm{layer}_{direction}_b"].data, params.hidden,
-                        reverse=direction == "bwd")
+            ad.lstm(layer_in, lengths, tensors[f"lstm{layer}_{direction}_w"].data,
+                    tensors[f"lstm{layer}_{direction}_b"].data, direction == "bwd")[0]
             for direction in ("fwd", "bwd")
         ], axis=2)
     rank = {i: k for k, i in enumerate(order)}
-    return [layer_in[rank[i], :len(tokens) + 1] for i, tokens in enumerate(token_lists)]
+    return [np.ascontiguousarray(layer_in[:len(tokens) + 1, rank[i]])
+            for i, tokens in enumerate(token_lists)]
 
 
 def score(vectors: np.ndarray, params: ModelParams):
@@ -663,8 +609,11 @@ def grad_check(
     re-evaluated with a 100x (then 10000x) smaller step; a genuinely wrong
     gradient disagrees at every step size and is still caught.
     ``negate_grad_of`` flips one analytic gradient entry first, for
-    verifying that the check catches corruption.
+    verifying that the check catches corruption.  An error that is NaN
+    counts as infinite, so a NaN gradient fails the check.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"gradient check step must be finite and positive, not {step}")
     tokens, gold, reduce_set = instance
 
     def loss_value() -> float:
@@ -693,7 +642,8 @@ def grad_check(
         return (up - down) / (2.0 * h)
 
     def rel_err(a: float, b: float) -> float:
-        return abs(a - b) / max(1.0, abs(a), abs(b))
+        err = abs(a - b) / max(1.0, abs(a), abs(b))
+        return math.inf if math.isnan(err) else err
 
     worst = 0.0
     for name, t in params.parameters().items():
@@ -741,10 +691,11 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Rebuild ModelParams from a checkpoint; returns (params, header).
 
-    Raises CheckpointCorrupt when the header line is unreadable or lacks an
-    entry, when a dim is not an integer, when it does not list exactly the
-    tensors, in save order and with the shapes, that its dims define, or
-    when the payload does not hold exactly their float32 values.
+    Raises CheckpointCorrupt when the header line is unreadable, is not a
+    JSON object, or lacks or garbles an entry, when a dim is not an integer,
+    when it does not list exactly the tensors, in save order and with the
+    shapes, that its dims define, or when the payload does not hold exactly
+    their float32 values.
     """
     raw = Path(path).read_bytes()
     try:
@@ -752,21 +703,30 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         header = json.loads(raw[:newline].decode("utf-8"))
     except ValueError as err:  # no header line, or one that is not UTF-8 JSON
         raise CheckpointCorrupt(f"{path}: unreadable header ({err})") from err
+    if not isinstance(header, dict):
+        raise CheckpointCorrupt(f"{path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('format_version')!r}")
-    try:
-        words = tuple(w for w, _ in header["vocab"])
-        counts = {w: int(c) for w, c in header["vocab"] if c}
-        dims = {key: header["dims"][key] for key in ("emb_dim", "hidden", "mlp_hidden", "layers")}
-        rule, declared = ArcRule(header["arc_rule"]), header["tensors"]
-    except KeyError as err:
-        raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
+
+    def entry(key: str, read):
+        try:
+            return read(header[key])
+        except KeyError as err:
+            raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
+        except (TypeError, ValueError) as err:
+            raise CheckpointCorrupt(f"{path}: header entry {key!r} is malformed ({err})") from err
+
+    vocab = entry("vocab", lambda pairs: Vocab(words=tuple(w for w, _ in pairs),
+                                               counts={w: int(c) for w, c in pairs if c}))
+    dim_keys = ("emb_dim", "hidden", "mlp_hidden", "layers")
+    dims = entry("dims", lambda d: {key: d[key] for key in dim_keys})
+    rule, declared = entry("arc_rule", ArcRule), entry("tensors", list)
     for key, value in dims.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise CheckpointCorrupt(f"{path}: header dim {key!r} is {value!r}, not an integer")
     # The tensors are read from the payload, so none are drawn at random.
     params = ModelParams.__new__(ModelParams)
-    params._set_sizes(Vocab(words=words, counts=counts), rule, **dims)
+    params._set_sizes(vocab, rule, **dims)
     shapes = params._shapes()
     names = sorted(shapes)
     if declared != [[name, list(shapes[name])] for name in names]:

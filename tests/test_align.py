@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgparse.align import (
     AlignMode,
@@ -153,6 +154,42 @@ class TestAlign:
                 if NodeRef("relation", k) in result.aligned_nodes:
                     assert NodeRef("object", si) in result.aligned_nodes
                     assert NodeRef("object", oi) in result.aligned_nodes
+
+
+# labels of one and more words, some of them synonyms under LEXICON
+OBJECT_LABELS = ["man", "guy", "dog", "puppy", "red car", "tree"]
+OTHER_LABELS = ["red", "big", "large", "near", "in front of", "on"]
+SENTENCE_WORDS = ["man", "guy", "dog", "puppy", "red", "car", "tree", "big", "large",
+                  "near", "in", "front", "of", "on", "the", "a"]
+LEXICON = SynonymLexicon.from_pairs([("man", "guy"), ("dog", "puppy"), ("big", "large")])
+
+
+@st.composite
+def scene_graphs(draw):
+    objects = draw(st.lists(st.sampled_from(OBJECT_LABELS), max_size=4))
+    if not objects:
+        return SceneGraph()
+    node = st.integers(0, len(objects) - 1)
+    labels = st.sampled_from(OTHER_LABELS)
+    attributes = draw(st.lists(st.tuples(node, labels), max_size=3))
+    relations = draw(st.lists(st.tuples(node, labels, node), max_size=3))
+    return SceneGraph(objects=tuple(objects), attributes=tuple(attributes),
+                      relations=tuple(relations))
+
+
+class TestAlignSpansProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(graph=scene_graphs(), words=st.lists(st.sampled_from(SENTENCE_WORDS), max_size=10),
+           mode=st.sampled_from(list(AlignMode)))
+    def test_spans_disjoint_in_range_and_covered(self, graph, words, mode):
+        result = align(" ".join(words), graph, LEXICON, mode)
+        covered: set[int] = set()
+        for start, end in result.node_spans.values():
+            assert 1 <= start <= end <= len(words)
+            span = set(range(start, end + 1))
+            assert not span & covered
+            covered |= span
+        assert covered <= result.aligned_words
 
 
 class TestDeriveGold:

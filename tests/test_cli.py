@@ -327,6 +327,16 @@ CORRUPTIONS = {
 }
 
 
+# Header edits that garble one entry, and the name the error must give.
+MALFORMED_HEADERS = {
+    "vocab_not_a_list": (lambda h: {**h, "vocab": 5}, "'vocab'"),
+    "dims_not_an_object": (lambda h: {**h, "dims": [1, 2]}, "'dims'"),
+    "header_not_an_object": (lambda h: [1, 2], "not a JSON object"),
+    "vocab_entry_without_count": (lambda h: {**h, "vocab": h["vocab"] + [["cat"]]}, "'vocab'"),
+    "vocab_count_not_a_number": (lambda h: {**h, "vocab": h["vocab"] + [["cat", "x"]]}, "'vocab'"),
+}
+
+
 class TestCheckpointCorrupt:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_rejected_with_one_line_error(self, corruption, tmp_path, capsys):
@@ -362,12 +372,45 @@ class TestCheckpointCorrupt:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "'layers'" in stderr
 
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_entry_named(self, malformed, tmp_path, capsys):
+        edit, named = MALFORMED_HEADERS[malformed]
+        params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
+                             emb_dim=4, hidden=3, mlp_hidden=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + payload)
+        source = tmp_path / "lines.txt"
+        source.write_text("a dog\n")
+        code, stdout, stderr = run(["parse", "--checkpoint", str(path),
+                                    "--input", str(source)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert str(path) in stderr and named in stderr
+
 
 class TestGradcheckCommand:
     def test_passes_on_small_model(self, capsys):
         code, stdout, _ = run(["gradcheck", "--instances", "2", "--seed", "0"], capsys)
         assert code == 0
         assert "worst=" in stdout
+
+    # a check that probes nothing, or with a step that gives no quotient, fails
+    @pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"], ["--instances", "0"]],
+                             ids=["step-nan", "step-zero", "no-instances"])
+    def test_degenerate_check_is_one_line_error(self, flags, capsys):
+        code, stdout, stderr = run(["gradcheck", "--instances", "1"] + flags, capsys)
+        assert code == 1 and "worst=" not in stdout
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+class TestFlags:
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["parse", "--epochs", "1"])
+        assert exit_info.value.code == 2
+        assert "--epochs" in capsys.readouterr().err
 
 
 class TestErrors:

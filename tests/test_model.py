@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -87,9 +88,9 @@ def reference_encode(tokens, params, rng=None, dropout_alpha=0.25):
 
 
 def reference_lstm_forward(xs, w, b, hidden):
-    """The `ad._lstm_forward` body before its steps wrote into the saved
-    arrays directly: a fresh `[x; h]` per step and one stable sigmoid per
-    gate slice."""
+    """One LSTM direction over the rows of xs, as it ran before its steps
+    wrote into the saved arrays directly: a fresh `[x; h]` per step and one
+    stable sigmoid per gate slice."""
 
     def sigmoid(x):
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -396,8 +397,9 @@ class TestFusedBiLSTM:
 
 
 class TestLeanLSTMForward:
-    """`ad._lstm_forward` against its former body: the same hidden states and
-    saved arrays, bit for bit, on every layer and direction of `encode`."""
+    """`ad.lstm` on a batch of one against the former per-sequence body: the
+    same hidden states and saved arrays, bit for bit, on every layer and
+    direction of `encode`."""
 
     @staticmethod
     def assert_matches_reference(tokens, params):
@@ -408,7 +410,11 @@ class TestLeanLSTMForward:
             for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):
                 w = params.tensors[f"lstm{layer}_{direction}_w"].data
                 b = params.tensors[f"lstm{layer}_{direction}_b"].data
-                hs, saved = ad._lstm_forward(seq, w, b, params.hidden)
+                hs, saved = ad.lstm(xs[:, None], np.array([len(xs)]), w, b, direction == "bwd")
+                # the reference runs `seq` in step order; `lstm` stores each
+                # state at its input's row and saves the rest in step order
+                hs = hs[:, 0] if direction == "fwd" else hs[::-1, 0]
+                saved = [a[:, 0] for a in saved]
                 ref_hs, ref_saved = reference_lstm_forward(seq, w, b, params.hidden)
                 assert np.array_equal(hs, ref_hs)
                 assert len(saved) == len(ref_saved)
@@ -540,9 +546,12 @@ class TestEncodeBatch:
                                              ((32, 10), 16), ((12, 5), 4), ((4, 3000), 4)])
     def test_row_blocks(self, shape, rows):
         w = np.arange(np.prod(shape), dtype=float).reshape(shape)
-        blocks = model._row_blocks(w)
+        blocks = ad._row_blocks(w, 32)
         assert blocks.shape == (shape[0] // rows, 1, rows, shape[1])
         assert np.array_equal(blocks.reshape(shape), w)
+        # one sequence multiplies the whole matrix, without a copy
+        whole = ad._row_blocks(w, 1)
+        assert whole.shape == (1, 1) + shape and np.shares_memory(whole, w)
 
     def test_greedy_parse_from_batch_vectors(self):
         instances, _ = build_instances(generate_synthetic(20, seed=5))
@@ -763,6 +772,18 @@ class TestGradCheck:
         assert value == 0.0 and loss is None
         err = grad_check(params, (tokens, gold, frozenset()), step=1e-3)
         assert err == 0.0
+
+    def test_nan_gradient_fails(self, fig_instance):
+        tokens, gold, reduce_set = fig_instance
+        params = small_params([tokens], seed=0)
+        original = model.accumulate_gradients
+
+        def poisoned(*args):
+            original(*args)
+            params.tensors["mlp_b2"].grad[0] = np.nan
+
+        with mock.patch.object(model, "accumulate_gradients", poisoned):
+            assert grad_check(params, (tokens, gold, reduce_set)) == math.inf
 
     def test_corrupted_gradient_detected(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
