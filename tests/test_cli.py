@@ -250,6 +250,28 @@ class TestBatchedParser:
         assert graphs == [parse_text(params, t) for t in asked]
 
 
+class TestParseBatchOfOne:
+    def test_batched_file_equals_one_line_runs(self, trained, tmp_path, capsys):
+        """The batched products and the whole-matrix product of a sentence
+        encoded alone lead to the same parses, byte for byte."""
+        _, checkpoint = trained
+        lines = [r.phrase for r in generate_synthetic(40, seed=17)]
+        assert len(lines) > cli_module.PARSE_BATCH
+        source, out = tmp_path / "lines.txt", tmp_path / "graphs.jsonl"
+        source.write_text("".join(line + "\n" for line in lines))
+        code, _, _ = run(["parse", "--checkpoint", str(checkpoint), "--input", str(source),
+                          "--out", str(out)], capsys)
+        assert code == 0
+        alone = []
+        for line in lines:
+            source.write_text(line + "\n")
+            code, stdout, _ = run(["parse", "--checkpoint", str(checkpoint),
+                                   "--input", str(source)], capsys)
+            assert code == 0
+            alone.append(stdout)
+        assert out.read_text() == "".join(alone)
+
+
 class TestTrainWithSplits:
     def test_split_files_partition_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -411,6 +433,22 @@ class TestFlags:
             main(["parse", "--epochs", "1"])
         assert exit_info.value.code == 2
         assert "--epochs" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    # a key the subcommand reads under another name, and one it does not read
+    @pytest.mark.parametrize("command, key", [("train", "epoch"), ("parse", "epochs")])
+    def test_unread_key_is_one_line_error(self, command, key, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(6, seed=9), corpus)
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = 1\n")
+        flags = {"train": ["--corpus", str(corpus)], "parse": ["--input", str(corpus)]}
+        code, stdout, stderr = run([command, "--config", str(config), "--checkpoint",
+                                    str(tmp_path / "m.ckpt")] + flags[command], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {config}: key {key!r} is not read by {command}\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestErrors:

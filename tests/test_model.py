@@ -506,7 +506,10 @@ class TestSlotScores:
 
 class TestEncodeBatch:
     """`encode_batch` against `encode`, sentence by sentence: the same
-    context vectors, bit for bit, whatever the batch holds."""
+    context vectors to 1e-12 max-abs, whatever the batch holds, and greedy
+    parses from them that take the same actions.  A batch multiplies each
+    row block of the LSTM weights by every running sentence in one GEMM,
+    whose sums run in another order than the GEMV of a batch of one."""
 
     @staticmethod
     def assert_matches_encode(token_lists, params):
@@ -515,7 +518,8 @@ class TestEncodeBatch:
         for tokens, vectors in zip(token_lists, got):
             expected = encode(tokens, params).data
             assert vectors.shape == expected.shape
-            assert np.array_equal(vectors, expected)
+            assert np.abs(vectors - expected).max() <= 1e-12
+            assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
 
     def test_default_size_on_synthetic_sentences(self):
         instances, _ = build_instances(generate_synthetic(40, seed=21))
@@ -525,6 +529,25 @@ class TestEncodeBatch:
         # mixed lengths, ROOT alone, a repeat and words outside the vocabulary
         token_lists += [[], token_lists[0], ["zyx", "a", "qqq"]]
         self.assert_matches_encode(token_lists, params)
+
+    def test_default_size_same_vectors_whatever_the_companions(self):
+        instances, _ = build_instances(generate_synthetic(40, seed=21))
+        params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
+                             ArcRule.LEFT, seed=0)
+        token_lists = [list(i.tokens) for i in instances]
+        longest = max(range(len(token_lists)), key=lambda i: len(token_lists[i]))
+        shortest = min(range(len(token_lists)), key=lambda i: len(token_lists[i]))
+        # batches of 2 to 40 in other orders; the longest sentence also runs
+        # its last steps alone beside the shortest
+        batches = [list(range(len(token_lists)))[::-1], [longest, shortest],
+                   [shortest, longest, 3], list(range(2, 34)), list(range(0, 40, 3))]
+        seen = {}
+        for batch in batches:
+            for i, vectors in zip(batch, encode_batch([token_lists[i] for i in batch], params)):
+                if i in seen:
+                    assert np.array_equal(vectors, seen[i])
+                seen.setdefault(i, vectors)
+        assert longest in seen and shortest in seen
 
     def test_empty_batch(self):
         assert encode_batch([], small_params([("a",)])) == []
@@ -547,11 +570,11 @@ class TestEncodeBatch:
     def test_row_blocks(self, shape, rows):
         w = np.arange(np.prod(shape), dtype=float).reshape(shape)
         blocks = ad._row_blocks(w, 32)
-        assert blocks.shape == (shape[0] // rows, 1, rows, shape[1])
-        assert np.array_equal(blocks.reshape(shape), w)
-        # one sequence multiplies the whole matrix, without a copy
+        assert blocks.shape == (shape[0] // rows, rows, shape[1])
+        assert np.array_equal(blocks.reshape(shape), w) and np.shares_memory(blocks, w)
+        # one sequence multiplies the whole matrix
         whole = ad._row_blocks(w, 1)
-        assert whole.shape == (1, 1) + shape and np.shares_memory(whole, w)
+        assert whole.shape == (1,) + shape and np.shares_memory(whole, w)
 
     def test_greedy_parse_from_batch_vectors(self):
         instances, _ = build_instances(generate_synthetic(20, seed=5))
