@@ -36,11 +36,6 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def tensor(data) -> Tensor:
-    """A leaf tensor (parameter or constant)."""
-    return Tensor(data)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that overflows for no finite input: `1/(1+e)` where
     x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`."""

@@ -84,7 +84,10 @@ class Settings:
         if flag is not None:
             return flag
         if key in self.config:
-            return cast(self.config[key])
+            try:
+                return cast(self.config[key])
+            except ValueError as err:
+                raise SgparseError(f"{self.args.config}: key {key!r}: {err}") from err
         return default
 
     def require(self, key: str, cast=str):
@@ -167,6 +170,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_synth(args) -> int:
     settings = Settings(args)
+    if args.count < 0:
+        raise SgparseError(f"--count must not be negative, not {args.count}")
     records = generate_synthetic(args.count, settings.get("seed", 0, int))
     save_corpus(records, args.out)
     print(f"records={len(records)}")

@@ -131,10 +131,13 @@ class SplitSpec:
 def load_split(path: str | Path) -> frozenset[int]:
     """One image id per line."""
     ids = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if line:
-            ids.add(int(line))
+            try:
+                ids.add(int(line))
+            except ValueError as err:
+                raise ValueError(f"{path}:{number}: {err}") from err
     return frozenset(ids)
 
 

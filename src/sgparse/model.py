@@ -6,9 +6,11 @@ The configuration feature concatenates the context vectors of the top three
 stack elements and the buffer front, substituting a learned pad vector for
 missing slots.  One scorer, `score`, serves greedy parsing and training: it
 projects every context vector through the first MLP layer once per sentence,
-so a step adds four rows.  Training follows the oracle's preferred action,
-sums the per-step hinge losses over a sentence into one tape node for the
-whole MLP head, and applies one Adam update per sentence.
+so a step adds four rows.  The parameters are plain float64 arrays, and
+only training builds a tape, over fresh leaves that wrap them for one
+sentence.  Training follows the oracle's preferred action, sums the per-step
+hinge losses over a sentence into one tape node for the whole MLP head, and
+applies one Adam update per sentence from the gradients that pass returns.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class Vocab:
 
 
 class ModelParams:
-    """All learned tensors plus the sizes that tie them together.
+    """All learned tensors, as float64 arrays, plus the sizes that tie them.
 
     Defaults follow the trained system: 200-dim embeddings, two BiLSTM
     layers with 256 hidden units per direction, a 100-unit MLP.  Reduced
@@ -108,7 +110,7 @@ class ModelParams:
             limit = np.sqrt(6.0 / (in_dim + out_dim))
             return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
-        self.tensors: dict[str, ad.Tensor] = {}
+        self.tensors: dict[str, np.ndarray] = {}
         for name, shape in self._shapes().items():
             if name in ("embeddings", "pad"):
                 data = rng.uniform(-0.1, 0.1, size=shape)
@@ -118,7 +120,7 @@ class ModelParams:
                 data = np.zeros(shape)
                 if name.startswith("lstm"):
                     data[hidden: 2 * hidden] = 1.0  # forget-gate bias
-            self.tensors[name] = ad.tensor(data)
+            self.tensors[name] = data
 
     def _set_sizes(self, vocab: Vocab, arc_rule: ArcRule, emb_dim: int, hidden: int,
                    mlp_hidden: int, layers: int) -> None:
@@ -149,11 +151,8 @@ class ModelParams:
         shapes["mlp_b2"] = (len(self.actions),)
         return shapes
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return self.tensors
-
     def finite(self) -> bool:
-        return all(np.all(np.isfinite(t.data)) for t in self.tensors.values())
+        return all(np.all(np.isfinite(t)) for t in self.tensors.values())
 
 
 @dataclass
@@ -182,17 +181,17 @@ class Adam:
     make them.
     """
 
-    def __init__(self, params: Mapping[str, ad.Tensor], lr: float, eps: float = 0.01):
+    def __init__(self, params: Mapping[str, np.ndarray], lr: float, eps: float = 0.01):
         self.params = dict(params)
         self.lr = lr
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = {k: np.zeros_like(p) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in self.params.items()}
         self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
-    def step(self) -> None:
-        """One update of every tensor from its gradient (zero when None).
+    def step(self, grads: Mapping[str, np.ndarray | None]) -> None:
+        """One update of every tensor from `grads[name]` (zero when None).
 
         Raises ParameterNonFinite, naming the tensor, when the update leaves
         one of its values infinite or NaN.
@@ -201,13 +200,13 @@ class Adam:
         # Each block is checked for non-finite values instead of warning.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for name, p in self.params.items():
-                self._update(name, p)
+                self._update(name, p, grads[name])
 
-    def _update(self, name: str, p: ad.Tensor) -> None:
+    def _update(self, name: str, p: np.ndarray, grad: np.ndarray | None) -> None:
         b1, b2, lr, eps = _BETA1, _BETA2, self.lr, self.eps
         m_scale, v_scale = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name]))
-        flat_g = p.grad.reshape(-1) if p.grad is not None else None
+        flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p, self.m[name], self.v[name]))
+        flat_g = grad.reshape(-1) if grad is not None else None
         for lo in range(0, flat_p.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, flat_p.size)
             pb, m, v = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
@@ -231,19 +230,16 @@ class Adam:
                 raise ParameterNonFinite(
                     f"parameter tensor {name!r} became non-finite at Adam step {self.t}")
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
 
 def encode(
     tokens: Sequence[str],
     params: ModelParams,
+    leaves: Mapping[str, ad.Tensor],
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
 ) -> ad.Tensor:
     """Context vectors for each token plus a trailing one for ROOT, as the
-    rows of one (len(tokens) + 1) x 2H tape node.
+    rows of one (len(tokens) + 1) x 2H tape node over `leaves`.
 
     Given an rng (training), each occurrence of a word with corpus frequency
     f is replaced by UNK with probability alpha / (alpha + f).
@@ -258,13 +254,12 @@ def encode(
         ids = dropped
     ids.append(params.vocab.id(ROOT_WORD))
 
-    tensors = params.tensors
-    layer_in = ad.rows(tensors["embeddings"], ids)
+    layer_in = ad.rows(leaves["embeddings"], ids)
     for layer in range(params.layers):
         layer_in = ad.bilstm(
             layer_in,
-            (tensors[f"lstm{layer}_fwd_w"], tensors[f"lstm{layer}_fwd_b"]),
-            (tensors[f"lstm{layer}_bwd_w"], tensors[f"lstm{layer}_bwd_b"]),
+            (leaves[f"lstm{layer}_fwd_w"], leaves[f"lstm{layer}_fwd_b"]),
+            (leaves[f"lstm{layer}_bwd_w"], leaves[f"lstm{layer}_bwd_b"]),
         )
     return layer_in
 
@@ -272,7 +267,7 @@ def encode(
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
     """The context vectors of several sentences, for parsing: one
     (len(tokens) + 1) x 2H array per sentence whose rows are the data of
-    `encode(tokens, params)` to 1e-12, built without tape nodes.
+    `encode` to 1e-12, built without tape nodes.
 
     The sentences run through each layer together (`ad.lstm`) on the
     calling thread, each LSTM step one small GEMM per row block of the
@@ -288,11 +283,11 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
         ids[:lengths[k], k] = [params.vocab.id(w) for w in token_lists[i]] + [
             params.vocab.id(ROOT_WORD)]
     tensors = params.tensors
-    layer_in = tensors["embeddings"].data[ids]
+    layer_in = tensors["embeddings"][ids]
     for layer in range(params.layers):
         layer_in = np.concatenate([
-            ad.lstm(layer_in, lengths, tensors[f"lstm{layer}_{direction}_w"].data,
-                    tensors[f"lstm{layer}_{direction}_b"].data, direction == "bwd")[0]
+            ad.lstm(layer_in, lengths, tensors[f"lstm{layer}_{direction}_w"],
+                    tensors[f"lstm{layer}_{direction}_b"], direction == "bwd")[0]
             for direction in ("fwd", "bwd")
         ], axis=2)
     return [np.ascontiguousarray(layer_in[:lengths[k], k]) for k in np.argsort(order)]
@@ -311,9 +306,9 @@ def score(vectors: np.ndarray, params: ModelParams):
     instead of multiplying the concatenated slots by `mlp_w1`.
     """
     d = params.d_ctx
-    w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
-    w2, b2 = params.tensors["mlp_w2"].data, params.tensors["mlp_b2"].data
-    rows = np.concatenate([vectors, params.tensors["pad"].data[None]])
+    w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
+    w2, b2 = params.tensors["mlp_w2"], params.tensors["mlp_b2"]
+    rows = np.concatenate([vectors, params.tensors["pad"][None]])
     pad = len(vectors)
     # Four rows per product: OpenBLAS runs products that small on the calling
     # thread, so parsing never wakes its second thread.
@@ -365,9 +360,9 @@ def step_loss(
 
 
 def _hinge_head(vectors: ad.Tensor, slots: np.ndarray, hidden: np.ndarray, pairs: np.ndarray,
-                total: float, params: ModelParams) -> ad.Tensor:
-    """One tape node for the MLP head and the summed hinge loss `total` of a
-    sentence's positive steps.
+                total: float, leaves: Mapping[str, ad.Tensor]) -> ad.Tensor:
+    """One tape node for the MLP head, over the parameter leaves `leaves`,
+    and the summed hinge loss `total` of a sentence's positive steps.
 
     Step k read the rows `slots[k]` of `[vectors; pad]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
@@ -377,13 +372,12 @@ def _hinge_head(vectors: ad.Tensor, slots: np.ndarray, hidden: np.ndarray, pairs
     gradient; each slot's gradient is summed per row with `np.add.at` before
     it is multiplied out.
     """
-    t = params.tensors
-    w1, b1, w2, b2, pad = (t[name] for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"))
-    d = params.d_ctx
+    w1, b1, w2, b2, pad = (leaves[name] for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"))
+    d = pad.data.shape[0]
     rows = np.concatenate([vectors.data, pad.data[None]])
 
     def backprop(g):
-        dscores = np.zeros((len(pairs), len(params.actions)))
+        dscores = np.zeros((len(pairs), b2.data.shape[0]))
         steps = np.arange(len(pairs))
         dscores[steps, pairs[:, 0]] = g
         dscores[steps, pairs[:, 1]] = -g
@@ -411,16 +405,17 @@ def sentence_pass(
     gold: ArcSet,
     reduce_set: frozenset[int],
     params: ModelParams,
+    leaves: Mapping[str, ad.Tensor],
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
 ) -> tuple[float, ad.Tensor | None, int]:
-    """Oracle-guided pass over one sentence.
+    """Oracle-guided pass over one sentence, on a tape over `leaves`.
 
     Follows the deterministic preferred gold action at every step and
     scores each step with `score`; returns the summed hinge loss, its tape
     node (None when no step's loss is positive) and the step count.
     """
-    vectors = encode(tokens, params, rng=rng, dropout_alpha=dropout_alpha)
+    vectors = encode(tokens, params, leaves, rng=rng, dropout_alpha=dropout_alpha)
     scores = score(vectors.data, params)
     c = initial(len(tokens))
     total = 0.0
@@ -440,7 +435,7 @@ def sentence_pass(
         c = apply(c, preferred(y_plus))
     if not pairs:
         return total, None, steps
-    head = _hinge_head(vectors, np.array(slots), np.array(hidden), np.array(pairs), total, params)
+    head = _hinge_head(vectors, np.array(slots), np.array(hidden), np.array(pairs), total, leaves)
     return total, head, steps
 
 
@@ -451,14 +446,16 @@ def accumulate_gradients(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-) -> float:
-    """Backpropagate one sentence's `sentence_pass` loss, adding its gradient
-    into every parameter's `.grad`; returns the summed loss."""
-    total, loss, _ = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
+) -> tuple[float, dict[str, np.ndarray | None]]:
+    """Backpropagate one sentence's `sentence_pass` loss on fresh leaves over
+    the parameter arrays; returns the summed loss and each tensor's gradient,
+    None where none reached it.  The arrays are left unchanged."""
+    leaves = {name: ad.Tensor(a) for name, a in params.tensors.items()}
+    total, loss, _ = sentence_pass(tokens, gold, reduce_set, params, leaves, rng=rng,
                                    dropout_alpha=dropout_alpha)
     if loss is not None:
         ad.backward(loss)
-    return total
+    return total, {name: leaf.grad for name, leaf in leaves.items()}
 
 
 class Trainer:
@@ -468,7 +465,7 @@ class Trainer:
         self.params = params
         self.config = config or TrainConfig()
         self.optimizer = Adam(
-            params.parameters(),
+            params.tensors,
             lr=self.config.learning_rate,
             eps=self.config.adam_epsilon,
         )
@@ -479,10 +476,9 @@ class Trainer:
         # Overflow here can only come from parameters that are already huge;
         # the update's finite check then names the tensor instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            total = accumulate_gradients(tokens, gold, reduce_set, self.params, rng=self.rng,
-                                         dropout_alpha=self.config.word_dropout_alpha)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
+            total, grads = accumulate_gradients(tokens, gold, reduce_set, self.params, self.rng,
+                                                self.config.word_dropout_alpha)
+        self.optimizer.step(grads)
         return total
 
     def run_epoch(self, instances: Iterable[tuple[Sequence[str], ArcSet, frozenset[int]]]) -> float:
@@ -548,13 +544,13 @@ def _loss_value_plain(
         return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     ids = [params.vocab.id(w) for w in tokens] + [params.vocab.id(ROOT_WORD)]
-    layer_in = [params.tensors["embeddings"].data[i] for i in ids]
+    layer_in = [params.tensors["embeddings"][i] for i in ids]
     hidden = params.hidden
     for layer in range(params.layers):
         outs = {}
         for direction, seq in (("fwd", layer_in), ("bwd", list(reversed(layer_in)))):
-            w = params.tensors[f"lstm{layer}_{direction}_w"].data
-            b = params.tensors[f"lstm{layer}_{direction}_b"].data
+            w = params.tensors[f"lstm{layer}_{direction}_w"]
+            b = params.tensors[f"lstm{layer}_{direction}_b"]
             h = np.zeros(hidden)
             c = np.zeros(hidden)
             collected = []
@@ -569,9 +565,9 @@ def _loss_value_plain(
         outs["bwd"].reverse()
         layer_in = [np.concatenate([f, b]) for f, b in zip(outs["fwd"], outs["bwd"])]
 
-    pad = params.tensors["pad"].data
-    w1, b1 = params.tensors["mlp_w1"].data, params.tensors["mlp_b1"].data
-    w2, b2 = params.tensors["mlp_w2"].data, params.tensors["mlp_b2"].data
+    pad = params.tensors["pad"]
+    w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
+    w2, b2 = params.tensors["mlp_w2"], params.tensors["mlp_b2"]
     c = initial(len(tokens))
     total = 0.0
     while not is_terminal(c):
@@ -617,18 +613,12 @@ def grad_check(
     def loss_value() -> float:
         return _loss_value_plain(tokens, gold, reduce_set, params)
 
-    for t in params.parameters().values():
-        t.grad = None
-    accumulate_gradients(tokens, gold, reduce_set, params)
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.parameters().items()
-    }
-    for t in params.parameters().values():
-        t.grad = None
+    _, grads = accumulate_gradients(tokens, gold, reduce_set, params)
+    analytic = {name: np.zeros(t.size) if grads[name] is None else grads[name].reshape(-1)
+                for name, t in params.tensors.items()}
     if negate_grad_of is not None:
         name, index = negate_grad_of
-        analytic[name].reshape(-1)[index] *= -1.0
+        analytic[name][index] *= -1.0
 
     def central(flat, j, h) -> float:
         saved = flat[j]
@@ -644,9 +634,9 @@ def grad_check(
         return math.inf if math.isnan(err) else err
 
     worst = 0.0
-    for name, t in params.parameters().items():
-        flat = t.data.reshape(-1)
-        ga = analytic[name].reshape(-1)
+    for name, t in params.tensors.items():
+        flat = t.reshape(-1)
+        ga = analytic[name]
         for j in range(flat.size):
             err = rel_err(ga[j], central(flat, j, step))
             for shrink in (100.0, 10000.0):
@@ -665,7 +655,7 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
     """Self-describing checkpoint: a JSON header line naming every tensor and
     the vocab, followed by row-major little-endian float32 payloads in header
     order."""
-    names = sorted(params.parameters())
+    names = sorted(params.tensors)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "rng_seed": rng_seed,
@@ -677,12 +667,10 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
             "layers": params.layers,
         },
         "vocab": [[w, params.vocab.count(w)] for w in params.vocab.words],
-        "tensors": [[name, list(params.tensors[name].data.shape)] for name in names],
+        "tensors": [[name, list(params.tensors[name].shape)] for name in names],
     }
     blob = json.dumps(header, ensure_ascii=True, separators=(",", ":")).encode("utf-8") + b"\n"
-    payload = b"".join(
-        params.tensors[name].data.astype("<f4").tobytes(order="C") for name in names
-    )
+    payload = b"".join(params.tensors[name].astype("<f4").tobytes(order="C") for name in names)
     Path(path).write_bytes(blob + payload)
 
 
@@ -692,8 +680,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     Raises CheckpointCorrupt when the header line is unreadable, is not a
     JSON object, or lacks or garbles an entry, when a dim is not an integer,
     when it does not list exactly the tensors, in save order and with the
-    shapes, that its dims define, or when the payload does not hold exactly
-    their float32 values.
+    shapes, that its dims define, when the payload does not hold exactly
+    their float32 values, or when a value is infinite or NaN; that error
+    names the first such tensor in save order.
     """
     raw = Path(path).read_bytes()
     try:
@@ -738,7 +727,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     values = {}
     for name in names:
         values[name] = np.frombuffer(raw, dtype="<f4", count=sizes[name], offset=offset)
+        if not np.isfinite(values[name]).all():
+            raise CheckpointCorrupt(f"{path}: tensor {name!r} holds an infinite or NaN value")
         offset += sizes[name] * 4
-    params.tensors = {name: ad.tensor(values[name].astype(np.float64).reshape(shape))
+    params.tensors = {name: values[name].astype(np.float64).reshape(shape)
                       for name, shape in shapes.items()}
     return params, header

@@ -106,16 +106,11 @@ def test_criterion_3_gradient_check(capsys):
 
     # a corrupted analytic gradient must be flagged
     probe = instances[0]
-    for t in params.parameters().values():
-        t.grad = None
-    accumulate_gradients(probe.tokens, probe.gold, probe.reduce_set, params)
+    _, grads = accumulate_gradients(probe.tokens, probe.gold, probe.reduce_set, params)
     name, index = max(
-        ((n, int(np.argmax(np.abs(t.grad)))) for n, t in params.parameters().items()
-         if t.grad is not None),
-        key=lambda pair: abs(params.parameters()[pair[0]].grad.reshape(-1)[pair[1]]),
+        ((n, int(np.argmax(np.abs(g)))) for n, g in grads.items() if g is not None),
+        key=lambda pair: abs(grads[pair[0]].reshape(-1)[pair[1]]),
     )
-    for t in params.parameters().values():
-        t.grad = None
     corrupted = grad_check(params, (probe.tokens, probe.gold, probe.reduce_set),
                            step=1e-3, negate_grad_of=(name, index))
     assert corrupted > 1e-2, corrupted

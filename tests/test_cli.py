@@ -1,6 +1,7 @@
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from sgparse import cli as cli_module
@@ -34,6 +35,13 @@ class TestSynth:
         run(["synth", "--count", "10", "--seed", "4", "--out", str(a)], capsys)
         run(["synth", "--count", "10", "--seed", "4", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_count_rejected(self, tmp_path, capsys):
+        out = tmp_path / "synth.jsonl"
+        code, stdout, stderr = run(["synth", "--count", "-3", "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == "error: --count must not be negative, not -3\n"
+        assert not out.exists()
 
 
 class TestTrace:
@@ -301,6 +309,20 @@ class TestTrainWithSplits:
         assert code == 1
         assert "overlap" in stderr
 
+    def test_non_integer_id_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(10, seed=2), corpus)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("0\n\nabc\n")
+        code, stdout, stderr = run([
+            "train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m.ckpt"),
+            "--epochs", "1", "--split-train", str(ids),
+        ], capsys)
+        assert code == 1 and stdout == ""
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {ids}:3: invalid literal for int() with base 10: 'abc'"]
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestSkipCounts:
     def test_malformed_and_stuck_counts_on_stderr(self, trained, tmp_path, capsys):
@@ -360,6 +382,25 @@ MALFORMED_HEADERS = {
 
 
 class TestCheckpointCorrupt:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_payload_named(self, value, tmp_path, capsys):
+        # "embeddings" is first in save order, so its values open the payload
+        params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
+                             emb_dim=20, hidden=3, mlp_hidden=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        poison = np.full(50, value, dtype="<f4").tobytes()
+        path.write_bytes(head + b"\n" + poison + payload[len(poison):])
+        source = tmp_path / "lines.txt"
+        source.write_text("a dog\n")
+        code, stdout, stderr = run(["parse", "--checkpoint", str(path),
+                                    "--input", str(source)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+        assert str(path) in stderr and "'embeddings'" in stderr
+
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_rejected_with_one_line_error(self, corruption, tmp_path, capsys):
         params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
@@ -449,6 +490,17 @@ class TestConfigKeys:
         assert code == 1 and stdout == ""
         assert stderr == f"error: {config}: key {key!r} is not read by {command}\n"
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_value_that_does_not_cast_names_file_and_key(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = abc\n")
+        out = tmp_path / "synth.jsonl"
+        code, stdout, stderr = run(["synth", "--count", "3", "--config", str(config),
+                                    "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: {config}: key 'seed': "
+                          "invalid literal for int() with base 10: 'abc'\n")
+        assert not out.exists()
 
 
 class TestErrors:
