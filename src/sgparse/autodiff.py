@@ -5,8 +5,9 @@ bidirectional LSTM layer over a whole sequence, which runs `lstm`, the LSTM
 kernel that `sgparse.model.encode_batch` runs on batches of sentences, in
 one-thread row-block GEMMs that agree with a batch of one to 1e-12.
 `sgparse.model` builds the node of its MLP head and hinge loss itself.
-Everything runs in float64; a Tensor records its parents and a closure that
-routes the incoming gradient to them.
+The tape runs in float64; `lstm` runs in the dtype of its weights, so
+parsing from a checkpoint's float32 arrays runs in float32.  A Tensor
+records its parents and a closure that routes the incoming gradient to them.
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
 
     One sequence takes the whole matrix, the GEMV `w @ z`.  A batch takes
     blocks of 16, 8 or 4 rows (the most that divide the row count and fit
-    in 32 KB, else 4), each times the running batch in one GEMM that
-    OpenBLAS runs on the calling thread.  The whole matrix would take two
+    in 32 KB at `w`'s item size, else 4), each times the running batch in
+    one GEMM that OpenBLAS runs on the calling thread.  The whole matrix would take two
     threads: beside one busy process on a 2-core host, `parse-eval` read
     71 items/s with it and 170-202 with the blocks.
     """
     if batch == 1:
         return w[None]
     out_dim, in_dim = w.shape
-    rows = next((r for r in (16, 8) if out_dim % r == 0 and r * in_dim * 8 <= 1 << 15), 4)
+    rows = next((r for r in (16, 8) if out_dim % r == 0 and r * in_dim * w.itemsize <= 1 << 15), 4)
     return w.reshape(out_dim // rows, rows, in_dim)
 
 
@@ -83,20 +84,21 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     A step is `w @ [x; h] + b` (gates input, forget, output, candidate),
     `c = f*c + i*g` and `h = o*tanh(c)`, each row block of `w` taking every
     running sequence in one GEMM: states agree with a batch of one (the GEMV
-    `w @ z`) to 1e-12, and bit for bit across batches of two or more.
+    `w @ z`) to 1e-12 in float64, and bit for bit across batches of two or
+    more.  Every array is made in `w`'s dtype.
     Returns the hidden states at their inputs' rows and, in step order, the
     backward pass's `[x; h]`, gates, cells and their tanh, written in place.
     """
     steps, batch, in_dim = xs.shape
     hidden = b.shape[0] // 4
     three = 3 * hidden
-    blocks, seqs = _row_blocks(w, batch), np.arange(batch)
-    z = np.zeros((steps, batch, in_dim + hidden))
-    gates = np.empty((steps, batch, 4 * hidden))
-    cells = np.empty((steps, batch, hidden))
-    tanh_cells = np.empty((steps, batch, hidden))
-    hs = np.zeros((steps, batch, hidden))
-    h = c = np.zeros((batch, hidden))
+    blocks, seqs, dtype = _row_blocks(w, batch), np.arange(batch), w.dtype
+    z = np.zeros((steps, batch, in_dim + hidden), dtype)
+    gates = np.empty((steps, batch, 4 * hidden), dtype)
+    cells = np.empty((steps, batch, hidden), dtype)
+    tanh_cells = np.empty((steps, batch, hidden), dtype)
+    hs = np.zeros((steps, batch, hidden), dtype)
+    h = c = np.zeros((batch, hidden), dtype)
     running = batch
     for t in range(steps):
         while lengths[running - 1] <= t:

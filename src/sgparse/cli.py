@@ -131,8 +131,10 @@ class _Parser:
     the next PARSE_BATCH - 1 sentences of the list in one `encode_batch`
     pass; those are tokenized through a second name, so a wrapper of
     `tokenize` still sees one call per parsed sentence.  A sentence that is
-    not ahead in the list is encoded alone: 1e-12 from the one-thread batch
-    products (`autodiff._row_blocks`), with the same parse.
+    not ahead in the list is encoded alone, by the whole-matrix product in
+    place of the one-thread batch products (`autodiff._row_blocks`): its
+    vectors differ in the last bits of their dtype, which changed no parse
+    in the tests.
     """
 
     def __init__(self, params: ModelParams, texts: Sequence[str]):

@@ -6,17 +6,20 @@ The configuration feature concatenates the context vectors of the top three
 stack elements and the buffer front, substituting a learned pad vector for
 missing slots.  One scorer, `score`, serves greedy parsing and training: it
 projects every context vector through the first MLP layer once per sentence,
-so a step adds four rows.  The parameters are plain float64 arrays, and
-only training builds a tape, over fresh leaves that wrap them for one
-sentence.  Training follows the oracle's preferred action, sums the per-step
-hinge losses over a sentence into one tape node for the whole MLP head, and
-applies one Adam update per sentence from the gradients that pass returns.
+so a step adds four rows.  The parameters are plain arrays: float64 when
+drawn for training, read-only float32 views of one buffer when loaded from a
+checkpoint, and parsing runs in their dtype.  Only training builds a tape,
+over fresh float64 leaves that wrap them for one sentence.  Training follows
+the oracle's preferred action, sums the per-step hinge losses over a
+sentence into one tape node for the whole MLP head, and applies one Adam
+update per sentence from the gradients that pass returns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -86,7 +89,8 @@ class Vocab:
 
 
 class ModelParams:
-    """All learned tensors, as float64 arrays, plus the sizes that tie them.
+    """All learned tensors, as arrays, plus the sizes that tie them; drawn
+    here in float64, or read by `load_checkpoint` in float32.
 
     Defaults follow the trained system: 200-dim embeddings, two BiLSTM
     layers with 256 hidden units per direction, a 100-unit MLP.  Reduced
@@ -151,9 +155,6 @@ class ModelParams:
         shapes["mlp_b2"] = (len(self.actions),)
         return shapes
 
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(t)) for t in self.tensors.values())
-
 
 @dataclass
 class TrainConfig:
@@ -177,8 +178,8 @@ class Adam:
     stay in cache while one block goes through every step of the update;
     each step is the same expression, in the same order, as the
     whole-tensor form `p -= lr * m_hat / (sqrt(v_hat) + eps)`.  Parameter
-    arrays must be C-contiguous, as `ModelParams` and `load_checkpoint`
-    make them.
+    arrays must be writable, C-contiguous float64, as `ModelParams` draws
+    them.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray], lr: float, eps: float = 0.01):
@@ -266,8 +267,9 @@ def encode(
 
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
     """The context vectors of several sentences, for parsing: one
-    (len(tokens) + 1) x 2H array per sentence whose rows are the data of
-    `encode` to 1e-12, built without tape nodes.
+    (len(tokens) + 1) x 2H array per sentence in the parameters' dtype,
+    built without tape nodes; in float64 its rows are the data of `encode`
+    to 1e-12.
 
     The sentences run through each layer together (`ad.lstm`) on the
     calling thread, each LSTM step one small GEMM per row block of the
@@ -506,7 +508,8 @@ def greedy_parse(
     """Greedy decoding restricted to legal actions; deterministic given params.
 
     `vectors` are the sentence's context vectors from `encode_batch`, which
-    computes them alone if they are not given.
+    computes them alone if they are not given.  Scores are compared as
+    Python floats, which hold float32 and float64 values exactly.
     """
     if vectors is None:
         vectors = encode_batch([tokens], params)[0]
@@ -515,7 +518,7 @@ def greedy_parse(
     actions: list[Action] = []
     while not is_terminal(c):
         legal = legal_actions(c, params.arc_rule)
-        data = scores(c)[2]
+        data = scores(c)[2].tolist()
         best = None
         for i, a in enumerate(params.actions):
             if a in legal and (best is None or data[i] > data[best]):
@@ -677,59 +680,68 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     """Rebuild ModelParams from a checkpoint; returns (params, header).
 
-    Raises CheckpointCorrupt when the header line is unreadable, is not a
-    JSON object, or lacks or garbles an entry, when a dim is not an integer,
-    when it does not list exactly the tensors, in save order and with the
-    shapes, that its dims define, when the payload does not hold exactly
-    their float32 values, or when a value is infinite or NaN; that error
-    names the first such tensor in save order.
+    The payload is read into one aligned float32 buffer, and each tensor is
+    a read-only view of it, for parsing.  Raises CheckpointCorrupt when the
+    header line is unreadable, is not a JSON object, names another format
+    version, or lacks or garbles an entry, when a dim is not a positive
+    integer, when it does not list exactly the tensors, in save order and
+    with the shapes, that its dims define, when the payload does not hold
+    exactly their float32 values, or when a value is infinite or NaN; that
+    error names the first such tensor in save order.
     """
-    raw = Path(path).read_bytes()
-    try:
-        newline = raw.index(b"\n")
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except ValueError as err:  # no header line, or one that is not UTF-8 JSON
-        raise CheckpointCorrupt(f"{path}: unreadable header ({err})") from err
-    if not isinstance(header, dict):
-        raise CheckpointCorrupt(f"{path}: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('format_version')!r}")
-
-    def entry(key: str, read):
+    with open(path, "rb") as source:
+        line = source.readline()
         try:
-            return read(header[key])
-        except KeyError as err:
-            raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
-        except (TypeError, ValueError) as err:
-            raise CheckpointCorrupt(f"{path}: header entry {key!r} is malformed ({err})") from err
+            if not line.endswith(b"\n"):
+                raise ValueError("no line end")
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as err:  # no header line, or one that is not UTF-8 JSON
+            raise CheckpointCorrupt(f"{path}: unreadable header ({err})") from err
+        if not isinstance(header, dict):
+            raise CheckpointCorrupt(f"{path}: header is not a JSON object")
+        version = header.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointCorrupt(f"{path}: unsupported checkpoint version {version!r}")
 
-    vocab = entry("vocab", lambda pairs: Vocab(words=tuple(w for w, _ in pairs),
-                                               counts={w: int(c) for w, c in pairs if c}))
-    dim_keys = ("emb_dim", "hidden", "mlp_hidden", "layers")
-    dims = entry("dims", lambda d: {key: d[key] for key in dim_keys})
-    rule, declared = entry("arc_rule", ArcRule), entry("tensors", list)
-    for key, value in dims.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CheckpointCorrupt(f"{path}: header dim {key!r} is {value!r}, not an integer")
-    # The tensors are read from the payload, so none are drawn at random.
-    params = ModelParams.__new__(ModelParams)
-    params._set_sizes(vocab, rule, **dims)
-    shapes = params._shapes()
-    names = sorted(shapes)
-    if declared != [[name, list(shapes[name])] for name in names]:
-        raise CheckpointCorrupt(f"{path}: header tensors do not match the model its dims define")
-    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
-    expected = 4 * sum(sizes.values())
-    if len(raw) - newline - 1 != expected:
-        raise CheckpointCorrupt(
-            f"{path}: payload holds {len(raw) - newline - 1} bytes, expected {expected}")
-    offset = newline + 1
-    values = {}
+        def entry(key: str, read):
+            try:
+                return read(header[key])
+            except KeyError as err:
+                raise CheckpointCorrupt(f"{path}: header has no {err} entry") from err
+            except (TypeError, ValueError) as err:
+                raise CheckpointCorrupt(
+                    f"{path}: header entry {key!r} is malformed ({err})") from err
+
+        vocab = entry("vocab", lambda pairs: Vocab(words=tuple(w for w, _ in pairs),
+                                                   counts={w: int(c) for w, c in pairs if c}))
+        dim_keys = ("emb_dim", "hidden", "mlp_hidden", "layers")
+        dims = entry("dims", lambda d: {key: d[key] for key in dim_keys})
+        rule, declared = entry("arc_rule", ArcRule), entry("tensors", list)
+        for key, value in dims.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise CheckpointCorrupt(
+                    f"{path}: header dim {key!r} is {value!r}, not a positive integer")
+        # The tensors are read from the payload, so none are drawn at random.
+        params = ModelParams.__new__(ModelParams)
+        params._set_sizes(vocab, rule, **dims)
+        shapes = params._shapes()
+        names = sorted(shapes)
+        if declared != [[name, list(shapes[name])] for name in names]:
+            raise CheckpointCorrupt(
+                f"{path}: header tensors do not match the model its dims define")
+        sizes = [math.prod(shapes[name]) for name in names]
+        expected = 4 * sum(sizes)
+        # checked before the buffer is made, as a header can ask for any size
+        held = os.fstat(source.fileno()).st_size - source.tell()
+        if held == expected:
+            payload = np.empty(sum(sizes), "<f4")
+            held = source.readinto(payload)
+        if held != expected:
+            raise CheckpointCorrupt(f"{path}: payload holds {held} bytes, expected {expected}")
+    payload.flags.writeable = False
+    views = dict(zip(names, np.split(payload, np.cumsum(sizes)[:-1])))
     for name in names:
-        values[name] = np.frombuffer(raw, dtype="<f4", count=sizes[name], offset=offset)
-        if not np.isfinite(values[name]).all():
+        if not np.isfinite(views[name]).all():
             raise CheckpointCorrupt(f"{path}: tensor {name!r} holds an infinite or NaN value")
-        offset += sizes[name] * 4
-    params.tensors = {name: values[name].astype(np.float64).reshape(shape)
-                      for name, shape in shapes.items()}
+    params.tensors = {name: views[name].reshape(shape) for name, shape in shapes.items()}
     return params, header

@@ -1,8 +1,12 @@
+import contextlib
+import copy
 import functools
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgparse import cli as cli_module
 from sgparse import corpus as corpus_module
@@ -11,7 +15,15 @@ from sgparse.align import SynonymLexicon, tokenize
 from sgparse.cli import main
 from sgparse.corpus import RegionRecord, generate_synthetic, load_corpus, save_corpus
 from sgparse.graph import ArcRule, SceneGraph, to_node_centric_lenient
-from sgparse.model import ModelParams, Vocab, load_checkpoint, parse, save_checkpoint
+from sgparse.model import (
+    ModelParams,
+    Vocab,
+    encode_batch,
+    greedy_parse,
+    load_checkpoint,
+    parse,
+    save_checkpoint,
+)
 from sgparse.spice import f_score
 
 
@@ -280,6 +292,50 @@ class TestParseBatchOfOne:
         assert out.read_text() == "".join(alone)
 
 
+def _float64_copy(params):
+    wide = copy.copy(params)
+    wide.tensors = {name: a.astype(np.float64) for name, a in params.tensors.items()}
+    return wide
+
+
+class TestFloat32Parsing:
+    """A loaded checkpoint parses in float32, from read-only aligned views of
+    one buffer, and takes the actions of its float64 copy."""
+
+    def test_same_actions_as_float64(self, trained):
+        corpus, checkpoint = trained
+        params, _ = load_checkpoint(checkpoint)
+        wide = _float64_copy(params)
+        texts = [r.phrase for r in load_corpus(corpus)[0]]
+        texts += [r.phrase for r in generate_synthetic(40, seed=17)]
+        texts += ["", "a zebra beside the old piano", "red red red car on a dog"]
+        token_lists = [tokenize(t) for t in texts]
+        for tokens, narrow, broad in zip(token_lists, encode_batch(token_lists, params),
+                                         encode_batch(token_lists, wide)):
+            assert narrow.dtype == np.float32 and broad.dtype == np.float64
+            assert np.abs(narrow - broad).max() <= 1e-6
+            assert greedy_parse(tokens, params, narrow) == greedy_parse(tokens, wide, broad)
+
+    def test_tensors_are_aligned_read_only_float32(self, trained, tmp_path):
+        _, checkpoint = trained
+        params, _ = load_checkpoint(checkpoint)
+        wide = _float64_copy(params)
+        residues = set()
+        # each seed adds a digit to the header, so the payload starts at every
+        # offset mod 4
+        for seed in (1, 10, 100, 1000):
+            path = tmp_path / f"model{seed}.ckpt"
+            save_checkpoint(wide, path, rng_seed=seed)
+            residues.add((path.read_bytes().index(b"\n") + 1) % 4)
+            loaded, _ = load_checkpoint(path)
+            for name, tensor in loaded.tensors.items():
+                assert tensor.dtype == np.float32 and tensor.flags.aligned
+                assert np.array_equal(tensor, params.tensors[name])
+                with pytest.raises(ValueError):
+                    tensor[...] = 0.0
+        assert residues == {0, 1, 2, 3}
+
+
 class TestTrainWithSplits:
     def test_split_files_partition_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -378,6 +434,7 @@ MALFORMED_HEADERS = {
     "header_not_an_object": (lambda h: [1, 2], "not a JSON object"),
     "vocab_entry_without_count": (lambda h: {**h, "vocab": h["vocab"] + [["cat"]]}, "'vocab'"),
     "vocab_count_not_a_number": (lambda h: {**h, "vocab": h["vocab"] + [["cat", "x"]]}, "'vocab'"),
+    "unsupported_version": (lambda h: {**h, "format_version": 2}, "version 2"),
 }
 
 
@@ -416,8 +473,9 @@ class TestCheckpointCorrupt:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert str(path) in stderr
 
-    # `true` equals 1 in Python, so a 1-layer model is where it must not pass
-    @pytest.mark.parametrize("value", ["3", 3.0, None, True])
+    # `true` equals 1 in Python, so a 1-layer model is where it must not pass;
+    # a size must also be positive
+    @pytest.mark.parametrize("value", ["3", 3.0, None, True, 0, -1])
     def test_non_integer_dim_rejected(self, value, tmp_path, capsys):
         params = ModelParams(Vocab.from_sentences([("dog",)]), ArcRule.LEFT,
                              emb_dim=4, hidden=3, mlp_hidden=2, layers=1)
@@ -451,6 +509,44 @@ class TestCheckpointCorrupt:
         assert code == 1 and stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert str(path) in stderr and named in stderr
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A directory with one line to parse, and a small model's checkpoint bytes."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    params = ModelParams(Vocab.from_sentences([("a", "dog")]), ArcRule.LEFT,
+                         emb_dim=4, hidden=3, mlp_hidden=2)
+    save_checkpoint(params, tmp / "model.ckpt")
+    (tmp / "lines.txt").write_text("a dog\n")
+    return tmp, (tmp / "model.ckpt").read_bytes()
+
+
+class TestCorruptCheckpointProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parse_succeeds_or_fails_in_one_line(self, small_checkpoint, data):
+        tmp, raw = small_checkpoint
+        header_end = raw.index(b"\n")
+        # at least half the cuts and flips fall in the header, a sixth of the file
+        at = data.draw(st.one_of(st.integers(0, header_end), st.integers(0, len(raw) - 1)))
+        corrupt = bytearray(raw)
+        if data.draw(st.booleans()):
+            del corrupt[at:]
+        else:
+            corrupt[at] ^= 1 << data.draw(st.integers(0, 7))
+        path = tmp / "corrupt.ckpt"
+        path.write_bytes(corrupt)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["parse", "--checkpoint", str(path), "--input", str(tmp / "lines.txt")])
+        stderr = err.getvalue()
+        assert "Traceback" not in stderr
+        if code == 0:
+            assert "error:" not in stderr and out.getvalue().count("\n") == 1
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 class TestGradcheckCommand:
