@@ -42,6 +42,15 @@ def tokenize(sentence: str) -> list[str]:
     return out
 
 
+def read_text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file (a lexicon, config or split file);
+    bytes that are not UTF-8 raise ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err})") from err
+
+
 @dataclass(frozen=True)
 class SynonymLexicon:
     """Case-insensitive symmetric synonym table.
@@ -73,8 +82,7 @@ class SynonymLexicon:
         token with one token, so a multi-word entry could never match.
         """
         pairs = []
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for number, line in enumerate(lines, start=1):
+        for number, line in enumerate(read_text_lines(path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,13 +1,15 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""The parser's LSTM kernel and its backward, over numpy arrays.
 
-The ops of the parser's encoder: an embedding row gather and a fused
-bidirectional LSTM layer over a whole sequence, which runs `lstm`, the LSTM
-kernel that `sgparse.model.encode_batch` runs on batches of sentences, in
-one-thread row-block GEMMs that agree with a batch of one to 1e-12.
-`sgparse.model` builds the node of its MLP head and hinge loss itself.
-The tape runs in float64; `lstm` runs in the dtype of its weights, so
-parsing from a checkpoint's float32 arrays runs in float32.  A Tensor
-records its parents and a closure that routes the incoming gradient to them.
+`lstm` runs one direction of a BiLSTM layer over a batch of sentences, in
+one-thread row-block GEMMs that agree with a batch of one to 1e-12; it runs
+in the dtype of its weights, so parsing from a checkpoint's float32 arrays
+runs in float32.  `_lstm_backward` is its backpropagation through time for
+one sentence, which `sgparse.model` calls for each layer and direction.
+
+`Tensor` and `backward` are a minimal reverse-mode tape, on which sgparse
+itself builds nothing.  They stay only because the tests build their
+reference tapes on them and the benchmark under `perfbench/` wraps
+`backward`; moving them waits for that benchmark's change (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 
 class Tensor:
+    """A tape node: float64 data, its gradient, parents and backward closure."""
+
     __slots__ = ("data", "grad", "_parents", "_backprop")
 
     def __init__(self, data, parents=(), backprop=None):
@@ -24,38 +28,12 @@ class Tensor:
         self._parents = parents
         self._backprop = backprop
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
-
-def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a freshly computed gradient, which no other node holds, into
-    `t.grad`; the first one is kept as it is rather than copied."""
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that overflows for no finite input: `1/(1+e)` where
     x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def rows(m: Tensor, ids) -> Tensor:
-    """Gather of matrix rows; repeated ids accumulate their gradients."""
-    ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(m.data[ids], parents=(m,))
-
-    def backprop(g):
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        np.add.at(m.grad, ids, g)
-
-    out._backprop = backprop
-    return out
 
 
 def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
@@ -147,34 +125,6 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
         dc_next = dc * f[t]
         dh_next = dpre[t] @ w_h
     return dpre @ w[:, :in_dim], dpre.T @ z, dpre.sum(axis=0)
-
-
-def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) -> Tensor:
-    """Bidirectional LSTM layer over a whole sequence as one tape node.
-
-    Maps the T x in matrix `x` to a T x 2*hidden matrix whose row t holds the
-    forward state after token t followed by the backward state after token
-    t, reading right to left.  `fwd` and `bwd` are each `(w, b)` with w of
-    shape 4*hidden x (in + hidden), gate rows ordered input, forget, output,
-    candidate.
-    """
-    (w_f, b_f), (w_b, b_b) = fwd, bwd
-    hidden = b_f.data.shape[0] // 4
-    xs, lengths = x.data[:, None], np.array([x.data.shape[0]])
-    h_f, saved_f = lstm(xs, lengths, w_f.data, b_f.data, reverse=False)
-    h_b, saved_b = lstm(xs, lengths, w_b.data, b_b.data, reverse=True)
-    saved_f, saved_b = ([a[:, 0] for a in saved] for saved in (saved_f, saved_b))
-    out = Tensor(np.concatenate([h_f[:, 0], h_b[:, 0]], axis=1), parents=(x, w_f, b_f, w_b, b_b))
-
-    def backprop(g):
-        dx_f, dw_f, db_f = _lstm_backward(g[:, :hidden], w_f.data, saved_f, hidden)
-        dx_b, dw_b, db_b = _lstm_backward(g[::-1, hidden:], w_b.data, saved_b, hidden)
-        accumulate(x, dx_f + dx_b[::-1])
-        for param, grad in ((w_f, dw_f), (b_f, db_f), (w_b, dw_b), (b_b, db_b)):
-            accumulate(param, grad)
-
-    out._backprop = backprop
-    return out
 
 
 def backward(root: Tensor) -> None:

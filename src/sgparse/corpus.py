@@ -7,8 +7,9 @@ The corpus format is line-delimited JSON, one region per line:
      "attributes": [{"object_id": int, "attribute": str}],
      "relationships": [{"subject_id": int, "predicate": str, "object_id": int}]}
 
-Malformed records are skipped and counted; a corpus with more than 10%
-malformed lines is rejected outright.
+Malformed records (one that is not UTF-8, or an id that is not a JSON
+integer) are skipped and counted; a corpus with more than 10% malformed
+lines is rejected outright.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .align import AlignMode, AlignmentResult, SynonymLexicon, align, derive_gold, tokenize
+from .align import (AlignMode, AlignmentResult, SynonymLexicon, align, derive_gold,
+                    read_text_lines, tokenize)
 from .errors import AlignmentConflict, ArcConflict, CorpusCorrupt, OracleStuck
 from .graph import ArcRule, ArcSet, SceneGraph, is_acyclic, normalize_label
 from .transition import apply, initial, oracle_parse
@@ -45,21 +47,28 @@ def graph_to_json(graph: SceneGraph) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """An id as JSON holds it; a bool, float or string raises ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"id {value!r} is not an integer")
+    return value
+
+
 def graph_from_json(data: dict) -> SceneGraph:
-    ids = [int(obj["id"]) for obj in data.get("objects", ())]
+    ids = [_json_int(obj["id"]) for obj in data.get("objects", ())]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate object ids")
     index = {obj_id: i for i, obj_id in enumerate(ids)}
     objects = tuple(normalize_label(str(obj["name"])) for obj in data.get("objects", ()))
     attributes = tuple(
-        (index[int(a["object_id"])], normalize_label(str(a["attribute"])))
+        (index[_json_int(a["object_id"])], normalize_label(str(a["attribute"])))
         for a in data.get("attributes", ())
     )
     relations = tuple(
         (
-            index[int(r["subject_id"])],
+            index[_json_int(r["subject_id"])],
             normalize_label(str(r["predicate"])),
-            index[int(r["object_id"])],
+            index[_json_int(r["object_id"])],
         )
         for r in data.get("relationships", ())
     )
@@ -73,11 +82,13 @@ def record_to_json(record: RegionRecord) -> dict:
 
 
 def record_from_json(data: dict) -> RegionRecord:
+    if not isinstance(data, dict):
+        raise ValueError("record is not a JSON object")
     if data.get("phrase") is None:
         raise ValueError("phrase must not be null")
     return RegionRecord(
-        image_id=int(data["image_id"]),
-        region_id=int(data["region_id"]),
+        image_id=_json_int(data["image_id"]),
+        region_id=_json_int(data["region_id"]),
         phrase=str(data["phrase"]),
         graph=graph_from_json(data),
     )
@@ -89,13 +100,15 @@ def load_corpus(path: str | Path) -> tuple[list[RegionRecord], int]:
     seen_regions: set[int] = set()
     skipped = 0
     total = 0
-    with open(path, encoding="utf-8") as handle:
+    # a byte that is not UTF-8 loads as a lone surrogate, failing `encode`
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             total += 1
             try:
+                line.encode("utf-8")
                 record = record_from_json(json.loads(line))
                 if record.region_id in seen_regions:
                     raise ValueError(f"duplicate region id {record.region_id}")
@@ -131,7 +144,7 @@ class SplitSpec:
 def load_split(path: str | Path) -> frozenset[int]:
     """One image id per line."""
     ids = set()
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(read_text_lines(path), 1):
         line = line.strip()
         if line:
             try:
@@ -285,14 +298,20 @@ def build_instances(
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Flat `key = value` configuration file; `#` starts a comment line."""
+    """Flat `key = value` configuration file; `#` starts a comment line.  A
+    line without `=`, or a key set twice, raises ValueError naming its line."""
     out: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines: dict[str, int] = {}
+    for number, line in enumerate(read_text_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
-            raise ValueError(f"malformed config line: {line!r}")
-        out[key.strip()] = value.strip()
+            raise ValueError(f"{path}:{number}: malformed config line: {line!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{number}: key {key!r} is already set on line {lines[key]}")
+        lines[key] = number
+        out[key] = value.strip()
     return out

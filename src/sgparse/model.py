@@ -8,11 +8,11 @@ missing slots.  One scorer, `score`, serves greedy parsing and training: it
 projects every context vector through the first MLP layer once per sentence,
 so a step adds four rows.  The parameters are plain arrays: float64 when
 drawn for training, read-only float32 views of one buffer when loaded from a
-checkpoint, and parsing runs in their dtype.  Only training builds a tape,
-over fresh float64 leaves that wrap them for one sentence.  Training follows
-the oracle's preferred action, sums the per-step hinge losses over a
-sentence into one tape node for the whole MLP head, and applies one Adam
-update per sentence from the gradients that pass returns.
+checkpoint, and parsing runs in their dtype.  Training and parsing share
+one BiLSTM-stack forward.  Training follows the oracle's preferred action,
+sums the per-step hinge losses over a sentence, runs that sum's backward
+itself, the MLP head first and then the layers from the top down, with no
+tape, and applies one Adam update per sentence from the gradients returned.
 """
 
 from __future__ import annotations
@@ -232,44 +232,75 @@ class Adam:
                     f"parameter tensor {name!r} became non-finite at Adam step {self.t}")
 
 
+def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
+                  saved: list | None = None) -> np.ndarray:
+    """The BiLSTM stack that `encode` and `encode_batch` share, over `ids`,
+    steps x batch, of sentences with descending `lengths`.  Returns the top
+    layer's states, steps x batch x 2H; appends the arrays that each
+    `ad.lstm` call saves, layer by layer and forward first, to `saved`."""
+    tensors = params.tensors
+
+    def states(xs: np.ndarray, name: str, reverse: bool) -> np.ndarray:
+        hs, arrays = ad.lstm(xs, lengths, tensors[f"{name}_w"], tensors[f"{name}_b"], reverse)
+        if saved is not None:
+            saved.append(arrays)
+        return hs
+
+    layer_in = tensors["embeddings"][ids]
+    for layer in range(params.layers):
+        layer_in = np.concatenate([states(layer_in, f"lstm{layer}_{direction}", direction == "bwd")
+                                   for direction in ("fwd", "bwd")], axis=2)
+    return layer_in
+
+
 def encode(
     tokens: Sequence[str],
     params: ModelParams,
-    leaves: Mapping[str, ad.Tensor],
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-) -> ad.Tensor:
+) -> tuple[np.ndarray, tuple[np.ndarray, list]]:
     """Context vectors for each token plus a trailing one for ROOT, as the
-    rows of one (len(tokens) + 1) x 2H tape node over `leaves`.
+    rows of one (len(tokens) + 1) x 2H array, for training; also returns
+    what `_encode_backward` reads, the ids and the arrays each LSTM saved.
 
     Given an rng (training), each occurrence of a word with corpus frequency
     f is replaced by UNK with probability alpha / (alpha + f).
     """
     ids = [params.vocab.id(w) for w in tokens]
     if rng is not None:
-        dropped = []
-        for word, idx in zip(tokens, ids):
-            freq = params.vocab.count(word)
-            p = dropout_alpha / (dropout_alpha + freq)
-            dropped.append(0 if rng.random() < p else idx)
-        ids = dropped
-    ids.append(params.vocab.id(ROOT_WORD))
+        ids = [0 if rng.random() < dropout_alpha / (dropout_alpha + params.vocab.count(w)) else i
+               for w, i in zip(tokens, ids)]
+    ids = np.array(ids + [params.vocab.id(ROOT_WORD)], dtype=np.intp)
+    saved: list = []
+    vectors = _bilstm_stack(ids[:, None], np.array([len(ids)]), params, saved)
+    return vectors[:, 0], (ids, saved)
 
-    layer_in = ad.rows(leaves["embeddings"], ids)
-    for layer in range(params.layers):
-        layer_in = ad.bilstm(
-            layer_in,
-            (leaves[f"lstm{layer}_fwd_w"], leaves[f"lstm{layer}_fwd_b"]),
-            (leaves[f"lstm{layer}_bwd_w"], leaves[f"lstm{layer}_bwd_b"]),
-        )
-    return layer_in
+
+def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list], params: ModelParams,
+                     grads: dict[str, np.ndarray | None]) -> None:
+    """Backpropagate the gradient of `encode`'s vectors into `grads`: each
+    layer's two LSTMs from the top layer down, then the embedding rows, where
+    a repeated id sums its rows' gradients."""
+    ids, saved = cache
+    tensors, hidden = params.tensors, params.hidden
+    for layer in reversed(range(params.layers)):
+        dxs = []
+        for k, direction in enumerate(("fwd", "bwd")):
+            name = f"lstm{layer}_{direction}"
+            dhs = dvectors[:, :hidden] if k == 0 else dvectors[::-1, hidden:]
+            arrays = [a[:, 0] for a in saved[2 * layer + k]]
+            dx, grads[f"{name}_w"], grads[f"{name}_b"] = ad._lstm_backward(
+                dhs, tensors[f"{name}_w"], arrays, hidden)
+            dxs.append(dx)
+        dvectors = dxs[0] + dxs[1][::-1]
+    grads["embeddings"] = np.zeros_like(tensors["embeddings"])
+    np.add.at(grads["embeddings"], ids, dvectors)
 
 
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
     """The context vectors of several sentences, for parsing: one
-    (len(tokens) + 1) x 2H array per sentence in the parameters' dtype,
-    built without tape nodes; in float64 its rows are the data of `encode`
-    to 1e-12.
+    (len(tokens) + 1) x 2H array per sentence in the parameters' dtype; in
+    float64 they are the vectors of `encode` to 1e-12.
 
     The sentences run through each layer together (`ad.lstm`) on the
     calling thread, each LSTM step one small GEMM per row block of the
@@ -284,15 +315,8 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
     for k, i in enumerate(order):
         ids[:lengths[k], k] = [params.vocab.id(w) for w in token_lists[i]] + [
             params.vocab.id(ROOT_WORD)]
-    tensors = params.tensors
-    layer_in = tensors["embeddings"][ids]
-    for layer in range(params.layers):
-        layer_in = np.concatenate([
-            ad.lstm(layer_in, lengths, tensors[f"lstm{layer}_{direction}_w"],
-                    tensors[f"lstm{layer}_{direction}_b"], direction == "bwd")[0]
-            for direction in ("fwd", "bwd")
-        ], axis=2)
-    return [np.ascontiguousarray(layer_in[:lengths[k], k]) for k in np.argsort(order)]
+    states = _bilstm_stack(ids, lengths, params)
+    return [np.ascontiguousarray(states[:lengths[k], k]) for k in np.argsort(order)]
 
 
 def score(vectors: np.ndarray, params: ModelParams):
@@ -361,45 +385,39 @@ def step_loss(
     return float(value), (best_wrong, best_correct)
 
 
-def _hinge_head(vectors: ad.Tensor, slots: np.ndarray, hidden: np.ndarray, pairs: np.ndarray,
-                total: float, leaves: Mapping[str, ad.Tensor]) -> ad.Tensor:
-    """One tape node for the MLP head, over the parameter leaves `leaves`,
-    and the summed hinge loss `total` of a sentence's positive steps.
+def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
+                   pairs: np.ndarray, params: ModelParams,
+                   grads: dict[str, np.ndarray | None]) -> np.ndarray:
+    """Backpropagate a sentence's summed hinge loss through the MLP head into
+    the `mlp_*` entries of `grads`; returns the gradient of the rows of
+    `[vectors; pad]`.
 
-    Step k read the rows `slots[k]` of `[vectors; pad]`, had the hidden layer
+    Positive step k read the rows `slots[k]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
-    score of `pairs[k, 1]`, plus the margin.  The backward scatters the loss
-    gradient into an S x A score gradient, where S is the number of steps
-    and A the number of actions, and then takes one matmul per weight
-    gradient; each slot's gradient is summed per row with `np.add.at` before
-    it is multiplied out.
+    score of `pairs[k, 1]`, plus the margin.  Each weight gradient is one
+    matmul over the steps' score gradients; each slot's gradient is summed
+    per row with `np.add.at` before it is multiplied out.
     """
-    w1, b1, w2, b2, pad = (leaves[name] for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"))
-    d = pad.data.shape[0]
-    rows = np.concatenate([vectors.data, pad.data[None]])
-
-    def backprop(g):
-        dscores = np.zeros((len(pairs), b2.data.shape[0]))
-        steps = np.arange(len(pairs))
-        dscores[steps, pairs[:, 0]] = g
-        dscores[steps, pairs[:, 1]] = -g
-        ad.accumulate(w2, dscores.T @ hidden)
-        ad.accumulate(b2, dscores.sum(axis=0))
-        dpre = (dscores @ w2.data) * (1.0 - hidden * hidden)
-        ad.accumulate(b1, dpre.sum(axis=0))
-        dw1 = np.empty_like(w1.data)
-        drows = np.zeros_like(rows)
-        for k in range(4):
-            block = slice(k * d, (k + 1) * d)
-            dproj = np.zeros((len(rows), dpre.shape[1]))
-            np.add.at(dproj, slots[:, k], dpre)
-            dw1[:, block] = dproj.T @ rows
-            drows += dproj @ w1.data[:, block]
-        ad.accumulate(w1, dw1)
-        ad.accumulate(vectors, drows[:-1])
-        ad.accumulate(pad, drows[-1])
-
-    return ad.Tensor(total, parents=(vectors, pad, w1, b1, w2, b2), backprop=backprop)
+    w1, w2 = params.tensors["mlp_w1"], params.tensors["mlp_w2"]
+    d = params.d_ctx
+    rows = np.concatenate([vectors, params.tensors["pad"][None]])
+    dscores = np.zeros((len(pairs), w2.shape[0]))
+    steps = np.arange(len(pairs))
+    dscores[steps, pairs[:, 0]] = 1.0
+    dscores[steps, pairs[:, 1]] = -1.0
+    grads["mlp_w2"] = dscores.T @ hidden
+    grads["mlp_b2"] = dscores.sum(axis=0)
+    dpre = (dscores @ w2) * (1.0 - hidden * hidden)
+    grads["mlp_b1"] = dpre.sum(axis=0)
+    dw1 = grads["mlp_w1"] = np.empty_like(w1)
+    drows = np.zeros_like(rows)
+    for k in range(4):
+        block = slice(k * d, (k + 1) * d)
+        dproj = np.zeros((len(rows), dpre.shape[1]))
+        np.add.at(dproj, slots[:, k], dpre)
+        dw1[:, block] = dproj.T @ rows
+        drows += dproj @ w1[:, block]
+    return drows
 
 
 def sentence_pass(
@@ -407,22 +425,21 @@ def sentence_pass(
     gold: ArcSet,
     reduce_set: frozenset[int],
     params: ModelParams,
-    leaves: Mapping[str, ad.Tensor],
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-) -> tuple[float, ad.Tensor | None, int]:
-    """Oracle-guided pass over one sentence, on a tape over `leaves`.
+) -> tuple[float, tuple | None]:
+    """Oracle-guided forward pass over one sentence.
 
     Follows the deterministic preferred gold action at every step and
-    scores each step with `score`; returns the summed hinge loss, its tape
-    node (None when no step's loss is positive) and the step count.
+    scores each step with `score`; returns the summed hinge loss and what
+    the backward reads: `encode`'s output and each positive step's slots,
+    hidden layer and action pair, or None when no step's loss is positive.
     """
-    vectors = encode(tokens, params, leaves, rng=rng, dropout_alpha=dropout_alpha)
-    scores = score(vectors.data, params)
+    vectors, cache = encode(tokens, params, rng=rng, dropout_alpha=dropout_alpha)
+    scores = score(vectors, params)
     c = initial(len(tokens))
     total = 0.0
     slots, hidden, pairs = [], [], []
-    steps = 0
     while not is_terminal(c):
         y_plus = oracle(c, gold, reduce_set)
         legal = legal_actions(c, params.arc_rule)
@@ -433,12 +450,10 @@ def sentence_pass(
             slots.append(step_slots)
             hidden.append(step_hidden)
             pairs.append(pair)
-        steps += 1
         c = apply(c, preferred(y_plus))
     if not pairs:
-        return total, None, steps
-    head = _hinge_head(vectors, np.array(slots), np.array(hidden), np.array(pairs), total, leaves)
-    return total, head, steps
+        return total, None
+    return total, (vectors, cache, np.array(slots), np.array(hidden), np.array(pairs))
 
 
 def accumulate_gradients(
@@ -449,15 +464,18 @@ def accumulate_gradients(
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
 ) -> tuple[float, dict[str, np.ndarray | None]]:
-    """Backpropagate one sentence's `sentence_pass` loss on fresh leaves over
-    the parameter arrays; returns the summed loss and each tensor's gradient,
-    None where none reached it.  The arrays are left unchanged."""
-    leaves = {name: ad.Tensor(a) for name, a in params.tensors.items()}
-    total, loss, _ = sentence_pass(tokens, gold, reduce_set, params, leaves, rng=rng,
-                                   dropout_alpha=dropout_alpha)
-    if loss is not None:
-        ad.backward(loss)
-    return total, {name: leaf.grad for name, leaf in leaves.items()}
+    """Backpropagate one sentence's `sentence_pass` loss: the MLP head, then
+    the encoder.  Returns the summed loss and each tensor's gradient, all
+    None when no step's loss is positive.  The arrays are left unchanged."""
+    total, saved = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
+                                 dropout_alpha=dropout_alpha)
+    grads: dict[str, np.ndarray | None] = dict.fromkeys(params.tensors)
+    if saved is not None:
+        vectors, cache, slots, hidden, pairs = saved
+        drows = _head_backward(vectors, slots, hidden, pairs, params, grads)
+        grads["pad"] = drows[-1]
+        _encode_backward(drows[:-1], cache, params, grads)
+    return total, grads
 
 
 class Trainer:

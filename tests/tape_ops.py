@@ -1,7 +1,8 @@
-"""Tape ops that `sgparse` no longer uses, kept for the tests: the per-token
-LSTM, the per-step MLP scorer and the tape hinge loss that the fused BiLSTM
-and the slot-projection scorer replaced are built from them, and serve as
-the references those replacements are checked against.
+"""Tape ops that `sgparse` no longer uses, kept for the tests.  sgparse
+builds no tape; the per-token LSTM, the per-step MLP scorer and the tape
+hinge loss built from these ops, on `autodiff.Tensor` and `backward`, are
+the references that its sequence-level LSTM, its slot-projection scorer and
+its direct backward are checked against.
 """
 
 import numpy as np

@@ -78,24 +78,6 @@ class TestOps:
         m = ad.Tensor(RNG.standard_normal((4, 3)))
         check(lambda: scalarize(ops.row(m, 2)), m)
 
-    def test_rows_accumulate_repeated_ids(self):
-        m = ad.Tensor(RNG.standard_normal((4, 3)))
-        check(lambda: scalarize(ops.row(ad.rows(m, [2, 0, 2]), 2)), m)
-        check(lambda: scalarize(ops.row(ad.rows(m, [2, 0, 2]), 0)), m)
-
-    def test_bilstm(self):
-        x = ad.Tensor(RNG.standard_normal((4, 3)))
-        fwd = (ad.Tensor(RNG.standard_normal((8, 5)) * 0.5), ad.Tensor(RNG.standard_normal(8)))
-        bwd = (ad.Tensor(RNG.standard_normal((8, 5)) * 0.5), ad.Tensor(RNG.standard_normal(8)))
-        weights = ad.Tensor(RNG.standard_normal((1, 4 * 4)))
-
-        def build():
-            out = ad.bilstm(x, fwd, bwd)
-            flat = ops.concat([ops.row(out, t) for t in range(4)])
-            return ops.pick(ops.matvec(weights, flat), 0)
-
-        check(build, x, *fwd, *bwd)
-
     def test_shared_node_accumulates(self):
         a = ad.Tensor(RNG.standard_normal(4))
         check(lambda: scalarize(ops.add(ops.mul(a, a), a)), a)

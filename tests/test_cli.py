@@ -89,6 +89,16 @@ class TestAlign:
         run(["align", "--corpus", str(corpus), "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_record_that_is_not_utf8_is_one_malformed_record(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(30, seed=6), corpus)
+        with open(corpus, "ab") as handle:
+            handle.write(b'{"image_id": 99, "region_id": 999, "phrase": "caf\xe9"}\n')
+        code, _, err = run(["align", "--corpus", str(corpus), "--out",
+                            str(tmp_path / "gold.jsonl")], capsys)
+        assert code == 0
+        assert "records=30 malformed_skipped=1" in err
+
     def test_arc_rule_changes_gold(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         save_corpus(generate_synthetic(30, seed=6), corpus)
@@ -599,6 +609,18 @@ class TestConfigKeys:
         assert not out.exists()
 
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(6, seed=9), corpus)
+        config = tmp_path / "run.conf"
+        config.write_text("epochs = 1\nepochs = 2\n")
+        code, stdout, stderr = run(["train", "--corpus", str(corpus), "--config", str(config),
+                                    "--checkpoint", str(tmp_path / "m.ckpt")], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {config}:2: key 'epochs' is already set on line 1\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestErrors:
     # a learning rate this large overflows the parameters within two updates;
     # the error line is the only report of it, with no numpy warning
@@ -639,3 +661,77 @@ class TestErrors:
         code, _, stderr = run(["align", "--corpus", "/nonexistent/x.jsonl"], capsys)
         assert code == 1
         assert "error:" in stderr
+
+
+# Byte runs that a mutation writes into a corpus line or a config file: JSON
+# values of each type, structure, line breaks and bytes that are not UTF-8.
+_SPLICES = [b"true", b"null", b"0.7", b"-1", b"1e999", b'"x"', b'""', b"[]", b"{}", b"{", b'"',
+            b",", b":", b"=", b"#", b"\n", b"\r", b" ", b"\t", b"\xe9", b"\xff", b"\x80", b"\xc3",
+            b"\x00", "é".encode(), b"\\u00e9", b"\\ud800"]
+# Whole config lines, valid or not, for align's keys and others.
+_CONFIG_LINES = [b"arc_rule = right", b"arc_rule = left", b"align_mode = no-syn",
+                 b"align_mode = all-syn", b"align_mode = sideways", b"arc_rule", b"= left",
+                 b"epochs = 2", b"lexicon = ", b"lexicon = missing.tsv", b"corpus = x",
+                 b"# arc_rule = right", b"", b"arc_rule = right = left"]
+
+
+def _mutate(data, raw):
+    """`raw` with one to three cuts, bit flips or splices at drawn places."""
+    out = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(out)))
+        kind = data.draw(st.sampled_from(["cut", "flip", "splice"]))
+        if kind == "cut":
+            del out[at:at + data.draw(st.integers(1, 8))]
+        elif kind == "flip" and at < len(out):
+            out[at] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            out[at:at] = data.draw(st.sampled_from(_SPLICES))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def align_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("align_property")
+    save_corpus(generate_synthetic(12, seed=4), tmp / "corpus.jsonl")
+    return tmp, (tmp / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+
+
+class TestMutatedInputProperty:
+    """`sgparse align` on a mutated corpus line or config file returns 0
+    with no error line, or 1 after exactly one `error:` line; it never
+    raises."""
+
+    @staticmethod
+    def run_align(tmp, corpus, config):
+        (tmp / "mutated.jsonl").write_bytes(corpus)
+        (tmp / "mutated.conf").write_bytes(config)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["align", "--corpus", str(tmp / "mutated.jsonl"),
+                         "--config", str(tmp / "mutated.conf"), "--out", str(tmp / "gold.jsonl")])
+        stderr = err.getvalue()
+        assert "Traceback" not in stderr and out.getvalue() == ""
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        if code == 0:
+            assert errors == []
+        else:
+            assert code == 1 and stderr.endswith("\n") and stderr.splitlines() == errors
+            assert len(errors) == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_corpus_line(self, align_inputs, data):
+        tmp, lines = align_inputs
+        k = data.draw(st.integers(0, len(lines) - 1))
+        corpus = b"".join(lines[:k] + [_mutate(data, lines[k])] + lines[k + 1:])
+        self.run_align(tmp, corpus, b"")
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config(self, align_inputs, data):
+        tmp, lines = align_inputs
+        config = b"\n".join(data.draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=4)))
+        if data.draw(st.booleans()):
+            config = _mutate(data, config)
+        self.run_align(tmp, b"".join(lines), config)

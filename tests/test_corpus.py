@@ -1,7 +1,10 @@
+import copy
 import json
+import re
 
 import pytest
 
+from sgparse.align import SynonymLexicon
 from sgparse.corpus import (
     RegionRecord,
     SplitSpec,
@@ -66,6 +69,40 @@ class TestLoadCorpus:
         records, skipped = load_corpus(path)
         assert skipped == 1
         assert len(records) == 23
+
+    def test_record_that_is_not_utf8_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(30, seed=1), path)
+        latin1 = json.dumps({"image_id": 99, "region_id": 999, "phrase": "café",
+                             "objects": [{"id": 0, "name": "café"}]}, ensure_ascii=False)
+        with open(path, "ab") as handle:
+            handle.write(latin1.encode("latin-1") + b"\n")
+        records, skipped = load_corpus(path)
+        assert skipped == 1 and len(records) == 30
+        assert all(r.region_id != 999 for r in records)
+
+    @pytest.mark.parametrize("place", ["image_id", "region_id", "object", "attribute",
+                                       "subject", "object_ref"])
+    @pytest.mark.parametrize("value", [True, 0.7, 1.0, "1"])
+    def test_id_that_is_not_a_json_integer_rejected(self, place, value):
+        data = {"image_id": 1, "region_id": 1, "phrase": "black dog near cat",
+                "objects": [{"id": 1, "name": "dog"}, {"id": 0, "name": "cat"}],
+                "attributes": [{"object_id": 1, "attribute": "black"}],
+                "relationships": [{"subject_id": 1, "predicate": "near", "object_id": 0}]}
+        assert record_from_json(copy.deepcopy(data)).graph.relations == ((0, "near", 1),)
+        target = {"image_id": (data, "image_id"), "region_id": (data, "region_id"),
+                  "object": (data["objects"][1], "id"),
+                  "attribute": (data["attributes"][0], "object_id"),
+                  "subject": (data["relationships"][0], "subject_id"),
+                  "object_ref": (data["relationships"][0], "object_id")}[place]
+        target[0][target[1]] = value
+        with pytest.raises(ValueError, match="is not an integer"):
+            record_from_json(data)
+
+    @pytest.mark.parametrize("data", [True, None, 5, "x", []])
+    def test_record_that_is_not_an_object_rejected(self, data):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            record_from_json(data)
 
     def test_null_phrase_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +225,19 @@ class TestReadConfig:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
-        path.write_text("epochs 12\n")
-        with pytest.raises(ValueError):
+        path.write_text("# run settings\nepochs 12\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed config line: 'epochs 12'$"):
             read_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.conf"
+        path.write_text("epochs = 1\nlr = 0.1\n epochs=2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: key 'epochs' is already set on line 1$"):
+            read_config(path)
+
+    @pytest.mark.parametrize("read", [read_config, load_split, SynonymLexicon.load])
+    def test_bytes_that_are_not_utf8_name_the_file(self, read, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("seed = café\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read(path)

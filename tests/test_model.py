@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgparse import autodiff as ad
-from sgparse import model
+from sgparse import cli, model
 from sgparse.align import align, derive_gold, tokenize
-from sgparse.corpus import build_instances, generate_synthetic
+from sgparse.corpus import build_instances, generate_synthetic, save_corpus
 from sgparse.errors import ParameterNonFinite
 from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
 from sgparse.model import (
@@ -51,14 +51,14 @@ def small_params(tokens_groups, seed=0, rule=ArcRule.LEFT):
 
 
 def leaves(params):
-    """Fresh tape leaves over the parameter arrays, as `accumulate_gradients`
-    builds them."""
+    """Fresh tape leaves over the parameter arrays, for the reference tapes."""
     return {name: ad.Tensor(a) for name, a in params.tensors.items()}
 
 
 def reference_lstm_direction(xs, w, b, hidden):
-    """The per-token tape LSTM that `ad.bilstm` replaced, about a dozen tape
-    nodes per token; kept as the reference for the fused op."""
+    """The per-token tape LSTM that the sequence-level LSTM replaced, about a
+    dozen tape nodes per token; kept as the reference for `encode` and its
+    backward."""
     h = ad.Tensor(np.zeros(hidden))
     c = ad.Tensor(np.zeros(hidden))
     outs = []
@@ -126,12 +126,6 @@ def reference_lstm_forward(xs, w, b, hidden):
     return hs, (z, gates, cells, tanh_cells)
 
 
-def vector_rows(vectors):
-    """Per-token row nodes of `encode`'s one T x 2H node, as the tape scorer
-    reads them."""
-    return [ops.row(vectors, t) for t in range(vectors.data.shape[0])]
-
-
 def reference_feature(c, vectors, tape):
     """The concatenated configuration feature that the tape scorer read: the
     top three stack vectors and the buffer front, with the learned pad
@@ -195,12 +189,12 @@ def reference_gradients(vectors, instance, params, tape):
 def reference_greedy_parse(tokens, params, vectors=None):
     """Greedy decoding that scores every step on the tape with
     `reference_score(reference_feature(...))`, as `greedy_parse` did before
-    its slot projections, over `vector_rows(encode(...))` unless `vectors`
+    its slot projections, over `reference_encode(...)` unless `vectors`
     are given; returns the actions and, per step, the configuration and its
     scores."""
     tape = leaves(params)
     if vectors is None:
-        vectors = vector_rows(encode(tokens, params, tape))
+        vectors = reference_encode(tokens, params, tape)
     c = initial(len(tokens))
     actions, steps = [], []
     while not is_terminal(c):
@@ -296,35 +290,26 @@ class TestVocab:
 class TestEncode:
     def test_single_token_dimensions(self):
         params = small_params([("dog",)])
-        vectors = encode(["dog"], params, leaves(params))
-        assert vectors.data.shape == (2, 16)  # token + ROOT
+        vectors, _ = encode(["dog"], params)
+        assert vectors.shape == (2, 16)  # token + ROOT
 
     def test_default_dimensions(self):
         vocab = Vocab.from_sentences([("dog",)])
         params = ModelParams(vocab, ArcRule.LEFT, seed=0)
-        vectors = encode(["dog"], params, leaves(params))
-        assert vectors.data.shape == (2, 512)
+        vectors, _ = encode(["dog"], params)
+        assert vectors.shape == (2, 512)
 
     def test_empty_sentence_gives_root_only(self):
         params = small_params([("dog",)])
-        assert encode([], params, leaves(params)).data.shape == (1, 16)
+        assert encode([], params)[0].shape == (1, 16)
 
     def test_context_sensitivity(self):
         words = ("a", "b", "c", "d", "e")
         params = small_params([words], seed=3)
-        forward = encode(list(words), params, leaves(params))
-        backward = encode(list(reversed(words)), params, leaves(params))
+        forward, _ = encode(list(words), params)
+        backward, _ = encode(list(reversed(words)), params)
         # token "c" sits at index 2 both times but its context differs
-        assert not np.allclose(forward.data[2], backward.data[2])
-
-
-def run_with_vectors(vectors, instance, params, tape):
-    """Context vectors, every step loss of the tape training pass, the
-    gradients of its summed loss, and the tape's greedy actions, all over the
-    per-token vector nodes `vectors` on the parameter leaves `tape`."""
-    steps, _, grads = reference_gradients(vectors, instance, params, tape)
-    actions, _ = reference_greedy_parse(instance[0], params, vectors)
-    return [v.data for v in vectors], [value for _, value, _ in steps], grads, actions
+        assert not np.allclose(forward[2], backward[2])
 
 
 def assert_grads_close(grads, ref_grads, params):
@@ -337,15 +322,22 @@ def assert_grads_close(grads, ref_grads, params):
 
 
 def assert_matches_reference(instance, params):
-    tape, ref_tape = leaves(params), leaves(params)
-    vectors, values, grads, actions = run_with_vectors(
-        vector_rows(encode(instance[0], params, tape)), instance, params, tape)
-    ref_vectors, ref_values, ref_grads, ref_actions = run_with_vectors(
-        reference_encode(instance[0], params, ref_tape), instance, params, ref_tape)
-    assert len(vectors) == len(ref_vectors)
-    assert all(np.array_equal(a, b) for a, b in zip(vectors, ref_vectors))
-    assert values == ref_values
-    assert actions == ref_actions
+    """`encode` and `_encode_backward` against `reference_encode`, under the
+    tape head of `reference_gradients`: the same vectors and step losses bit
+    for bit, and the same gradients to 1e-12 relative.  The head reads
+    `encode`'s vectors as tape leaves, whose gradients `_encode_backward`
+    takes back through the stack."""
+    tokens = instance[0]
+    ref_tape = leaves(params)
+    ref_vectors = reference_encode(tokens, params, ref_tape)
+    ref_steps, _, ref_grads = reference_gradients(ref_vectors, instance, params, ref_tape)
+    vectors, cache = encode(tokens, params)
+    assert np.array_equal(vectors, np.array([v.data for v in ref_vectors]))
+    rows = [ad.Tensor(v) for v in vectors]
+    steps, _, grads = reference_gradients(rows, instance, params, leaves(params))
+    assert [value for _, value, _ in steps] == [value for _, value, _ in ref_steps]
+    dvectors = np.array([np.zeros(params.d_ctx) if r.grad is None else r.grad for r in rows])
+    model._encode_backward(dvectors, cache, params, grads)
     assert_grads_close(grads, ref_grads, params)
 
 
@@ -366,9 +358,10 @@ INSTANCES_BY_LENGTH = {rule: _instances_by_length(rule) for rule in ArcRule}
 
 
 class TestFusedBiLSTM:
-    """`ad.bilstm` against the per-token tape LSTM it replaced, both read by
-    the tape scorer: the same context vectors, step losses and greedy actions
-    bit for bit, and the same gradients to 1e-12 relative."""
+    """The BiLSTM stack of `encode`, with its backward, against the per-token
+    tape LSTM it replaced, both read by the tape scorer: the same context
+    vectors and step losses bit for bit, and the same gradients to 1e-12
+    relative."""
 
     def test_default_size_on_synthetic_sentences(self):
         instances, _ = build_instances(generate_synthetic(12, seed=21))
@@ -391,11 +384,13 @@ class TestFusedBiLSTM:
     def test_word_dropout_reaches_the_embedding_rows(self):
         tokens = ("dog", "cat", "dog")
         params = small_params([tokens])
-        tape = leaves(params)
-        vectors = encode(list(tokens), params, tape, rng=np.random.default_rng(0),
-                         dropout_alpha=1e9)
-        ad.backward(ops.addsum([ops.pick(v, 0) for v in vector_rows(vectors)]))
-        grad = tape["embeddings"].grad
+        vectors, cache = encode(list(tokens), params, rng=np.random.default_rng(0),
+                                dropout_alpha=1e9)
+        dvectors = np.zeros_like(vectors)
+        dvectors[:, 0] = 1.0
+        grads = {}
+        model._encode_backward(dvectors, cache, params, grads)
+        grad = grads["embeddings"]
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
         assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
 
@@ -415,28 +410,57 @@ class TestAccumulateGradients:
         for name, (array, copy) in before.items():
             assert params.tensors[name] is array and np.array_equal(array, copy), name
             assert grads[name] is not None and np.array_equal(grads[name], again[name]), name
-        tape = leaves(params)
-        _, ref_total, ref_grads = reference_gradients(
-            vector_rows(encode(fig_instance[0], params, tape)), fig_instance, params, tape)
-        assert abs(total - ref_total) <= 1e-12
-        assert_grads_close(grads, ref_grads, params)
+        assert_matches_gradients(fig_instance, params, total, grads)
+
+    def test_repeated_word_sums_its_embedding_rows(self):
+        # the reference looks each occurrence up as its own tape row
+        instance = next(i for pool in INSTANCES_BY_LENGTH[ArcRule.LEFT].values() for i in pool
+                        if len(set(i[0])) < len(i[0]))
+        params = ModelParams(Vocab.from_sentences([instance[0]]), ArcRule.LEFT, emb_dim=12,
+                             hidden=8, mlp_hidden=4, seed=0)
+        total, grads = accumulate_gradients(*instance, params)
+        repeated = next(w for w in instance[0] if instance[0].count(w) > 1)
+        assert np.abs(grads["embeddings"][params.vocab.id(repeated)]).max() > 0.0
+        assert_matches_gradients(instance, params, total, grads)
 
 
-class TestParsingBuildsNoTape:
+def assert_matches_gradients(instance, params, total, grads):
+    """The loss and gradients of `accumulate_gradients` against the reference
+    tape's: the loss to 1e-12, the gradients to 1e-12 relative."""
+    tape = leaves(params)
+    _, ref_total, ref_grads = reference_gradients(
+        reference_encode(instance[0], params, tape), instance, params, tape)
+    assert abs(total - ref_total) <= 1e-12
+    assert_grads_close(grads, ref_grads, params)
+
+
+class TestBuildsNoTensor:
+    """sgparse builds no tape node: parsing, scoring, checkpoint I/O,
+    training passes and the `train` command all run with `ad.Tensor` and
+    `ad.backward` made to raise."""
+
     def test_no_tensor_is_made(self, fig_instance, tmp_path):
         tokens = fig_instance[0]
         params = small_params([tokens], seed=0)
         path = tmp_path / "model.ckpt"
-        with mock.patch.object(ad, "Tensor", side_effect=AssertionError("tape node made")):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(6, seed=9), corpus)
+        made = AssertionError("tape node made")
+        with mock.patch.object(ad, "Tensor", side_effect=made), \
+                mock.patch.object(ad, "backward", side_effect=made):
+            with pytest.raises(AssertionError, match="tape node made"):
+                ad.Tensor(0.0)   # the patch is in force
             save_checkpoint(params, path)
             loaded, _ = load_checkpoint(path)
             vectors = encode_batch([tokens, tokens[:3]], loaded)
             _, _, scores = score(vectors[0], loaded)(initial(len(tokens)))
             greedy_parse(tokens, loaded, vectors[0])
             greedy_parse(tokens[:3], loaded)
-            # training does build a tape, so the patch is in force
-            with pytest.raises(AssertionError, match="tape node made"):
-                accumulate_gradients(*fig_instance, loaded)
+            for source in (params, loaded):
+                total, grads = accumulate_gradients(*fig_instance, source)
+                assert total > 0.0 and all(g is not None for g in grads.values())
+            assert cli.main(["train", "--corpus", str(corpus), "--epochs", "1",
+                             "--checkpoint", str(tmp_path / "trained.ckpt")]) == 0
         assert scores.shape == (len(loaded.actions),)
 
 
@@ -498,7 +522,7 @@ class TestSlotScores:
         ref_actions, steps = reference_greedy_parse(tokens, params)
         arcs, actions = greedy_parse(tokens, params)
         assert actions == ref_actions
-        scores = score(encode(tokens, params, leaves(params)).data, params)
+        scores = score(encode(tokens, params)[0], params)
         for c, ref in steps:
             assert np.abs(scores(c)[2] - ref).max() <= 1e-12
         c = initial(len(tokens))
@@ -508,7 +532,7 @@ class TestSlotScores:
 
         tape = leaves(params)
         ref_steps, ref_total, ref_grads = reference_gradients(
-            vector_rows(encode(tokens, params, tape)), instance, params, tape)
+            reference_encode(tokens, params, tape), instance, params, tape)
         decisions = []
 
         def recording_step_loss(row, *args):
@@ -558,7 +582,7 @@ class TestEncodeBatch:
         got = encode_batch(token_lists, params)
         assert len(got) == len(token_lists)
         for tokens, vectors in zip(token_lists, got):
-            expected = encode(tokens, params, leaves(params)).data
+            expected, _ = encode(tokens, params)
             assert vectors.shape == expected.shape
             assert np.abs(vectors - expected).max() <= 1e-12
             assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
@@ -639,7 +663,7 @@ class TestFeature:
     @staticmethod
     def slots(config):
         params = small_params([("a", "b", "c", "d", "e", "f", "g")])
-        vectors = encode(list("abcdefg"), params, leaves(params)).data
+        vectors, _ = encode(list("abcdefg"), params)
         slots, hidden, _ = score(vectors, params)(config)
         rows = np.concatenate([vectors, params.tensors["pad"][None]])
         w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
@@ -665,7 +689,7 @@ class TestScore:
         params = small_params([("dog",)])
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.tensors[name][:] = 0.0
-        vectors = encode(["dog"], params, leaves(params)).data
+        vectors, _ = encode(["dog"], params)
         _, _, out = score(vectors, params)(initial(1))
         assert np.array_equal(out, np.zeros(len(params.actions)))
 
@@ -683,7 +707,7 @@ class TestScore:
 
     def test_doubling_output_weights_doubles_scores(self):
         params = small_params([("dog", "cat")])
-        vectors = encode(["dog", "cat"], params, leaves(params)).data
+        vectors, _ = encode(["dog", "cat"], params)
         base = score(vectors, params)(initial(2))[2]
         params.tensors["mlp_w2"] *= 2.0
         params.tensors["mlp_b2"] *= 2.0
@@ -746,8 +770,9 @@ class TestTrainSentence:
     def test_step_count_matches_action_count(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens])
-        _, _, steps = sentence_pass(tokens, gold, reduce_set, params, leaves(params))
-        assert steps == 14
+        with mock.patch.object(model, "apply", wraps=apply) as applied:
+            sentence_pass(tokens, gold, reduce_set, params)
+        assert applied.call_count == 14
 
     def test_all_tokens_unaligned_terminates(self):
         tokens = ("foo", "bar", "baz")
@@ -838,8 +863,8 @@ class TestGradCheck:
         b2[params.action_index[SHIFT]] = 100.0
         # after SHIFT the correct action is LEFT(BEGN)
         b2[params.action_index[left(EdgeLabel.BEGN)]] = 200.0
-        value, loss, _ = sentence_pass(tokens, gold, frozenset(), params, leaves(params))
-        assert value == 0.0 and loss is None
+        value, saved = sentence_pass(tokens, gold, frozenset(), params)
+        assert value == 0.0 and saved is None
         err = grad_check(params, (tokens, gold, frozenset()), step=1e-3)
         assert err == 0.0
 
@@ -989,13 +1014,13 @@ class TestWordDropout:
         params = small_params([tokens])
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
-        va = encode(["dog"], params, leaves(params), rng=rng_a, dropout_alpha=1e9)
+        va, _ = encode(["dog"], params, rng=rng_a, dropout_alpha=1e9)
         # with an enormous alpha the word always drops to UNK
-        unk_only = encode(["zebra"], params, leaves(params), rng=rng_b, dropout_alpha=1e9)
-        assert np.allclose(va.data[0], unk_only.data[0])
+        unk_only, _ = encode(["zebra"], params, rng=rng_b, dropout_alpha=1e9)
+        assert np.allclose(va[0], unk_only[0])
 
     def test_no_rng_no_dropout(self):
         params = small_params([("dog",)])
-        kept = encode(["dog"], params, leaves(params), dropout_alpha=1e9)
-        unk_only = encode(["zebra"], params, leaves(params), dropout_alpha=1e9)
-        assert not np.allclose(kept.data[0], unk_only.data[0])
+        kept, _ = encode(["dog"], params, dropout_alpha=1e9)
+        unk_only, _ = encode(["zebra"], params, dropout_alpha=1e9)
+        assert not np.allclose(kept[0], unk_only[0])
