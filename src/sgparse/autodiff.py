@@ -97,13 +97,15 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     return hs, (z, gates, cells, tanh_cells)
 
 
-def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
+def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int, dw: np.ndarray,
+                   db: np.ndarray) -> np.ndarray:
     """Backpropagation through time for one sequence of `lstm`, given its
     saved arrays and the gradients of its hidden states, both in step order.
 
-    Returns the gradients of the inputs, the weights and the bias; each
-    weight gradient is one matmul over the per-step pre-activation
-    gradients rather than a sum of per-step outer products.
+    Writes the weights' and the bias's gradients into `dw` and `db`, which
+    it overwrites, and returns the inputs' gradient; the weight gradient is
+    one matmul over the per-step pre-activation gradients rather than a sum
+    of per-step outer products.
     """
     z, gates, cells, tanh_cells = saved
     steps = dhs.shape[0]
@@ -124,7 +126,9 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
         dpre[t, 3 * hidden:] = dc * i[t] * (1.0 - g[t] * g[t])
         dc_next = dc * f[t]
         dh_next = dpre[t] @ w_h
-    return dpre @ w[:, :in_dim], dpre.T @ z, dpre.sum(axis=0)
+    np.matmul(dpre.T, z, out=dw)
+    dpre.sum(axis=0, out=db)
+    return dpre @ w[:, :in_dim]
 
 
 def backward(root: Tensor) -> None:

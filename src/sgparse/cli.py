@@ -8,6 +8,7 @@ file passed with --config, which may hold only the subcommand's flags.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -268,20 +269,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _input_lines(path: str | None) -> list[str]:
+    """The lines of the text file at `path`, or of stdin without one, split
+    as text-mode `open` splits them.  A line that is not UTF-8 raises
+    SgparseError naming the file, or `<stdin>`, and the line."""
+    if path:
+        with open(path, "rb") as source:
+            raw = source.read()
+    elif sys.stdin is None:
+        raise SgparseError("no --input file, and stdin is closed")
+    else:
+        raw = sys.stdin.buffer.read()
+    # a byte that is not UTF-8 decodes to a lone surrogate, failing `encode`
+    lines = list(io.StringIO(raw.decode("utf-8", "surrogateescape"), newline=None))
+    for number, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise SgparseError(f"{path or '<stdin>'}:{number}: not UTF-8 text") from err
+    return lines
+
+
 def cmd_parse(args) -> int:
     settings = Settings(args)
     params, _ = load_checkpoint(settings.require("checkpoint"))
-    source = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
-        lines = list(source)
-        parser = _Parser(params, lines)
-        out_lines = []
-        for line in lines:
-            graph = parser(line)
-            out_lines.append(json.dumps(graph_to_json(graph), sort_keys=True))
-    finally:
-        if args.input:
-            source.close()
+    lines = _input_lines(args.input)
+    parser = _Parser(params, lines)
+    out_lines = [json.dumps(graph_to_json(parser(line)), sort_keys=True) for line in lines]
     _write_text(args.out, "".join(line + "\n" for line in out_lines))
     return 0
 

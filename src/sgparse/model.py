@@ -12,7 +12,8 @@ checkpoint, and parsing runs in their dtype.  Training and parsing share
 one BiLSTM-stack forward.  Training follows the oracle's preferred action,
 sums the per-step hinge losses over a sentence, runs that sum's backward
 itself, the MLP head first and then the layers from the top down, with no
-tape, and applies one Adam update per sentence from the gradients returned.
+tape, into gradient arrays that the `Trainer` keeps for an epoch, and
+applies one Adam update per sentence from them.
 """
 
 from __future__ import annotations
@@ -277,10 +278,11 @@ def encode(
 
 
 def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list], params: ModelParams,
-                     grads: dict[str, np.ndarray | None]) -> None:
-    """Backpropagate the gradient of `encode`'s vectors into `grads`: each
-    layer's two LSTMs from the top layer down, then the embedding rows, where
-    a repeated id sums its rows' gradients."""
+                     grads: Mapping[str, np.ndarray]) -> None:
+    """Backpropagate the gradient of `encode`'s vectors into the `lstm*` and
+    `embeddings` arrays of `grads`, which it overwrites: each layer's two
+    LSTMs from the top layer down, then the embedding rows, where a repeated
+    id sums its rows' gradients."""
     ids, saved = cache
     tensors, hidden = params.tensors, params.hidden
     for layer in reversed(range(params.layers)):
@@ -289,11 +291,10 @@ def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list], param
             name = f"lstm{layer}_{direction}"
             dhs = dvectors[:, :hidden] if k == 0 else dvectors[::-1, hidden:]
             arrays = [a[:, 0] for a in saved[2 * layer + k]]
-            dx, grads[f"{name}_w"], grads[f"{name}_b"] = ad._lstm_backward(
-                dhs, tensors[f"{name}_w"], arrays, hidden)
-            dxs.append(dx)
+            dxs.append(ad._lstm_backward(dhs, tensors[f"{name}_w"], arrays, hidden,
+                                         grads[f"{name}_w"], grads[f"{name}_b"]))
         dvectors = dxs[0] + dxs[1][::-1]
-    grads["embeddings"] = np.zeros_like(tensors["embeddings"])
+    grads["embeddings"].fill(0.0)
     np.add.at(grads["embeddings"], ids, dvectors)
 
 
@@ -387,10 +388,10 @@ def step_loss(
 
 def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
                    pairs: np.ndarray, params: ModelParams,
-                   grads: dict[str, np.ndarray | None]) -> np.ndarray:
+                   grads: Mapping[str, np.ndarray]) -> np.ndarray:
     """Backpropagate a sentence's summed hinge loss through the MLP head into
-    the `mlp_*` entries of `grads`; returns the gradient of the rows of
-    `[vectors; pad]`.
+    the `mlp_*` arrays of `grads`, which it overwrites; returns the gradient
+    of the rows of `[vectors; pad]`.
 
     Positive step k read the rows `slots[k]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
@@ -405,17 +406,17 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     steps = np.arange(len(pairs))
     dscores[steps, pairs[:, 0]] = 1.0
     dscores[steps, pairs[:, 1]] = -1.0
-    grads["mlp_w2"] = dscores.T @ hidden
-    grads["mlp_b2"] = dscores.sum(axis=0)
+    np.matmul(dscores.T, hidden, out=grads["mlp_w2"])
+    dscores.sum(axis=0, out=grads["mlp_b2"])
     dpre = (dscores @ w2) * (1.0 - hidden * hidden)
-    grads["mlp_b1"] = dpre.sum(axis=0)
-    dw1 = grads["mlp_w1"] = np.empty_like(w1)
+    dpre.sum(axis=0, out=grads["mlp_b1"])
+    dw1 = grads["mlp_w1"]
     drows = np.zeros_like(rows)
     for k in range(4):
         block = slice(k * d, (k + 1) * d)
         dproj = np.zeros((len(rows), dpre.shape[1]))
         np.add.at(dproj, slots[:, k], dpre)
-        dw1[:, block] = dproj.T @ rows
+        np.matmul(dproj.T, rows, out=dw1[:, block])
         drows += dproj @ w1[:, block]
     return drows
 
@@ -456,6 +457,12 @@ def sentence_pass(
     return total, (vectors, cache, np.array(slots), np.array(hidden), np.array(pairs))
 
 
+def _gradient_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """One uninitialised float64 array per tensor, with its shape, in
+    `params.tensors` order, for `accumulate_gradients` to write into."""
+    return {name: np.empty(t.shape) for name, t in params.tensors.items()}
+
+
 def accumulate_gradients(
     tokens: Sequence[str],
     gold: ArcSet,
@@ -463,23 +470,39 @@ def accumulate_gradients(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray | None]]:
     """Backpropagate one sentence's `sentence_pass` loss: the MLP head, then
-    the encoder.  Returns the summed loss and each tensor's gradient, all
-    None when no step's loss is positive.  The arrays are left unchanged."""
+    the encoder.  Returns the summed loss and each tensor's float64 gradient,
+    all None when no step's loss is positive.
+
+    The gradients are written, every element of every array, into `out`: a
+    dict of one float64 array per tensor, with its shape, which is returned
+    and is overwritten on each sentence whose loss is positive.  Without
+    `out` they are written into fresh arrays.  The parameter arrays are left
+    unchanged.
+    """
     total, saved = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
                                  dropout_alpha=dropout_alpha)
-    grads: dict[str, np.ndarray | None] = dict.fromkeys(params.tensors)
-    if saved is not None:
-        vectors, cache, slots, hidden, pairs = saved
-        drows = _head_backward(vectors, slots, hidden, pairs, params, grads)
-        grads["pad"] = drows[-1]
-        _encode_backward(drows[:-1], cache, params, grads)
+    if saved is None:
+        return total, dict.fromkeys(params.tensors)
+    grads = _gradient_arrays(params) if out is None else out
+    vectors, cache, slots, hidden, pairs = saved
+    drows = _head_backward(vectors, slots, hidden, pairs, params, grads)
+    grads["pad"][...] = drows[-1]
+    _encode_backward(drows[:-1], cache, params, grads)
     return total, grads
 
 
 class Trainer:
-    """Single-writer training loop: one Adam update per sentence."""
+    """Single-writer training loop: one Adam update per sentence.
+
+    Each sentence's gradients are written into one float64 array per tensor
+    (`accumulate_gradients`'s `out`), so that a sentence maps no new memory
+    for them.  The arrays are made by the first `train_sentence` and dropped
+    at the end of `run_epoch`, so they are not alive through what follows an
+    epoch, such as `sgparse train`'s per-epoch eval and checkpoint save.
+    """
 
     def __init__(self, params: ModelParams, config: TrainConfig | None = None):
         self.params = params
@@ -491,13 +514,16 @@ class Trainer:
         )
         self.rng = np.random.default_rng(self.config.rng_seed)
         self.skipped = 0
+        self._grads: dict[str, np.ndarray] | None = None
 
     def train_sentence(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> float:
+        if self._grads is None:
+            self._grads = _gradient_arrays(self.params)
         # Overflow here can only come from parameters that are already huge;
         # the update's finite check then names the tensor instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             total, grads = accumulate_gradients(tokens, gold, reduce_set, self.params, self.rng,
-                                                self.config.word_dropout_alpha)
+                                                self.config.word_dropout_alpha, self._grads)
         self.optimizer.step(grads)
         return total
 
@@ -509,14 +535,17 @@ class Trainer:
         sentence's position in the epoch added.
         """
         losses = []
-        for position, (tokens, gold, reduce_set) in enumerate(instances, 1):
-            try:
-                losses.append(self.train_sentence(tokens, gold, reduce_set))
-            except OracleStuck:
-                self.skipped += 1
-            except ParameterNonFinite as err:
-                raise ParameterNonFinite(f"{err}, after training sentence {position} "
-                                         f"of the epoch ({' '.join(tokens)!r})") from err
+        try:
+            for position, (tokens, gold, reduce_set) in enumerate(instances, 1):
+                try:
+                    losses.append(self.train_sentence(tokens, gold, reduce_set))
+                except OracleStuck:
+                    self.skipped += 1
+                except ParameterNonFinite as err:
+                    raise ParameterNonFinite(f"{err}, after training sentence {position} "
+                                             f"of the epoch ({' '.join(tokens)!r})") from err
+        finally:
+            self._grads = None
         return float(np.mean(losses)) if losses else 0.0
 
 
@@ -675,7 +704,11 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) -> None:
     """Self-describing checkpoint: a JSON header line naming every tensor and
     the vocab, followed by row-major little-endian float32 payloads in header
-    order."""
+    order.
+
+    The header is written first, then each tensor's float32 copy in turn, so
+    that one tensor's copy at a time is alive beside the parameters.
+    """
     names = sorted(params.tensors)
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -690,9 +723,11 @@ def save_checkpoint(params: ModelParams, path: str | Path, rng_seed: int = 0) ->
         "vocab": [[w, params.vocab.count(w)] for w in params.vocab.words],
         "tensors": [[name, list(params.tensors[name].shape)] for name in names],
     }
-    blob = json.dumps(header, ensure_ascii=True, separators=(",", ":")).encode("utf-8") + b"\n"
-    payload = b"".join(params.tensors[name].astype("<f4").tobytes(order="C") for name in names)
-    Path(path).write_bytes(blob + payload)
+    with open(path, "wb") as sink:
+        sink.write(json.dumps(header, ensure_ascii=True, separators=(",", ":")).encode("utf-8"))
+        sink.write(b"\n")
+        for name in names:
+            sink.write(np.ascontiguousarray(params.tensors[name], dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,46 @@ class TestTrainEvalParse:
         rows = stdout.rstrip("\n").split("\n")
         assert rows[0].startswith("0\t")
         assert rows[-1].split("\t")[3] == ""
+
+
+class TestParseInput:
+    """`sgparse parse` reads `--input`, or stdin without it, as UTF-8 text
+    split into lines as text-mode `open` splits them."""
+
+    RAW = b"a dog\r\nthe red car\rman\n"
+
+    def parse_stdin(self, raw, checkpoint, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        return run(["parse", "--checkpoint", str(checkpoint)], capsys)
+
+    def test_stdin_parses_as_the_file(self, small_checkpoint, tmp_path, capsys, monkeypatch):
+        tmp, _ = small_checkpoint
+        source = tmp_path / "lines.txt"
+        source.write_bytes(self.RAW)
+        code, from_file, _ = run(["parse", "--checkpoint", str(tmp / "model.ckpt"),
+                                  "--input", str(source)], capsys)
+        assert code == 0 and from_file.count("\n") == 3
+        assert self.parse_stdin(self.RAW, tmp / "model.ckpt", capsys, monkeypatch) == (
+            0, from_file, "")
+
+    def test_file_that_is_not_utf8_names_file_and_line(self, small_checkpoint, tmp_path, capsys):
+        tmp, _ = small_checkpoint
+        source = tmp_path / "lines.txt"
+        source.write_bytes(self.RAW + b"caf\xe9 dog\n")
+        code, stdout, stderr = run(["parse", "--checkpoint", str(tmp / "model.ckpt"),
+                                    "--input", str(source)], capsys)
+        assert (code, stdout, stderr) == (1, "", f"error: {source}:4: not UTF-8 text\n")
+
+    def test_stdin_that_is_not_utf8_names_line(self, small_checkpoint, capsys, monkeypatch):
+        tmp, _ = small_checkpoint
+        assert self.parse_stdin(b"a dog\ncaf\xe9 dog\n", tmp / "model.ckpt", capsys,
+                                monkeypatch) == (1, "", "error: <stdin>:2: not UTF-8 text\n")
+
+    def test_closed_stdin_is_one_line_error(self, small_checkpoint, capsys, monkeypatch):
+        tmp, _ = small_checkpoint
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(["parse", "--checkpoint", str(tmp / "model.ckpt")], capsys) == (
+            1, "", "error: no --input file, and stdin is closed\n")
 
 
 def _brute_force_rank(query_graph, index, lexicon=None):
@@ -692,24 +733,36 @@ def _mutate(data, raw):
 
 @pytest.fixture(scope="module")
 def align_inputs(tmp_path_factory):
+    """A directory for mutated inputs, the lines of a synthetic corpus, and
+    the bytes of the test lexicon."""
     tmp = tmp_path_factory.mktemp("align_property")
     save_corpus(generate_synthetic(12, seed=4), tmp / "corpus.jsonl")
-    return tmp, (tmp / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    lexicon = (Path(__file__).parent / "data" / "lexicon.txt").read_bytes()
+    return tmp, (tmp / "corpus.jsonl").read_bytes().splitlines(keepends=True), lexicon
 
 
 class TestMutatedInputProperty:
-    """`sgparse align` on a mutated corpus line or config file returns 0
-    with no error line, or 1 after exactly one `error:` line; it never
-    raises."""
+    """`sgparse align` on a mutated corpus line, config file or lexicon, and
+    `sgparse parse` on mutated input lines, return 0 with no error line, or
+    1 after exactly one `error:` line; they never raise."""
 
-    @staticmethod
-    def run_align(tmp, corpus, config):
+    def run_align(self, tmp, corpus, config, lexicon=None):
         (tmp / "mutated.jsonl").write_bytes(corpus)
         (tmp / "mutated.conf").write_bytes(config)
+        argv = ["align", "--corpus", str(tmp / "mutated.jsonl"),
+                "--config", str(tmp / "mutated.conf"), "--out", str(tmp / "gold.jsonl")]
+        if lexicon is not None:
+            (tmp / "mutated.tsv").write_bytes(lexicon)
+            argv += ["--lexicon", str(tmp / "mutated.tsv")]
+        self.run_cli(argv)
+
+    @staticmethod
+    def run_cli(argv):
+        """Runs `main(argv)`, whose outputs go to files, and checks what it
+        wrote to the terminal."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["align", "--corpus", str(tmp / "mutated.jsonl"),
-                         "--config", str(tmp / "mutated.conf"), "--out", str(tmp / "gold.jsonl")])
+            code = main(argv)
         stderr = err.getvalue()
         assert "Traceback" not in stderr and out.getvalue() == ""
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
@@ -722,7 +775,7 @@ class TestMutatedInputProperty:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_mutated_corpus_line(self, align_inputs, data):
-        tmp, lines = align_inputs
+        tmp, lines, _ = align_inputs
         k = data.draw(st.integers(0, len(lines) - 1))
         corpus = b"".join(lines[:k] + [_mutate(data, lines[k])] + lines[k + 1:])
         self.run_align(tmp, corpus, b"")
@@ -730,8 +783,23 @@ class TestMutatedInputProperty:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_mutated_config(self, align_inputs, data):
-        tmp, lines = align_inputs
+        tmp, lines, _ = align_inputs
         config = b"\n".join(data.draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=4)))
         if data.draw(st.booleans()):
             config = _mutate(data, config)
         self.run_align(tmp, b"".join(lines), config)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_lexicon(self, align_inputs, data):
+        tmp, lines, lexicon = align_inputs
+        self.run_align(tmp, b"".join(lines), b"", _mutate(data, lexicon))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_mutated_parse_input(self, small_checkpoint, align_inputs, data):
+        tmp, lines, _ = align_inputs
+        phrases = b"".join(json.loads(line)["phrase"].encode() + b"\n" for line in lines[:4])
+        (tmp / "mutated.txt").write_bytes(_mutate(data, phrases))
+        self.run_cli(["parse", "--checkpoint", str(small_checkpoint[0] / "model.ckpt"),
+                      "--input", str(tmp / "mutated.txt"), "--out", str(tmp / "parsed.jsonl")])

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from sgparse import autodiff as ad
 from sgparse import cli, model
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.corpus import build_instances, generate_synthetic, save_corpus
-from sgparse.errors import ParameterNonFinite
+from sgparse.errors import OracleStuck, ParameterNonFinite
 from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
 from sgparse.model import (
     ROOT_WORD,
@@ -337,7 +339,10 @@ def assert_matches_reference(instance, params):
     steps, _, grads = reference_gradients(rows, instance, params, leaves(params))
     assert [value for _, value, _ in steps] == [value for _, value, _ in ref_steps]
     dvectors = np.array([np.zeros(params.d_ctx) if r.grad is None else r.grad for r in rows])
-    model._encode_backward(dvectors, cache, params, grads)
+    encoder = model._gradient_arrays(params)
+    model._encode_backward(dvectors, cache, params, encoder)
+    grads.update((name, g) for name, g in encoder.items()
+                 if name == "embeddings" or name.startswith("lstm"))
     assert_grads_close(grads, ref_grads, params)
 
 
@@ -388,7 +393,7 @@ class TestFusedBiLSTM:
                                 dropout_alpha=1e9)
         dvectors = np.zeros_like(vectors)
         dvectors[:, 0] = 1.0
-        grads = {}
+        grads = model._gradient_arrays(params)
         model._encode_backward(dvectors, cache, params, grads)
         grad = grads["embeddings"]
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
@@ -766,6 +771,13 @@ class TestStepLoss:
                     assert best_correct >= scores[self.index[a]] + margin
 
 
+# Crossing arcs make this gold unreachable for the oracle.
+STUCK_INSTANCE = (("a", "b", "c", "d"), ArcSet(4, frozenset({
+    Arc(1, 3, EdgeLabel.OBJT), Arc(4, 2, EdgeLabel.ATTR),
+    Arc(5, 1, EdgeLabel.BEGN), Arc(5, 4, EdgeLabel.BEGN),
+})), frozenset())
+
+
 class TestTrainSentence:
     def test_step_count_matches_action_count(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
@@ -793,15 +805,9 @@ class TestTrainSentence:
         assert all(np.isfinite(t).all() for t in params.tensors.values())
 
     def test_unreachable_gold_skipped_and_counted(self):
-        # crossing arcs make the gold unreachable for the oracle
-        tokens = ("a", "b", "c", "d")
-        gold = ArcSet(4, frozenset({
-            Arc(1, 3, EdgeLabel.OBJT), Arc(4, 2, EdgeLabel.ATTR),
-            Arc(5, 1, EdgeLabel.BEGN), Arc(5, 4, EdgeLabel.BEGN),
-        }))
-        params = small_params([tokens])
+        params = small_params([STUCK_INSTANCE[0]])
         trainer = Trainer(params, TrainConfig(rng_seed=0))
-        mean = trainer.run_epoch([(tokens, gold, frozenset())])
+        mean = trainer.run_epoch([STUCK_INSTANCE])
         assert trainer.skipped == 1
         assert mean == 0.0
 
@@ -816,6 +822,85 @@ class TestTrainSentence:
             results.append({k: t.copy() for k, t in params.tensors.items()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+
+def default_size_model(count=20, seed=7):
+    """Default-size parameters over the vocabulary of a synthetic corpus,
+    and its training instances."""
+    instances, _ = build_instances(generate_synthetic(count, seed=seed))
+    vocab = Vocab.from_sentences(inst.tokens for inst in instances)
+    return ModelParams(vocab, ArcRule.LEFT), [(i.tokens, i.gold, i.reduce_set) for i in instances]
+
+
+def traced_peak(fn) -> int:
+    """The most memory, in bytes, that `tracemalloc` saw allocated at once
+    while `fn` ran, over what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGradientArrays:
+    """`Trainer` writes every sentence's gradients into one array per tensor,
+    made once per epoch; what it trains is what fresh arrays train."""
+
+    def test_trains_byte_for_byte_as_fresh_arrays(self, fig_instance):
+        by_length = INSTANCES_BY_LENGTH[ArcRule.LEFT]
+        empty = by_length[0][0]   # every step's only legal action is correct: zero loss
+        # the zero-loss sentences follow positive ones, so the arrays then
+        # hold a previous sentence's gradients
+        instances = [fig_instance, empty, STUCK_INSTANCE, by_length[5][0], by_length[3][1],
+                     empty, fig_instance]
+        words = [inst[0] for inst in instances]
+        config = TrainConfig(rng_seed=3, learning_rate=0.01)
+        params = small_params(words, seed=3)
+        trainer = Trainer(params, config)
+        fresh = small_params(words, seed=3)
+        optimizer = Adam(fresh.tensors, lr=config.learning_rate, eps=config.adam_epsilon)
+        rng = np.random.default_rng(config.rng_seed)
+        original = model.accumulate_gradients
+        calls = []
+
+        def recording(*args):
+            total, grads = original(*args)
+            calls.append((total, args[-1]))
+            return total, grads
+
+        for _ in range(2):
+            calls.clear()
+            with mock.patch.object(model, "accumulate_gradients", recording):
+                mean = trainer.run_epoch(instances)
+            assert trainer._grads is None
+            losses = []
+            for inst in instances:
+                try:
+                    total, grads = accumulate_gradients(*inst, fresh, rng,
+                                                        config.word_dropout_alpha)
+                except OracleStuck:
+                    continue
+                optimizer.step(grads)
+                losses.append(total)
+            assert [total for total, _ in calls] == losses
+            assert [total > 0.0 for total in losses] == [True, False, True, True, False, True]
+            assert mean == float(np.mean(losses))
+            assert len({id(out) for _, out in calls}) == 1   # one set of arrays per epoch
+            for name in params.tensors:
+                assert params.tensors[name].tobytes() == fresh.tensors[name].tobytes(), name
+                assert trainer.optimizer.m[name].tobytes() == optimizer.m[name].tobytes(), name
+                assert trainer.optimizer.v[name].tobytes() == optimizer.v[name].tobytes(), name
+        assert trainer.skipped == 2
+
+    def test_warm_training_sentence_allocates_less_than_a_weight(self):
+        params, instances = default_size_model()
+        trainer = Trainer(params)
+        trainer.train_sentence(*instances[0])
+        losses = []
+        peak = traced_peak(lambda: losses.append(trainer.train_sentence(*instances[1])))
+        assert losses[0] > 0.0
+        assert peak < max(t.nbytes for t in params.tensors.values())
 
 
 class TestParse:
@@ -946,13 +1031,9 @@ class TestAdam:
         params = small_params([tokens])
         # every gradient stays finite; the infinite bias fails its own update
         params.tensors["mlp_b2"][:] = np.inf
-        stuck = (("a", "b", "c", "d"), ArcSet(4, frozenset({
-            Arc(1, 3, EdgeLabel.OBJT), Arc(4, 2, EdgeLabel.ATTR),
-            Arc(5, 1, EdgeLabel.BEGN), Arc(5, 4, EdgeLabel.BEGN),
-        })), frozenset())
         trainer = Trainer(params, TrainConfig(rng_seed=0))
         with pytest.raises(ParameterNonFinite, match="'mlp_b2'.*sentence 2 of the epoch"):
-            trainer.run_epoch([stuck, (tokens, gold, reduce_set)])
+            trainer.run_epoch([STUCK_INSTANCE, (tokens, gold, reduce_set)])
         assert trainer.skipped == 1
 
     def test_matches_reference_formula(self):
@@ -993,6 +1074,29 @@ class TestCheckpoint:
             # payload is float32, so compare at that precision
             assert np.allclose(loaded.tensors[name], t, atol=1e-6)
         assert parse(tokens, loaded) == parse(tokens, params)
+
+    def test_streamed_bytes_equal_the_joined_payload(self, fig_instance, tmp_path):
+        tokens, gold, reduce_set = fig_instance
+        params = small_params([tokens], seed=4)
+        trainer = Trainer(params, TrainConfig(rng_seed=4))
+        for _ in range(3):
+            trainer.train_sentence(tokens, gold, reduce_set)
+        path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        save_checkpoint(params, path, rng_seed=4)
+        loaded, header = load_checkpoint(path)
+        names = sorted(params.tensors)
+        blob = json.dumps(header, ensure_ascii=True, separators=(",", ":")).encode("utf-8") + b"\n"
+        payload = b"".join(params.tensors[name].astype("<f4").tobytes() for name in names)
+        assert path.read_bytes() == blob + payload
+        for name in names:
+            assert loaded.tensors[name].tobytes() == params.tensors[name].astype("<f4").tobytes()
+        save_checkpoint(loaded, again, rng_seed=4)
+        assert again.read_bytes() == blob + payload
+
+    def test_save_holds_one_tensor_copy_at_a_time(self, tmp_path):
+        params, _ = default_size_model()
+        peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "model.ckpt"))
+        assert peak < 2 * 4 * max(t.size for t in params.tensors.values())
 
     def test_header_is_self_describing(self, tmp_path):
         params = small_params([("dog",)])
