@@ -4,7 +4,9 @@
 one-thread row-block GEMMs that agree with a batch of one to 1e-12; it runs
 in the dtype of its weights, so parsing from a checkpoint's float32 arrays
 runs in float32.  `_lstm_backward` is its backpropagation through time for
-one sentence, which `sgparse.model` calls for each layer and direction.
+one sentence, which `sgparse.model` calls for each layer and direction; it
+returns the per-step pre-activation gradients, and the caller forms the
+weight gradient from them, over a whole batch of sentences at once.
 
 `Tensor` and `backward` are a minimal reverse-mode tape, on which sgparse
 itself builds nothing.  They stay only because the tests build their
@@ -31,9 +33,10 @@ class Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that overflows for no finite input: `1/(1+e)` where
-    x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`."""
+    x >= 0 and `e/(1+e)` elsewhere, with `e = exp(-|x|)`.  Since e <= 1, the
+    numerator is `max(e, x >= 0)`, which needs no `np.where` select."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
@@ -97,15 +100,15 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     return hs, (z, gates, cells, tanh_cells)
 
 
-def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int, dw: np.ndarray,
-                   db: np.ndarray) -> np.ndarray:
+def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
     """Backpropagation through time for one sequence of `lstm`, given its
     saved arrays and the gradients of its hidden states, both in step order.
 
-    Writes the weights' and the bias's gradients into `dw` and `db`, which
-    it overwrites, and returns the inputs' gradient; the weight gradient is
-    one matmul over the per-step pre-activation gradients rather than a sum
-    of per-step outer products.
+    Returns the per-step pre-activation gradients `dpre` and the inputs'
+    gradient.  The weights' gradient is `dpre.T @ z` and the bias's is
+    `dpre.sum(axis=0)`, with `z` the saved `[x; h]` rows: one matmul over
+    the steps rather than a sum of per-step outer products, which the caller
+    makes over the stacked rows of every sentence in a batch.
     """
     z, gates, cells, tanh_cells = saved
     steps = dhs.shape[0]
@@ -126,9 +129,7 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int, dw: np.nd
         dpre[t, 3 * hidden:] = dc * i[t] * (1.0 - g[t] * g[t])
         dc_next = dc * f[t]
         dh_next = dpre[t] @ w_h
-    np.matmul(dpre.T, z, out=dw)
-    dpre.sum(axis=0, out=db)
-    return dpre @ w[:, :in_dim]
+    return dpre, dpre @ w[:, :in_dim]
 
 
 def backward(root: Tensor) -> None:

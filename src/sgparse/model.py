@@ -10,10 +10,13 @@ so a step adds four rows.  The parameters are plain arrays: float64 when
 drawn for training, read-only float32 views of one buffer when loaded from a
 checkpoint, and parsing runs in their dtype.  Training and parsing share
 one BiLSTM-stack forward.  Training follows the oracle's preferred action,
-sums the per-step hinge losses over a sentence, runs that sum's backward
+sums the per-step hinge losses over a sentence, and runs that sum's backward
 itself, the MLP head first and then the layers from the top down, with no
-tape, into gradient arrays that the `Trainer` keeps for an epoch, and
-applies one Adam update per sentence from them.
+tape.  A sentence's backward stops short of the weights: it keeps the
+factors of each weight gradient, and a batch of `_TRAIN_BATCH` sentences
+writes its gradients with one matmul per tensor over the factors' stacked
+rows, into gradient arrays that the `Trainer` keeps for an epoch, then
+applies one Adam update from them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -54,8 +58,16 @@ _GATES = 4
 # the gradient and two scratch buffers, a block's working set is 1.5 MB.
 _ADAM_BLOCK = 1 << 15
 
+# Training sentences per Adam update.  Each batch runs forward and backward
+# sentence by sentence on the same parameters; its weight gradients are one
+# matmul per tensor, and Adam runs once.  At 1 training is per-sentence Adam.
+_TRAIN_BATCH = 8
+
 # Adam's decay rates for the first and second moments.
 _BETA1, _BETA2 = 0.9, 0.999
+
+# The largest parameter magnitude that a checkpoint's float32 payload holds.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -180,7 +192,8 @@ class Adam:
     each step is the same expression, in the same order, as the
     whole-tensor form `p -= lr * m_hat / (sqrt(v_hat) + eps)`.  Parameter
     arrays must be writable, C-contiguous float64, as `ModelParams` draws
-    them.
+    them.  A value beyond float32's range counts as non-finite, because
+    checkpoints store parameters, and parsing reads them, in float32.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray], lr: float, eps: float = 0.01):
@@ -196,7 +209,7 @@ class Adam:
         """One update of every tensor from `grads[name]` (zero when None).
 
         Raises ParameterNonFinite, naming the tensor, when the update leaves
-        one of its values infinite or NaN.
+        one of its values infinite or NaN in float32.
         """
         self.t += 1
         # Each block is checked for non-finite values instead of warning.
@@ -228,9 +241,10 @@ class Adam:
             np.add(s2, eps, out=s2)             # sqrt(v_hat) + eps
             np.divide(s1, s2, out=s1)
             np.subtract(pb, s1, out=pb)
-            if not np.isfinite(pb).all():
-                raise ParameterNonFinite(
-                    f"parameter tensor {name!r} became non-finite at Adam step {self.t}")
+            # False for NaN, as a NaN minimum compares false
+            if not (-_FLOAT32_MAX <= pb.min() and pb.max() <= _FLOAT32_MAX):
+                raise ParameterNonFinite(f"parameter tensor {name!r} became non-finite at "
+                                         f"Adam step {self.t} (in float32, as checkpoints hold it)")
 
 
 def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
@@ -277,25 +291,28 @@ def encode(
     return vectors[:, 0], (ids, saved)
 
 
-def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list], params: ModelParams,
-                     grads: Mapping[str, np.ndarray]) -> None:
-    """Backpropagate the gradient of `encode`'s vectors into the `lstm*` and
-    `embeddings` arrays of `grads`, which it overwrites: each layer's two
-    LSTMs from the top layer down, then the embedding rows, where a repeated
-    id sums its rows' gradients."""
+def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list],
+                     params: ModelParams) -> dict[str, tuple[np.ndarray, ...]]:
+    """Backpropagate the gradient of `encode`'s vectors through each layer's
+    two LSTMs, from the top layer down, to the embedding rows.  Returns the
+    factors of the `lstm*` and `embeddings` gradients (see `GradientBatch`):
+    per LSTM its pre-activation gradients and saved `[x; h]` rows, and the
+    ids with their rows' gradients."""
     ids, saved = cache
     tensors, hidden = params.tensors, params.hidden
+    factors = {}
     for layer in reversed(range(params.layers)):
         dxs = []
         for k, direction in enumerate(("fwd", "bwd")):
             name = f"lstm{layer}_{direction}"
             dhs = dvectors[:, :hidden] if k == 0 else dvectors[::-1, hidden:]
             arrays = [a[:, 0] for a in saved[2 * layer + k]]
-            dxs.append(ad._lstm_backward(dhs, tensors[f"{name}_w"], arrays, hidden,
-                                         grads[f"{name}_w"], grads[f"{name}_b"]))
+            dpre, dx = ad._lstm_backward(dhs, tensors[f"{name}_w"], arrays, hidden)
+            factors[f"{name}_w"], factors[f"{name}_b"] = (dpre, arrays[0]), (dpre,)
+            dxs.append(dx)
         dvectors = dxs[0] + dxs[1][::-1]
-    grads["embeddings"].fill(0.0)
-    np.add.at(grads["embeddings"], ids, dvectors)
+    factors["embeddings"] = (ids, dvectors)
+    return factors
 
 
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
@@ -387,17 +404,17 @@ def step_loss(
 
 
 def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
-                   pairs: np.ndarray, params: ModelParams,
-                   grads: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Backpropagate a sentence's summed hinge loss through the MLP head into
-    the `mlp_*` arrays of `grads`, which it overwrites; returns the gradient
-    of the rows of `[vectors; pad]`.
+                   pairs: np.ndarray, params: ModelParams
+                   ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
+    """Backpropagate a sentence's summed hinge loss through the MLP head;
+    returns the gradient of the rows of `[vectors; pad]` and the factors of
+    the `mlp_*` gradients (see `GradientBatch`).
 
     Positive step k read the rows `slots[k]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
-    score of `pairs[k, 1]`, plus the margin.  Each weight gradient is one
-    matmul over the steps' score gradients; each slot's gradient is summed
-    per row with `np.add.at` before it is multiplied out.
+    score of `pairs[k, 1]`, plus the margin.  Each slot's gradient is summed
+    per row with `np.add.at` before it is multiplied out, so `mlp_w1`'s
+    block k is `dproj_k.T @ rows`.
     """
     w1, w2 = params.tensors["mlp_w1"], params.tensors["mlp_w2"]
     d = params.d_ctx
@@ -406,19 +423,17 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     steps = np.arange(len(pairs))
     dscores[steps, pairs[:, 0]] = 1.0
     dscores[steps, pairs[:, 1]] = -1.0
-    np.matmul(dscores.T, hidden, out=grads["mlp_w2"])
-    dscores.sum(axis=0, out=grads["mlp_b2"])
     dpre = (dscores @ w2) * (1.0 - hidden * hidden)
-    dpre.sum(axis=0, out=grads["mlp_b1"])
-    dw1 = grads["mlp_w1"]
     drows = np.zeros_like(rows)
+    dprojs = []
     for k in range(4):
-        block = slice(k * d, (k + 1) * d)
         dproj = np.zeros((len(rows), dpre.shape[1]))
         np.add.at(dproj, slots[:, k], dpre)
-        np.matmul(dproj.T, rows, out=dw1[:, block])
-        drows += dproj @ w1[:, block]
-    return drows
+        drows += dproj @ w1[:, k * d: (k + 1) * d]
+        dprojs.append(dproj)
+    factors = {"mlp_w1": (*dprojs, rows), "mlp_b1": (dpre,), "mlp_w2": (dscores, hidden),
+               "mlp_b2": (dscores,)}
+    return drows, factors
 
 
 def sentence_pass(
@@ -457,10 +472,64 @@ def sentence_pass(
     return total, (vectors, cache, np.array(slots), np.array(hidden), np.array(pairs))
 
 
-def _gradient_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    """One uninitialised float64 array per tensor, with its shape, in
-    `params.tensors` order, for `accumulate_gradients` to write into."""
-    return {name: np.empty(t.shape) for name, t in params.tensors.items()}
+class GradientBatch:
+    """The training sentences of one batch, up to `size`, and the float64
+    gradient arrays, one per tensor, into which their summed gradients are
+    written.
+
+    Each sentence adds the factors of its weight gradients, as its backward
+    leaves them: per tensor, the arrays whose rows the sentence contributes.
+    `gradients` stacks every sentence's rows and writes each tensor once:
+    `a.T @ b` for a pair `(a, b)` (LSTM weights, `mlp_w2`), one such product
+    per block of `mlp_w1` from `(dproj_0, ..., dproj_3, rows)`, a sum over
+    rows for a bias or `pad`, and `np.add.at` of the rows into the ids'
+    embeddings.  For one sentence each product is its own backward's, on the
+    same rows.  The arrays are made once, with the batch.
+    """
+
+    def __init__(self, params: ModelParams, size: int):
+        self.size = size
+        self.sentences = 0
+        self.arrays = {name: np.empty(t.shape) for name, t in params.tensors.items()}
+        self._factors: list[dict[str, tuple[np.ndarray, ...]]] = []
+
+    def add(self, factors: dict[str, tuple[np.ndarray, ...]] | None) -> None:
+        """Count one sentence, with its factors, or None when no step of it
+        had a positive loss."""
+        self.sentences += 1
+        if factors is not None:
+            self._factors.append(factors)
+
+    def gradients(self) -> dict[str, np.ndarray | None]:
+        """Write the batch's summed gradients, every element of every array,
+        and empty the batch; returns the arrays, or all None when no
+        sentence had a positive loss."""
+        batch, self._factors, self.sentences = self._factors, [], 0
+        if not batch:
+            return dict.fromkeys(self.arrays)
+        for name, out in self.arrays.items():
+            # a tensor's factors are dropped as soon as it is written, so
+            # that fewer of them are alive beside the arrays
+            _write_gradient(name, out, [np.concatenate(rows)
+                                        for rows in zip(*(f.pop(name) for f in batch))])
+        return self.arrays
+
+
+def _write_gradient(name: str, out: np.ndarray, stacked: list[np.ndarray]) -> None:
+    """Write one tensor's gradient into `out` from its factors' stacked rows
+    (see `GradientBatch`)."""
+    if name == "embeddings":
+        out.fill(0.0)
+        np.add.at(out, *stacked)
+    elif name == "mlp_w1":
+        *dprojs, rows = stacked
+        d = rows.shape[1]
+        for k, dproj in enumerate(dprojs):
+            np.matmul(dproj.T, rows, out=out[:, k * d: (k + 1) * d])
+    elif len(stacked) == 2:
+        np.matmul(stacked[0].T, stacked[1], out=out)
+    else:
+        stacked[0].sum(axis=0, out=out)
 
 
 def accumulate_gradients(
@@ -470,37 +539,43 @@ def accumulate_gradients(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-    out: dict[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray | None]]:
-    """Backpropagate one sentence's `sentence_pass` loss: the MLP head, then
-    the encoder.  Returns the summed loss and each tensor's float64 gradient,
-    all None when no step's loss is positive.
+    batch: GradientBatch | None = None,
+) -> tuple[float, dict[str, np.ndarray | None] | None]:
+    """Run one sentence's `sentence_pass` and its loss's backward, the MLP
+    head then the encoder, and add it to `batch`.  Returns the summed loss
+    and, when the sentence fills the batch, the batch's float64 gradients
+    (`GradientBatch.gradients`), else None.
 
-    The gradients are written, every element of every array, into `out`: a
-    dict of one float64 array per tensor, with its shape, which is returned
-    and is overwritten on each sentence whose loss is positive.  Without
-    `out` they are written into fresh arrays.  The parameter arrays are left
-    unchanged.
+    Without `batch` the sentence is a batch of one in fresh arrays, so it
+    returns that sentence's gradients, all None when no step's loss is
+    positive.  The parameter arrays are left unchanged.  A sentence whose
+    oracle is stuck raises OracleStuck and is not added.
     """
     total, saved = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
                                  dropout_alpha=dropout_alpha)
-    if saved is None:
-        return total, dict.fromkeys(params.tensors)
-    grads = _gradient_arrays(params) if out is None else out
-    vectors, cache, slots, hidden, pairs = saved
-    drows = _head_backward(vectors, slots, hidden, pairs, params, grads)
-    grads["pad"][...] = drows[-1]
-    _encode_backward(drows[:-1], cache, params, grads)
-    return total, grads
+    factors = None
+    if saved is not None:
+        vectors, cache, slots, hidden, pairs = saved
+        drows, factors = _head_backward(vectors, slots, hidden, pairs, params)
+        factors["pad"] = (drows[-1:],)
+        factors.update(_encode_backward(drows[:-1], cache, params))
+    if batch is None:
+        batch = GradientBatch(params, 1)
+    batch.add(factors)
+    return total, batch.gradients() if batch.sentences == batch.size else None
 
 
 class Trainer:
-    """Single-writer training loop: one Adam update per sentence.
+    """Single-writer training loop: one Adam update per `_TRAIN_BATCH`
+    counted sentences.
 
-    Each sentence's gradients are written into one float64 array per tensor
-    (`accumulate_gradients`'s `out`), so that a sentence maps no new memory
-    for them.  The arrays are made by the first `train_sentence` and dropped
-    at the end of `run_epoch`, so they are not alive through what follows an
+    Every sentence runs forward and backward on the parameters of its
+    batch, in order, with its word-dropout draws; a sentence whose oracle
+    is stuck is skipped and not counted.  The sentence that fills the batch
+    writes the batch's gradients (`GradientBatch`) and makes the update, and
+    `run_epoch` makes one more for a batch left part full at its end.  The
+    gradient arrays are made by the first `train_sentence` and dropped at
+    the end of `run_epoch`, so they are not alive through what follows an
     epoch, such as `sgparse train`'s per-epoch eval and checkpoint save.
     """
 
@@ -514,39 +589,57 @@ class Trainer:
         )
         self.rng = np.random.default_rng(self.config.rng_seed)
         self.skipped = 0
-        self._grads: dict[str, np.ndarray] | None = None
+        self._grads: GradientBatch | None = None
 
     def train_sentence(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> float:
+        """Add one sentence to the batch, and update when it fills the
+        batch; returns the sentence's loss."""
         if self._grads is None:
-            self._grads = _gradient_arrays(self.params)
+            self._grads = GradientBatch(self.params, _TRAIN_BATCH)
         # Overflow here can only come from parameters that are already huge;
         # the update's finite check then names the tensor instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             total, grads = accumulate_gradients(tokens, gold, reduce_set, self.params, self.rng,
                                                 self.config.word_dropout_alpha, self._grads)
-        self.optimizer.step(grads)
+        if grads is not None:
+            self.optimizer.step(grads)
         return total
 
     def run_epoch(self, instances: Iterable[tuple[Sequence[str], ArcSet, frozenset[int]]]) -> float:
         """Train over the instances in order; returns the mean sentence loss.
 
         Instances whose gold arcs are unreachable are skipped and counted.
-        A ParameterNonFinite from the update is raised again with the
-        sentence's position in the epoch added.
+        A ParameterNonFinite from an update is raised again with the
+        position in the epoch of its batch's last sentence added.
         """
         losses = []
+        last = 0, ()   # the epoch's last counted sentence, by position
         try:
             for position, (tokens, gold, reduce_set) in enumerate(instances, 1):
                 try:
-                    losses.append(self.train_sentence(tokens, gold, reduce_set))
+                    with _named_update(position, tokens):
+                        losses.append(self.train_sentence(tokens, gold, reduce_set))
                 except OracleStuck:
                     self.skipped += 1
-                except ParameterNonFinite as err:
-                    raise ParameterNonFinite(f"{err}, after training sentence {position} "
-                                             f"of the epoch ({' '.join(tokens)!r})") from err
+                else:
+                    last = position, tokens
+            if self._grads is not None and self._grads.sentences:
+                with _named_update(*last), np.errstate(over="ignore", invalid="ignore"):
+                    self.optimizer.step(self._grads.gradients())
         finally:
             self._grads = None
         return float(np.mean(losses)) if losses else 0.0
+
+
+@contextmanager
+def _named_update(position: int, tokens: Sequence[str]):
+    """Raise a ParameterNonFinite again with the training sentence that
+    the update followed."""
+    try:
+        yield
+    except ParameterNonFinite as err:
+        raise ParameterNonFinite(f"{err}, after training sentence {position} "
+                                 f"of the epoch ({' '.join(tokens)!r})") from err
 
 
 def greedy_parse(

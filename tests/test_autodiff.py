@@ -44,6 +44,13 @@ def _dot(a, b):
     return ops.addsum([ops.pick(prod, i) for i in range(prod.data.shape[0])])
 
 
+def select_sigmoid(x):
+    """The stable sigmoid as it was written before `_sigmoid` dropped its
+    select: `np.where(x >= 0, 1, e) / (1 + e)` with `e = exp(-|x|)`."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 class TestOps:
     def test_matvec(self):
         w = ad.Tensor(RNG.standard_normal((3, 4)))
@@ -66,6 +73,19 @@ class TestOps:
         y = ops.sigmoid(ad.Tensor(np.array([-1000.0, 0.0, 1000.0])))
         assert np.allclose(y.data, [0.0, 0.5, 1.0])
         assert np.all(np.isfinite(y.data))
+
+    def test_sigmoid_equals_the_select_formula_bit_for_bit(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, -5e-324,
+                   1e-40, -1e-40, 1e-45, -1e-45, 88.7, -88.7, 709.0, -709.0, 745.0, -745.0]
+        for dtype in (np.float32, np.float64):
+            with np.errstate(under="ignore", over="ignore"):
+                values = np.array(special + list(RNG.standard_normal(300) * 30.0), dtype)
+            grid = np.concatenate([values, values[::-1]]).reshape(2, -1)
+            for x in (grid, grid[:, ::3], grid[::-1, 1::2], grid.T):
+                with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+                    got, want = ad._sigmoid(x), select_sigmoid(x)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_concat_narrow_pick(self):
         a = ad.Tensor(RNG.standard_normal(3))

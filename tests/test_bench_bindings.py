@@ -37,8 +37,9 @@ def test_every_wrapped_name_is_bound():
 
 def test_spans_fire_on_training_and_parsing():
     """A span that binds but never fires reads 0 in every traced run, so each
-    span that a training sentence or a greedy parse passes through must count
-    calls, on a small model."""
+    span that a training epoch or a greedy parse passes through must count
+    calls, on a small model.  The epoch is one sentence, and its update
+    comes at the epoch's end, from a part-full batch."""
     run, probes = _load("run"), _load("probes")
     sg = run.import_sgparse()
     instances, _ = sg.corpus.build_instances(sg.corpus.generate_synthetic(4, seed=1))
@@ -56,7 +57,7 @@ def test_spans_fire_on_training_and_parsing():
             patches.restore()
         return tracer.calls
 
-    training = calls(lambda: trainer.train_sentence(tokens, gold, reduce_set))
+    training = calls(lambda: trainer.run_epoch([(tokens, gold, reduce_set)]))
     for span in ("model.encode", "model.score", "model.adam_step", "transition.oracle",
                  "transition.apply", "transition.legal_actions"):
         assert training[span] > 0, span

@@ -47,6 +47,14 @@ from sgparse.transition import (
 import tape_ops as ops
 
 
+@pytest.fixture
+def per_sentence_updates(monkeypatch):
+    """One Adam update per training sentence, as `Trainer` made before its
+    updates were batched: tests that call `train_sentence` a few times then
+    still update on each call."""
+    monkeypatch.setattr(model, "_TRAIN_BATCH", 1)
+
+
 def small_params(tokens_groups, seed=0, rule=ArcRule.LEFT):
     vocab = Vocab.from_sentences(tokens_groups)
     return ModelParams(vocab, rule, emb_dim=12, hidden=8, mlp_hidden=4, seed=seed)
@@ -323,6 +331,21 @@ def assert_grads_close(grads, ref_grads, params):
         assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
+def factor_gradients(factors, params):
+    """The gradients that `_encode_backward`'s factors stand for, written out
+    one tensor at a time."""
+    grads = {}
+    for name, parts in factors.items():
+        if name == "embeddings":
+            grads[name] = np.zeros(params.tensors[name].shape)
+            np.add.at(grads[name], *parts)
+        elif len(parts) == 2:
+            grads[name] = parts[0].T @ parts[1]
+        else:
+            grads[name] = parts[0].sum(axis=0)
+    return grads
+
+
 def assert_matches_reference(instance, params):
     """`encode` and `_encode_backward` against `reference_encode`, under the
     tape head of `reference_gradients`: the same vectors and step losses bit
@@ -339,10 +362,10 @@ def assert_matches_reference(instance, params):
     steps, _, grads = reference_gradients(rows, instance, params, leaves(params))
     assert [value for _, value, _ in steps] == [value for _, value, _ in ref_steps]
     dvectors = np.array([np.zeros(params.d_ctx) if r.grad is None else r.grad for r in rows])
-    encoder = model._gradient_arrays(params)
-    model._encode_backward(dvectors, cache, params, encoder)
-    grads.update((name, g) for name, g in encoder.items()
-                 if name == "embeddings" or name.startswith("lstm"))
+    encoder = factor_gradients(model._encode_backward(dvectors, cache, params), params)
+    assert sorted(encoder) == sorted(name for name in params.tensors
+                                     if name == "embeddings" or name.startswith("lstm"))
+    grads.update(encoder)
     assert_grads_close(grads, ref_grads, params)
 
 
@@ -393,9 +416,8 @@ class TestFusedBiLSTM:
                                 dropout_alpha=1e9)
         dvectors = np.zeros_like(vectors)
         dvectors[:, 0] = 1.0
-        grads = model._gradient_arrays(params)
-        model._encode_backward(dvectors, cache, params, grads)
-        grad = grads["embeddings"]
+        grad = factor_gradients(model._encode_backward(dvectors, cache, params),
+                                params)["embeddings"]
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
         assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
 
@@ -795,6 +817,7 @@ class TestTrainSentence:
         loss = trainer.train_sentence(tokens, gold, reduce_set)
         assert np.isfinite(loss)
 
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_loss_reaches_zero_on_repeated_updates(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens], seed=1)
@@ -811,6 +834,7 @@ class TestTrainSentence:
         assert trainer.skipped == 1
         assert mean == 0.0
 
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_identical_seeds_identical_parameters(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
         results = []
@@ -847,6 +871,7 @@ class TestGradientArrays:
     """`Trainer` writes every sentence's gradients into one array per tensor,
     made once per epoch; what it trains is what fresh arrays train."""
 
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_trains_byte_for_byte_as_fresh_arrays(self, fig_instance):
         by_length = INSTANCES_BY_LENGTH[ArcRule.LEFT]
         empty = by_length[0][0]   # every step's only legal action is correct: zero loss
@@ -894,16 +919,107 @@ class TestGradientArrays:
         assert trainer.skipped == 2
 
     def test_warm_training_sentence_allocates_less_than_a_weight(self):
+        """Every call of a warm batch, the one that fills it and updates
+        included, allocates less than the largest weight tensor."""
         params, instances = default_size_model()
+        size = model._TRAIN_BATCH
         trainer = Trainer(params)
-        trainer.train_sentence(*instances[0])
-        losses = []
-        peak = traced_peak(lambda: losses.append(trainer.train_sentence(*instances[1])))
-        assert losses[0] > 0.0
-        assert peak < max(t.nbytes for t in params.tensors.values())
+        for instance in instances[:size]:   # the first batch makes the arrays
+            trainer.train_sentence(*instance)
+        losses, peaks = [], []
+        with mock.patch.object(trainer.optimizer, "step", wraps=trainer.optimizer.step) as step:
+            for instance in instances[size: 2 * size]:
+                peaks.append(traced_peak(lambda: losses.append(trainer.train_sentence(*instance))))
+                assert step.call_count == (len(peaks) == size)
+        assert step.call_args.args[0]["mlp_w1"] is not None and max(losses) > 0.0
+        assert max(peaks) < max(t.nbytes for t in params.tensors.values())
+
+
+def summed_gradients(instances, params):
+    """The sum of each sentence's `accumulate_gradients` gradients, skipping
+    a sentence whose oracle is stuck."""
+    summed = {name: np.zeros(t.shape) for name, t in params.tensors.items()}
+    for instance in instances:
+        try:
+            _, grads = accumulate_gradients(*instance, params)
+        except OracleStuck:
+            continue
+        for name, g in grads.items():
+            if g is not None:
+                summed[name] += g
+    return summed
+
+
+class TestTrainBatch:
+    """A batch of B sentences writes the sum of their gradients, and `Trainer`
+    steps Adam once per B counted sentences."""
+
+    @staticmethod
+    def batch_instances(fig_instance):
+        by_length = INSTANCES_BY_LENGTH[ArcRule.LEFT]
+        empty = by_length[0][0]   # zero loss
+        return [by_length[4][0], STUCK_INSTANCE, empty, fig_instance, by_length[6][1],
+                by_length[2][0], by_length[7][0], by_length[5][2], by_length[3][1], by_length[1][0]]
+
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    def test_batch_gradients_are_the_summed_sentence_gradients(self, fig_instance, size):
+        instances = self.batch_instances(fig_instance)
+        params = small_params([inst[0] for inst in instances], seed=5)
+        batch = model.GradientBatch(params, size)
+        fed, counted = [], 0
+        for instance in instances:
+            fed.append(instance)
+            try:
+                total, grads = accumulate_gradients(*instance, params, None, 0.25, batch)
+            except OracleStuck:
+                continue
+            counted += 1
+            if counted < size:
+                assert grads is None
+            else:
+                break
+        assert STUCK_INSTANCE in fed and INSTANCES_BY_LENGTH[ArcRule.LEFT][0][0] in fed
+        assert batch.sentences == 0 and all(g is not None for g in grads.values())
+        assert_grads_close(grads, summed_gradients(fed, params), params)
+
+    def test_batch_without_positive_loss_gives_none(self):
+        empty = INSTANCES_BY_LENGTH[ArcRule.LEFT][0][0]
+        params = small_params([("dog",)])
+        batch = model.GradientBatch(params, 2)
+        assert accumulate_gradients(*empty, params, None, 0.25, batch) == (0.0, None)
+        total, grads = accumulate_gradients(*empty, params, None, 0.25, batch)
+        assert total == 0.0 and grads == dict.fromkeys(params.tensors)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_one_adam_step_per_batch(self, fig_instance, monkeypatch, size):
+        instances = self.batch_instances(fig_instance)   # 9 counted, 1 stuck
+        monkeypatch.setattr(model, "_TRAIN_BATCH", size)
+        params = small_params([inst[0] for inst in instances], seed=5)
+        trainer = Trainer(params, TrainConfig(rng_seed=5))
+        with mock.patch.object(trainer.optimizer, "step", wraps=trainer.optimizer.step) as step:
+            for epoch in (1, 2):
+                trainer.run_epoch(instances)
+                assert step.call_count == epoch * math.ceil(9 / size)
+        assert trainer.skipped == 2 and trainer.optimizer.t == step.call_count
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the loss is inf - inf
+    @pytest.mark.parametrize("size, stuck_at, position", [(3, 1, 4), (8, 3, 3)])
+    def test_non_finite_update_names_the_batch_last_sentence(self, fig_instance, monkeypatch,
+                                                             size, stuck_at, position):
+        monkeypatch.setattr(model, "_TRAIN_BATCH", size)
+        instances = [fig_instance, INSTANCES_BY_LENGTH[ArcRule.LEFT][3][1], fig_instance]
+        instances.insert(stuck_at, STUCK_INSTANCE)
+        params = small_params([inst[0] for inst in instances])
+        params.tensors["mlp_b2"][:] = np.inf
+        trainer = Trainer(params, TrainConfig(rng_seed=0))
+        with pytest.raises(ParameterNonFinite,
+                           match=f"'mlp_b2'.*sentence {position} of the epoch"):
+            trainer.run_epoch(instances)
+        assert trainer._grads is None
 
 
 class TestParse:
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_overfit_model_recovers_gold(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens], seed=2)
@@ -1025,6 +1141,12 @@ class TestAdam:
         with pytest.raises(ParameterNonFinite, match="'b'"):
             opt.step(grads)
 
+    def test_value_beyond_float32_range_is_non_finite(self):
+        # finite in float64, but a checkpoint would store it as infinite
+        opt = Adam({"a": np.ones(3)}, lr=1e300)
+        with pytest.raises(ParameterNonFinite, match="'a' became non-finite at Adam step 1"):
+            opt.step({"a": np.ones(3)})
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the loss is inf - inf
     def test_trainer_adds_the_sentence_position(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
@@ -1058,6 +1180,7 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_round_trip(self, fig_instance, tmp_path):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens], seed=4)
@@ -1075,6 +1198,7 @@ class TestCheckpoint:
             assert np.allclose(loaded.tensors[name], t, atol=1e-6)
         assert parse(tokens, loaded) == parse(tokens, params)
 
+    @pytest.mark.usefixtures("per_sentence_updates")
     def test_streamed_bytes_equal_the_joined_payload(self, fig_instance, tmp_path):
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens], seed=4)
