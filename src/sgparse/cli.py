@@ -13,9 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .align import AlignMode, SynonymLexicon, align, aligned_subgraph, derive_gold, tokenize
 from .align import tokenize as _tokenize_batch
@@ -118,50 +116,27 @@ def _load_records(settings: Settings) -> list[RegionRecord]:
     return records
 
 
-# Sentences per `encode_batch` pass when a command parses a list of them.
+# Sentences per `encode_batch` pass: a command parses its list of sentences
+# in fixed chunks of this many, in list order.
 PARSE_BATCH = 32
 
 
-class _Parser:
-    """Parses the sentences of one command, one call per sentence, asked for
-    in the order given.
+def _parse_each(params: ModelParams, texts: Sequence[str]) -> Iterator[SceneGraph]:
+    """The scene graph of each text, in order.
 
-    Each call tokenizes, parses and converts its own sentence, looking the
-    three stages up in this module, so wrappers installed here see each
-    one.  The call that reaches a sentence not yet encoded encodes it and
-    the next PARSE_BATCH - 1 sentences of the list in one `encode_batch`
-    pass; those are tokenized through a second name, so a wrapper of
-    `tokenize` still sees one call per parsed sentence.  A sentence that is
-    not ahead in the list is encoded alone, by the whole-matrix product in
-    place of the one-thread batch products (`autodiff._row_blocks`): its
-    vectors differ in the last bits of their dtype, which changed no parse
-    in the tests.
+    Each text is tokenized, parsed and converted through the names bound in
+    this module, so wrappers installed here see one call of each per text.
+    The first text of each chunk of PARSE_BATCH also encodes the whole chunk
+    in one `encode_batch` pass, after its own `tokenize` call; the chunk is
+    tokenized through a second name, so a wrapper of `tokenize` still sees
+    each text once.
     """
-
-    def __init__(self, params: ModelParams, texts: Sequence[str]):
-        self.params = params
-        self.texts = list(texts)
-        self.next = 0
-        self.ready: dict[str, np.ndarray] = {}
-
-    def __call__(self, text: str) -> SceneGraph:
+    for i, text in enumerate(texts):
         tokens = tokenize(text)
-        vectors = self.ready.get(text)
-        if vectors is None:
-            vectors = self._encode(text)
-        return to_node_centric_lenient(model_parse(tokens, self.params, vectors), tokens)
-
-    def _encode(self, text: str) -> np.ndarray:
-        start = self.next
-        while start < len(self.texts) and self.texts[start] != text:
-            start += 1
-        if start == len(self.texts):
-            return encode_batch([_tokenize_batch(text)], self.params)[0]
-        batch = self.texts[start:start + PARSE_BATCH]
-        self.next = start + len(batch)
-        self.ready = dict(zip(batch, encode_batch([_tokenize_batch(t) for t in batch],
-                                                  self.params)))
-        return self.ready[text]
+        if i % PARSE_BATCH == 0:
+            chunk = encode_batch([_tokenize_batch(t) for t in texts[i:i + PARSE_BATCH]], params)
+        vectors = chunk[i % PARSE_BATCH]
+        yield to_node_centric_lenient(model_parse(tokens, params, vectors), tokens)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -250,18 +225,23 @@ def cmd_train(args) -> int:
         eval_ids = load_split(args.split_eval)
         eval_records = [r for r in records if r.image_id in eval_ids]
         records = [r for r in records if r.image_id not in eval_ids]
+    corpus = settings.require("corpus")
     instances, stats = build_instances(records, lexicon, rule, mode)
+    skips = (f"skipped_cyclic={stats['cyclic']} skipped_arc_conflict={stats['arc_conflict']} "
+             f"skipped_non_projective={stats['non_projective']}")
+    if not instances:
+        raise SgparseError(f"{corpus}: no training instance among {stats['total']} "
+                           f"training records ({skips})")
+    if not eval_records:
+        raise SgparseError(f"{args.split_eval}: no record of {corpus} is in the evaluation split")
     vocab = Vocab.from_sentences(inst.tokens for inst in instances)
     params = ModelParams(vocab, rule, seed=config.rng_seed)
     trainer = Trainer(params, config)
     train_items = [(inst.tokens, inst.gold, inst.reduce_set) for inst in instances]
-    print(f"instances={stats['used']} skipped_cyclic={stats['cyclic']} "
-          f"skipped_arc_conflict={stats['arc_conflict']} "
-          f"skipped_non_projective={stats['non_projective']}")
+    print(f"instances={stats['used']} {skips}")
     for epoch in range(1, config.epochs + 1):
         mean_loss = trainer.run_epoch(train_items)
-        parser = _Parser(params, [r.phrase for r in eval_records])
-        candidates = parallel_map(lambda r: parser(r.phrase), eval_records)
+        candidates = list(_parse_each(params, [r.phrase for r in eval_records]))
         eval_f = corpus_f(candidates, [r.graph for r in eval_records], lexicon)
         print(f"epoch={epoch} mean_loss={mean_loss:.4f} eval_f={eval_f:.4f}")
     print(f"oracle_stuck_skipped={trainer.skipped}", file=sys.stderr)
@@ -293,9 +273,8 @@ def _input_lines(path: str | None) -> list[str]:
 def cmd_parse(args) -> int:
     settings = Settings(args)
     params, _ = load_checkpoint(settings.require("checkpoint"))
-    lines = _input_lines(args.input)
-    parser = _Parser(params, lines)
-    out_lines = [json.dumps(graph_to_json(parser(line)), sort_keys=True) for line in lines]
+    out_lines = [json.dumps(graph_to_json(graph), sort_keys=True)
+                 for graph in _parse_each(params, _input_lines(args.input))]
     _write_text(args.out, "".join(line + "\n" for line in out_lines))
     return 0
 
@@ -305,8 +284,9 @@ def cmd_eval(args) -> int:
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
     records = _load_records(settings)
-    parser = _Parser(params, [r.phrase for r in records])
-    candidates = parallel_map(lambda r: parser(r.phrase), records)
+    if not records:
+        raise SgparseError(f"{settings.require('corpus')}: no region to evaluate")
+    candidates = list(_parse_each(params, [r.phrase for r in records]))
     report = evaluate_corpus(candidates, [r.graph for r in records], lexicon)
     sys.stdout.write(format_report(report))
     return 0
@@ -317,11 +297,13 @@ def cmd_retrieve(args) -> int:
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
     records = _load_records(settings)
+    if not records:
+        raise SgparseError(f"{settings.require('corpus')}: no region to query with")
     by_image: dict[int, list[SceneGraph]] = {}
     for record in records:
         by_image.setdefault(record.image_id, []).append(record.graph)
     index = build_index(sorted(by_image.items()))
-    queries = []
+    truths = []
     for record in records:
         # an image can hold the query exactly only if it holds every object label
         labels = object_labels(record.graph)
@@ -331,9 +313,10 @@ def cmd_retrieve(args) -> int:
             if entry.image_id != record.image_id and labels <= entry.labels
             and subgraph_of(record.graph, entry.graph)
         )
-        queries.append((record.phrase, truth))
-    parser = _Parser(params, [text for text, _ in queries])
-    result = evaluate_retrieval(queries, parser, index, lexicon)
+        truths.append(truth)
+    # each query is parsed just before it is ranked
+    queries = zip(_parse_each(params, [r.phrase for r in records]), truths)
+    result = evaluate_retrieval(queries, index, lexicon)
     _write_text(args.out, format_results(result))
     return 0
 

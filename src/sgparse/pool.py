@@ -1,6 +1,6 @@
 """Per-record map that runs in the calling thread.
 
-Per-record work (alignment, parsing, tuple matching) is pure Python and
+Per-record work (alignment, tuple matching, ranking) is pure Python and
 holds the GIL, so threads cannot speed it up (they measured slower); it
 runs as a plain loop.  The module stays only because the benchmark under
 `perfbench/` imports it, calls `worker_count()`, and wraps `parallel_map`

@@ -1,8 +1,9 @@
 """Image retrieval by scene-graph similarity.
 
 Each image's region graphs are unioned into one combined graph (instance
-multiplicity preserved); a query description is parsed to a graph and images
-are ranked by the F score between the query graph and each combined graph.
+multiplicity preserved); each query is the graph parsed from a description,
+and images are ranked by the F score between the query graph and each
+combined graph.
 
 Only images that share a compatible object label with the query are scored.
 Attribute and relation tuples carry their object's label, and tuples are
@@ -20,7 +21,7 @@ import itertools
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .align import SynonymLexicon
 from .graph import SceneGraph, normalize_label
@@ -116,27 +117,31 @@ class RetrievalResult:
 
 
 def evaluate_retrieval(
-    queries: Sequence[tuple[str, set[Hashable]]],
-    parser: Callable[[str], SceneGraph],
+    queries: Iterable[tuple[SceneGraph, set[Hashable]]],
     index: Sequence[ImageEntry],
     lexicon: SynonymLexicon | None = None,
 ) -> RetrievalResult:
-    """Rank every query; recall@k is the fraction with a ground-truth image in
-    the top k, and the median is over each query's best ground-truth rank.
+    """Rank every query graph; recall@k is the fraction with a ground-truth
+    image in the top k, and the median is over each query's best
+    ground-truth rank.
 
-    Queries with an empty ground-truth set are excluded and reported.
+    `queries` pairs each query graph with its ground-truth image ids and is
+    read once, one query at a time, each ranked before the next is read; so
+    a lazy iterable parses query k just before ranking it.  Queries with an
+    empty ground-truth set are excluded and reported.
     """
-    excluded = tuple(qid for qid, (_, truth) in enumerate(queries) if not truth)
-    kept = [(qid, text, truth) for qid, (text, truth) in enumerate(queries) if truth]
-
     def run(item):
-        qid, text, truth = item
-        ranking = rank_images(parser(text), index, lexicon)
+        qid, (graph, truth) = item
+        if not truth:
+            return None
+        ranking = rank_images(graph, index, lexicon)
         position = {image_id: i + 1 for i, image_id in enumerate(ranking)}
         best = min(position.get(t, len(ranking) + 1) for t in truth)
         return QueryOutcome(qid, best, tuple(ranking[:10]))
 
-    outcomes = tuple(parallel_map(run, kept))
+    ranked = parallel_map(run, enumerate(queries))
+    excluded = tuple(qid for qid, outcome in enumerate(ranked) if outcome is None)
+    outcomes = tuple(outcome for outcome in ranked if outcome is not None)
     n = len(outcomes)
     recall5 = sum(1 for o in outcomes if o.best_rank <= 5) / n if n else 0.0
     recall10 = sum(1 for o in outcomes if o.best_rank <= 10) / n if n else 0.0

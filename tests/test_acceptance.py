@@ -231,8 +231,8 @@ def test_criterion_6_retrieval_sanity(capsys):
         alignment = align(text, record.graph)
         return aligned_subgraph(record.graph, alignment, tokenize(text))
 
-    queries = [(r.phrase, {r.image_id}) for r in records]
-    result = evaluate_retrieval(queries, oracle_parser, index)
+    queries = [(oracle_parser(r.phrase), {r.image_id}) for r in records]
+    result = evaluate_retrieval(queries, index)
     assert result.recall_at_5 == 1.0
     assert result.median_rank == 1.0
 

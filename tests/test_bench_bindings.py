@@ -4,6 +4,7 @@ change to src/ drops or moves one of those names."""
 
 import importlib.util
 from pathlib import Path
+from time import perf_counter
 
 from sgparse.graph import ArcRule
 
@@ -64,3 +65,43 @@ def test_spans_fire_on_training_and_parsing():
     parsing = calls(lambda: sg.model.greedy_parse(tokens, params))
     for span in ("model.score", "transition.apply"):
         assert parsing[span] > 0, span
+
+
+def test_latency_probes_sample_each_item_once(tmp_path, capsys):
+    """The benchmark's item boundaries: a parsed sentence runs from
+    `cli.tokenize` to `cli.to_node_centric_lenient`, and a query from
+    `cli.tokenize` to the end of `retrieval.rank_images`.  Each parsed line
+    and each query gives one sample, and a command's samples, which must not
+    overlap, sum to no more than its wall time; a sample taken from an
+    earlier item's start mark would add up that item's time too."""
+    run, probes = _load("run"), _load("probes")
+    sg = run.import_sgparse()
+    batch = sg.cli.PARSE_BATCH
+    records = sg.corpus.generate_synthetic(2 * batch + 5, seed=3)   # a part-full last chunk
+    vocab = sg.model.Vocab.from_sentences(sg.cli.tokenize(r.phrase) for r in records)
+    params = sg.model.ModelParams(vocab, ArcRule.LEFT, emb_dim=12, hidden=8, mlp_hidden=4)
+    checkpoint, corpus, lines = tmp_path / "m.ckpt", tmp_path / "c.jsonl", tmp_path / "lines.txt"
+    sg.model.save_checkpoint(params, checkpoint)
+    sg.corpus.save_corpus(records, corpus)
+    lines.write_text("".join(r.phrase + "\n" for r in records), encoding="utf-8")
+
+    rec, patches = probes.Recorder(), probes.Patches()
+    wall = {}
+    probes.install_latency_probes(patches, rec, sg)
+    try:
+        for argv in (["parse", "--input", str(lines), "--out", str(tmp_path / "out.jsonl")],
+                     ["eval", "--corpus", str(corpus)],
+                     ["retrieve", "--corpus", str(corpus), "--out", str(tmp_path / "r.txt")]):
+            rec.path = argv[0]
+            start = perf_counter()
+            assert sg.cli.main(argv + ["--checkpoint", str(checkpoint)]) == 0
+            wall[argv[0]] = perf_counter() - start
+    finally:
+        patches.restore()
+    capsys.readouterr()
+    assert not rec.problems
+    assert set(rec.samples) == {("parse", "sentence"), ("eval", "sentence"),
+                                ("retrieve", "sentence"), ("retrieve", "query")}
+    for (path, kind), samples in rec.samples.items():
+        assert len(samples) == len(records), (path, kind)
+        assert sum(samples) <= wall[path], (path, kind)

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import functools
 import io
 import json
 from pathlib import Path
@@ -278,16 +277,16 @@ class TestRetrieveWithLexicon:
         for record in records:
             by_image.setdefault(record.image_id, []).append(record.graph)
         index = retrieval.build_index(sorted(by_image.items()))
+        params, _ = load_checkpoint(checkpoint)
         queries = [
-            (record.phrase, {entry.image_id for entry in index
-                             if entry.image_id == record.image_id
-                             or retrieval.subgraph_of(record.graph, entry.graph)})
+            (parse_text(params, record.phrase),
+             {entry.image_id for entry in index
+              if entry.image_id == record.image_id
+              or retrieval.subgraph_of(record.graph, entry.graph)})
             for record in records
         ]
         monkeypatch.setattr(retrieval, "rank_images", _brute_force_rank)
-        params, _ = load_checkpoint(checkpoint)
-        expected = retrieval.evaluate_retrieval(queries, functools.partial(parse_text, params),
-                                                index, SynonymLexicon.load(lexicon_path))
+        expected = retrieval.evaluate_retrieval(queries, index, SynonymLexicon.load(lexicon_path))
         assert out.read_text() == retrieval.format_results(expected)
 
 
@@ -297,28 +296,27 @@ def parse_text(params, text):
     return to_node_centric_lenient(parse(tokens, params), tokens)
 
 
-class TestBatchedParser:
-    """`cli._Parser` gives the graph of `parse_text` for every sentence, in
-    or out of batch order, and tokenizes through `cli.tokenize` once per
-    call."""
+class TestParseEach:
+    """`cli._parse_each` gives the graph of `parse_text` for every text, in
+    order, and tokenizes each text once through `cli.tokenize`, whatever the
+    size of the last chunk."""
 
-    def test_matches_parse_text(self, trained, monkeypatch):
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_matches_parse_text(self, extra, trained, monkeypatch):
         corpus, checkpoint = trained
         params, _ = load_checkpoint(checkpoint)
-        texts = [r.phrase for r in load_corpus(corpus)[0]]
-        texts += ["a dog", texts[0], "", "zyx qqq"]
+        phrases = [r.phrase for r in load_corpus(corpus)[0]]
+        # an empty line, and one text on both sides of the chunk boundary
+        texts = [phrases[0], "", phrases[1], phrases[1], *phrases[2:7], "a dog",
+                 "zyx qqq"][:9 + extra]
         monkeypatch.setattr(cli_module, "PARSE_BATCH", 3)
         calls = []
         tokenize = cli_module.tokenize
         monkeypatch.setattr(cli_module, "tokenize", lambda t: calls.append(t) or tokenize(t))
-        parser = cli_module._Parser(params, texts)
-        # skip some sentences, repeat one, and ask for two out of order or
-        # outside the list
-        asked = texts[:2] + texts[4:] + [texts[1], "not in the list"]
-        graphs = [parser(t) for t in asked]
-        assert calls == asked
+        graphs = list(cli_module._parse_each(params, texts))
+        assert calls == texts
         monkeypatch.setattr(cli_module, "tokenize", tokenize)
-        assert graphs == [parse_text(params, t) for t in asked]
+        assert graphs == [parse_text(params, t) for t in texts]
 
 
 class TestParseBatchOfOne:
@@ -429,6 +427,68 @@ class TestTrainWithSplits:
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {ids}:3: invalid literal for int() with base 10: 'abc'"]
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestNothingToRunOn:
+    """A command left with no training instance, no region to evaluate or
+    no query fails by name: exit 1, one `error:` line last, no checkpoint."""
+
+    def fails(self, argv, capsys, message):
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.count("error:") == 1 and "Traceback" not in stderr
+        assert stderr.splitlines()[-1] == f"error: {message}"
+
+    @staticmethod
+    def skips(cyclic=0):
+        return f"skipped_cyclic={cyclic} skipped_arc_conflict=0 skipped_non_projective=0"
+
+    def test_train_with_every_image_held_out(self, tmp_path, capsys):
+        corpus, ids = tmp_path / "corpus.jsonl", tmp_path / "eval_ids.txt"
+        records = generate_synthetic(30, seed=2)
+        save_corpus(records, corpus)
+        ids.write_text("".join(f"{image}\n" for image in {r.image_id for r in records}))
+        self.fails(["train", "--corpus", str(corpus), "--split-eval", str(ids),
+                    "--checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1"], capsys,
+                   f"{corpus}: no training instance among 0 training records ({self.skips()})")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_on_empty_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        self.fails(["train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m.ckpt")],
+                   capsys,
+                   f"{corpus}: no training instance among 0 training records ({self.skips()})")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_on_skipped_records_only(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        cyclic = SceneGraph(objects=("dog", "cat"), relations=((0, "near", 1), (1, "near", 0)))
+        save_corpus([RegionRecord(image_id=0, region_id=0, phrase="dog near cat near dog",
+                                  graph=cyclic)], corpus)
+        self.fails(["train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m.ckpt")],
+                   capsys,
+                   f"{corpus}: no training instance among 1 training records ({self.skips(1)})")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_with_eval_split_matching_no_record(self, tmp_path, capsys):
+        corpus, ids = tmp_path / "corpus.jsonl", tmp_path / "eval_ids.txt"
+        save_corpus(generate_synthetic(10, seed=2), corpus)
+        ids.write_text("999\n")
+        self.fails(["train", "--corpus", str(corpus), "--split-eval", str(ids),
+                    "--checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1"], capsys,
+                   f"{ids}: no record of {corpus} is in the evaluation split")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command, message", [("eval", "no region to evaluate"),
+                                                  ("retrieve", "no region to query with")])
+    def test_eval_and_retrieve_on_corpus_with_no_region(self, command, message, trained,
+                                                          tmp_path, capsys):
+        _, checkpoint = trained
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        self.fails([command, "--checkpoint", str(checkpoint), "--corpus", str(corpus)], capsys,
+                   f"{corpus}: {message}")
 
 
 class TestSkipCounts:

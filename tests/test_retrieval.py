@@ -105,9 +105,8 @@ class TestEvaluateRetrieval:
             (i, [SceneGraph(objects=(f"thing{i}", "dog"),
                             attributes=((0, "red"),))]) for i in range(20)
         ])
-        queries = [(f"q{i}", {i}) for i in range(20)]
-        parsers = {f"q{i}": SceneGraph(objects=(f"thing{i}",)) for i in range(20)}
-        result = evaluate_retrieval(queries, lambda text: parsers[text], index)
+        queries = [(SceneGraph(objects=(f"thing{i}",)), {i}) for i in range(20)]
+        result = evaluate_retrieval(queries, index)
         assert result.recall_at_5 == 1.0
         assert result.recall_at_10 == 1.0
         assert result.median_rank == 1.0
@@ -116,26 +115,41 @@ class TestEvaluateRetrieval:
         # unrelated queries leave everything tied; rank = position in id order
         rng = np.random.default_rng(11)
         index = build_index([(i, [obj_graph(f"img{i}")]) for i in range(100)])
-        queries = [("zzz", {int(rng.integers(0, 100))}) for _ in range(200)]
-        result = evaluate_retrieval(queries, lambda text: obj_graph("nomatch"), index)
+        queries = [(obj_graph("nomatch"), {int(rng.integers(0, 100))}) for _ in range(200)]
+        result = evaluate_retrieval(queries, index)
         assert 40 <= result.median_rank <= 60
 
     def test_empty_truth_excluded(self):
         index = build_index([(1, [obj_graph("dog")])])
-        result = evaluate_retrieval(
-            [("a", set()), ("b", {1})], lambda text: obj_graph("dog"), index
-        )
+        result = evaluate_retrieval([(obj_graph("dog"), set()), (obj_graph("dog"), {1})], index)
         assert result.excluded == (0,)
         assert len(result.outcomes) == 1
+
+    def test_reads_one_query_at_a_time(self, monkeypatch):
+        """Query k is read from the iterable only after query k - 1 is
+        ranked, and an excluded query is read in its turn too."""
+        index = build_index([(1, [obj_graph("dog")]), (2, [obj_graph("cat")])])
+        events = []
+
+        def queries():
+            for k, truth in enumerate([{1}, set(), {2}]):
+                events.append(("read", k))
+                yield obj_graph("dog"), truth
+
+        rank = retrieval.rank_images
+        monkeypatch.setattr(retrieval, "rank_images",
+                            lambda graph, *a: events.append(("rank",)) or rank(graph, *a))
+        result = evaluate_retrieval(queries(), index)
+        assert events == [("read", 0), ("rank",), ("read", 1), ("read", 2), ("rank",)]
+        assert result.excluded == (1,)
+        assert [o.query_id for o in result.outcomes] == [0, 2]
 
     def test_recall_ordering(self):
         rng = np.random.default_rng(13)
         index = build_index([(i, [obj_graph(f"img{i}")]) for i in range(30)])
-        queries = [(f"img{rng.integers(0, 30)}", {int(rng.integers(0, 30))})
+        queries = [(obj_graph(f"img{rng.integers(0, 30)}"), {int(rng.integers(0, 30))})
                    for _ in range(50)]
-        result = evaluate_retrieval(
-            queries, lambda text: obj_graph(text), index
-        )
+        result = evaluate_retrieval(queries, index)
         assert result.recall_at_10 >= result.recall_at_5
 
     def test_rank_monotonicity(self):
@@ -163,7 +177,7 @@ class TestEvaluateRetrieval:
 class TestFormatResults:
     def test_export_shape(self):
         index = build_index([(1, [obj_graph("dog")]), (2, [obj_graph("cat")])])
-        result = evaluate_retrieval([("dog", {1})], lambda text: obj_graph(text), index)
+        result = evaluate_retrieval([(obj_graph("dog"), {1})], index)
         text = format_results(result)
         lines = text.strip().split("\n")
         assert lines[0].split("\t")[0] == "0"
