@@ -108,7 +108,8 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
     gradient.  The weights' gradient is `dpre.T @ z` and the bias's is
     `dpre.sum(axis=0)`, with `z` the saved `[x; h]` rows: one matmul over
     the steps rather than a sum of per-step outer products, which the caller
-    makes over the stacked rows of every sentence in a batch.
+    makes over the stacked rows of every sentence in a batch.  Every array
+    is made in the saved arrays' dtype.
     """
     z, gates, cells, tanh_cells = saved
     steps = dhs.shape[0]
@@ -117,8 +118,8 @@ def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
     i, f = gates[:, :hidden], gates[:, hidden: 2 * hidden]
     o, g = gates[:, 2 * hidden: 3 * hidden], gates[:, 3 * hidden:]
     dpre = np.empty_like(gates)
-    dh_next = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
+    dh_next = np.zeros(hidden, gates.dtype)
+    dc_next = np.zeros(hidden, gates.dtype)
     for t in range(steps - 1, -1, -1):
         dh = dhs[t] + dh_next
         dc = dh * o[t] * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next

@@ -162,6 +162,8 @@ def cmd_align(args) -> int:
     rule = _arc_rule(settings)
     mode = _align_mode(settings)
     records, skipped = load_corpus(settings.require("corpus"))
+    if not records:
+        raise SgparseError(f"{settings.require('corpus')}: no region to align")
     alignments = []
     instances, stats = build_instances(records, lexicon, rule, mode, alignments)
 

@@ -7,8 +7,10 @@ stack elements and the buffer front, substituting a learned pad vector for
 missing slots.  One scorer, `score`, serves greedy parsing and training: it
 projects every context vector through the first MLP layer once per sentence,
 so a step adds four rows.  The parameters are plain arrays: float64 when
-drawn for training, read-only float32 views of one buffer when loaded from a
-checkpoint, and parsing runs in their dtype.  Training and parsing share
+drawn, read-only float32 views of one buffer when loaded from a checkpoint,
+and every kernel runs in their dtype.  Training rounds them to float32 once,
+as a checkpoint does, so it updates and evaluates the model that it saves;
+the gradient check runs on drawn float64 ones.  Training and parsing share
 one BiLSTM-stack forward.  Training follows the oracle's preferred action,
 sums the per-step hinge losses over a sentence, and runs that sum's backward
 itself, the MLP head first and then the layers from the top down, with no
@@ -103,7 +105,8 @@ class Vocab:
 
 class ModelParams:
     """All learned tensors, as arrays, plus the sizes that tie them; drawn
-    here in float64, or read by `load_checkpoint` in float32.
+    here in float64, which the gradient check needs, or read by
+    `load_checkpoint` in float32.  `Trainer` rounds drawn ones to float32.
 
     Defaults follow the trained system: 200-dim embeddings, two BiLSTM
     layers with 256 hidden units per direction, a 100-unit MLP.  Reduced
@@ -191,9 +194,10 @@ class Adam:
     stay in cache while one block goes through every step of the update;
     each step is the same expression, in the same order, as the
     whole-tensor form `p -= lr * m_hat / (sqrt(v_hat) + eps)`.  Parameter
-    arrays must be writable, C-contiguous float64, as `ModelParams` draws
-    them.  A value beyond float32's range counts as non-finite, because
-    checkpoints store parameters, and parsing reads them, in float32.
+    arrays must be writable and C-contiguous; the moments and scratch take
+    their dtype, float32 in training.  A value beyond float32's range counts
+    as non-finite, because checkpoints store parameters, and parsing reads
+    them, in float32; in float32 that is the finite check.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray], lr: float, eps: float = 0.01):
@@ -203,7 +207,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p) for k, p in self.params.items()}
-        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
+        dtype = np.result_type(*self.params.values())
+        self._scratch = (np.empty(_ADAM_BLOCK, dtype), np.empty(_ADAM_BLOCK, dtype))
 
     def step(self, grads: Mapping[str, np.ndarray | None]) -> None:
         """One update of every tensor from `grads[name]` (zero when None).
@@ -419,7 +424,7 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     w1, w2 = params.tensors["mlp_w1"], params.tensors["mlp_w2"]
     d = params.d_ctx
     rows = np.concatenate([vectors, params.tensors["pad"][None]])
-    dscores = np.zeros((len(pairs), w2.shape[0]))
+    dscores = np.zeros((len(pairs), w2.shape[0]), w2.dtype)
     steps = np.arange(len(pairs))
     dscores[steps, pairs[:, 0]] = 1.0
     dscores[steps, pairs[:, 1]] = -1.0
@@ -427,7 +432,7 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     drows = np.zeros_like(rows)
     dprojs = []
     for k in range(4):
-        dproj = np.zeros((len(rows), dpre.shape[1]))
+        dproj = np.zeros((len(rows), dpre.shape[1]), dpre.dtype)
         np.add.at(dproj, slots[:, k], dpre)
         drows += dproj @ w1[:, k * d: (k + 1) * d]
         dprojs.append(dproj)
@@ -473,9 +478,9 @@ def sentence_pass(
 
 
 class GradientBatch:
-    """The training sentences of one batch, up to `size`, and the float64
-    gradient arrays, one per tensor, into which their summed gradients are
-    written.
+    """The training sentences of one batch, up to `size`, and the gradient
+    arrays, one per tensor in its dtype, into which their summed gradients
+    are written.
 
     Each sentence adds the factors of its weight gradients, as its backward
     leaves them: per tensor, the arrays whose rows the sentence contributes.
@@ -490,7 +495,7 @@ class GradientBatch:
     def __init__(self, params: ModelParams, size: int):
         self.size = size
         self.sentences = 0
-        self.arrays = {name: np.empty(t.shape) for name, t in params.tensors.items()}
+        self.arrays = {name: np.empty_like(t) for name, t in params.tensors.items()}
         self._factors: list[dict[str, tuple[np.ndarray, ...]]] = []
 
     def add(self, factors: dict[str, tuple[np.ndarray, ...]] | None) -> None:
@@ -543,8 +548,8 @@ def accumulate_gradients(
 ) -> tuple[float, dict[str, np.ndarray | None] | None]:
     """Run one sentence's `sentence_pass` and its loss's backward, the MLP
     head then the encoder, and add it to `batch`.  Returns the summed loss
-    and, when the sentence fills the batch, the batch's float64 gradients
-    (`GradientBatch.gradients`), else None.
+    and, when the sentence fills the batch, the batch's gradients
+    (`GradientBatch.gradients`) in the parameters' dtype, else None.
 
     Without `batch` the sentence is a batch of one in fresh arrays, so it
     returns that sentence's gradients, all None when no step's loss is
@@ -569,6 +574,11 @@ class Trainer:
     """Single-writer training loop: one Adam update per `_TRAIN_BATCH`
     counted sentences.
 
+    The parameters are replaced by their float32 copies when the trainer is
+    made, the rounding that `save_checkpoint` applies; every array that
+    training makes then takes their dtype, so a saved checkpoint holds the
+    bytes that training evaluated.
+
     Every sentence runs forward and backward on the parameters of its
     batch, in order, with its word-dropout draws; a sentence whose oracle
     is stuck is skipped and not counted.  The sentence that fills the batch
@@ -580,6 +590,7 @@ class Trainer:
     """
 
     def __init__(self, params: ModelParams, config: TrainConfig | None = None):
+        params.tensors.update({name: t.astype(np.float32) for name, t in params.tensors.items()})
         self.params = params
         self.config = config or TrainConfig()
         self.optimizer = Adam(
@@ -747,10 +758,17 @@ def grad_check(
     gradient disagrees at every step size and is still caught.
     ``negate_grad_of`` flips one analytic gradient entry first, for
     verifying that the check catches corruption.  An error that is NaN
-    counts as infinite, so a NaN gradient fails the check.
+    counts as infinite, so a NaN gradient fails the check.  The parameters
+    must be float64, as `ModelParams` draws them: in float32, as a `Trainer`
+    leaves them, the differences would measure rounding, so that raises
+    ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"gradient check step must be finite and positive, not {step}")
+    for name, t in params.tensors.items():
+        if t.dtype != np.float64:
+            raise ValueError(f"gradient check needs float64 parameters, and tensor {name!r} "
+                             f"is {t.dtype}; a step of {step} would measure its rounding")
     tokens, gold, reduce_set = instance
 
     def loss_value() -> float:

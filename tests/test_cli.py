@@ -429,6 +429,42 @@ class TestTrainWithSplits:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+class TestTrainedIsSaved:
+    """The checkpoint that `sgparse train` writes is the model that its last
+    epoch evaluated."""
+
+    def test_printed_eval_f_is_the_checkpoint_eval_f(self, tmp_path, capsys, monkeypatch):
+        corpus, eval_corpus, ids = (tmp_path / name for name in
+                                    ("corpus.jsonl", "eval.jsonl", "eval_ids.txt"))
+        records = generate_synthetic(30, seed=4)
+        save_corpus(records, corpus)
+        held = {r.image_id for r in records[-10:]}
+        ids.write_text("".join(f"{image}\n" for image in sorted(held)))
+        save_corpus([r for r in records if r.image_id in held], eval_corpus)
+        checkpoint = tmp_path / "model.ckpt"
+        saved = []
+
+        def recording(params, *args, **kwargs):
+            saved.append(params)
+            return save_checkpoint(params, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "save_checkpoint", recording)
+        code, stdout, _ = run(["train", "--corpus", str(corpus), "--split-eval", str(ids),
+                               "--checkpoint", str(checkpoint), "--epochs", "2",
+                               "--seed", "3"], capsys)
+        assert code == 0
+        eval_f = stdout.splitlines()[-1].split("eval_f=")[1]
+        code, report, _ = run(["eval", "--checkpoint", str(checkpoint),
+                               "--corpus", str(eval_corpus)], capsys)
+        assert code == 0
+        assert f"mean_f={eval_f}\n" in report
+        loaded, _ = load_checkpoint(checkpoint)
+        [trained] = saved
+        for name, tensor in trained.tensors.items():
+            assert tensor.dtype == np.float32, name
+            assert loaded.tensors[name].tobytes() == tensor.tobytes(), name
+
+
 class TestNothingToRunOn:
     """A command left with no training instance, no region to evaluate or
     no query fails by name: exit 1, one `error:` line last, no checkpoint."""
@@ -489,6 +525,13 @@ class TestNothingToRunOn:
         corpus.write_text("")
         self.fails([command, "--checkpoint", str(checkpoint), "--corpus", str(corpus)], capsys,
                    f"{corpus}: {message}")
+
+    def test_align_on_corpus_with_no_region(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
+        corpus.write_text("")
+        self.fails(["align", "--corpus", str(corpus), "--out", str(out)], capsys,
+                   f"{corpus}: no region to align")
+        assert not out.exists()
 
 
 class TestSkipCounts:

@@ -884,6 +884,8 @@ class TestGradientArrays:
         params = small_params(words, seed=3)
         trainer = Trainer(params, config)
         fresh = small_params(words, seed=3)
+        # the float32 rounding that `Trainer` gives the parameters
+        fresh.tensors = {name: t.astype(np.float32) for name, t in fresh.tensors.items()}
         optimizer = Adam(fresh.tensors, lr=config.learning_rate, eps=config.adam_epsilon)
         rng = np.random.default_rng(config.rng_seed)
         original = model.accumulate_gradients
@@ -1018,6 +1020,68 @@ class TestTrainBatch:
         assert trainer._grads is None
 
 
+class TestFloat32Training:
+    """`Trainer` rounds the parameters to float32 once, as a checkpoint
+    does, and every array that training makes takes their dtype."""
+
+    def test_one_epoch_runs_in_float32(self, fig_instance):
+        instances = TestTrainBatch.batch_instances(fig_instance)
+        params = small_params([inst[0] for inst in instances], seed=5)
+        trainer = Trainer(params, TrainConfig(rng_seed=5))
+        head_backward, encode_backward = model._head_backward, model._encode_backward
+        made = []   # every factor, as a backward returns it; the batch then drops them
+
+        def head(*args):
+            drows, factors = head_backward(*args)
+            made.extend([drows, *(a for f in factors.values() for a in f)])
+            return drows, factors
+
+        def encoder(*args):
+            factors = encode_backward(*args)
+            ids, rows = factors["embeddings"]
+            assert ids.dtype == np.intp
+            made.extend([rows, *(a for name, f in factors.items() if name != "embeddings"
+                                 for a in f)])
+            return factors
+
+        with mock.patch.object(model, "_head_backward", side_effect=head) as heads, \
+                mock.patch.object(model, "_encode_backward", side_effect=encoder) as encoders, \
+                mock.patch.object(model.GradientBatch, "gradients", autospec=True,
+                                  side_effect=model.GradientBatch.gradients) as gradients:
+            trainer.run_epoch(instances)
+        # 9 counted sentences, 8 with a positive loss, in batches of 8
+        assert heads.call_count == encoders.call_count == 8 and gradients.call_count == 2
+        made += [*params.tensors.values(), *trainer.optimizer._scratch]
+        made += [*trainer.optimizer.m.values(), *trainer.optimizer.v.values()]
+        made += [a for call in gradients.call_args_list for a in call.args[0].arrays.values()]
+        assert {a.dtype for a in made} == {np.dtype(np.float32)}
+
+    def test_float32_gradients_agree_with_float64(self):
+        """On the same float32-rounded values, at the default size: each
+        gradient within 1e-5 of its tensor's largest magnitude, each loss
+        within 1e-6 relative."""
+        wide, instances = default_size_model()
+        narrow, _ = default_size_model()
+        narrow.tensors = {name: t.astype(np.float32) for name, t in narrow.tensors.items()}
+        wide.tensors = {name: t.astype(np.float64) for name, t in narrow.tensors.items()}
+        compared = 0
+        for instance in instances:
+            try:
+                loss64, grads64 = accumulate_gradients(*instance, wide)
+            except OracleStuck:
+                continue
+            loss32, grads32 = accumulate_gradients(*instance, narrow)
+            assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+            for name, g64 in grads64.items():
+                g32 = grads32[name]
+                assert g32.dtype == np.float32 and g64.dtype == np.float64, name
+                assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max(), name
+            compared += 1
+            if compared == 10:
+                break
+        assert compared == 10
+
+
 class TestParse:
     @pytest.mark.usefixtures("per_sentence_updates")
     def test_overfit_model_recovers_gold(self, fig_instance):
@@ -1081,6 +1145,13 @@ class TestGradCheck:
 
         with mock.patch.object(model, "accumulate_gradients", poisoned):
             assert grad_check(params, (tokens, gold, reduce_set)) == math.inf
+
+    def test_float32_parameters_rejected(self, fig_instance):
+        params = small_params([fig_instance[0]], seed=0)
+        Trainer(params)   # training rounds the parameters to float32
+        with pytest.raises(ValueError, match="needs float64 parameters, and tensor "
+                                             "'embeddings' is float32"):
+            grad_check(params, fig_instance)
 
     def test_corrupted_gradient_detected(self, fig_instance):
         tokens, gold, reduce_set = fig_instance
