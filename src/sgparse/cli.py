@@ -102,11 +102,11 @@ def _load_lexicon(settings: Settings) -> SynonymLexicon:
 
 
 def _arc_rule(settings: Settings) -> ArcRule:
-    return ArcRule(settings.get("arc_rule", "left"))
+    return ArcRule(settings.get("arc_rule", "left", ArcRule))
 
 
 def _align_mode(settings: Settings) -> AlignMode:
-    return AlignMode(settings.get("align_mode", "full"))
+    return AlignMode(settings.get("align_mode", "full", AlignMode))
 
 
 def _load_records(settings: Settings) -> list[RegionRecord]:
@@ -182,8 +182,6 @@ def cmd_align(args) -> int:
 
     def aligned_pair(item):
         record, alignment = item
-        if alignment is None:  # build_instances skips cyclic records unaligned
-            alignment = align(record.phrase, record.graph, lexicon, mode)
         subgraph = aligned_subgraph(record.graph, alignment, tokenize(record.phrase))
         return subgraph, len(alignment.aligned_nodes)
 

@@ -252,7 +252,7 @@ def build_instances(
     lexicon: SynonymLexicon | None = None,
     rule: ArcRule = ArcRule.LEFT,
     mode: AlignMode = AlignMode.FULL,
-    alignments: list[AlignmentResult | None] | None = None,
+    alignments: list[AlignmentResult] | None = None,
 ) -> tuple[list[TrainInstance], dict[str, int]]:
     """Alignment-derived supervision for every usable record.
 
@@ -260,22 +260,19 @@ def build_instances(
     derived arcs violate the single-head property, or when the oracle cannot
     reach the gold arcs (non-projective).  The oracle action sequence is
     replayed on every kept instance as a safety check.  When `alignments` is
-    a list, each record's alignment is appended to it in record order, None
-    for a cyclic record, which is never aligned.
+    a list, each record's alignment is appended to it in record order.
     """
     instances = []
     stats = {"total": len(records), "used": 0, "cyclic": 0, "arc_conflict": 0,
              "non_projective": 0}
     for record in records:
-        if not is_acyclic(record.graph):
-            stats["cyclic"] += 1
-            if alignments is not None:
-                alignments.append(None)
-            continue
-        tokens = tuple(tokenize(record.phrase))
         alignment = align(record.phrase, record.graph, lexicon, mode)
         if alignments is not None:
             alignments.append(alignment)
+        if not is_acyclic(record.graph):
+            stats["cyclic"] += 1
+            continue
+        tokens = tuple(tokenize(record.phrase))
         try:
             gold, reduce_set = derive_gold(alignment, record.graph, rule, len(tokens))
         except (ArcConflict, AlignmentConflict):

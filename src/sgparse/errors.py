@@ -14,10 +14,11 @@ class ArcConflict(SgparseError):
 
 
 class MalformedArcs(SgparseError):
-    """Arcs imply contradictory node types.
+    """Arcs imply contradictory node types, or CONT chains in both directions.
 
     Carries the offending token indices and the arcs that voted conflicting
-    types, so callers can drop arcs deterministically and retry.
+    types (or every CONT arc).  graph.to_node_centric_lenient resolves the
+    same conflicts by dropping arcs instead of raising.
     """
 
     def __init__(self, message: str, tokens=(), arcs=()):

@@ -240,19 +240,19 @@ def to_edge_centric(graph: SceneGraph, alignment: "AlignmentResult", rule: ArcRu
     return ArcSet(n, frozenset(arcs))
 
 
-def _cont_spans(arcs: ArcSet) -> tuple[dict[int, tuple[int, int]], ArcRule]:
-    """Group CONT-linked tokens into maximal spans and infer the chain rule."""
-    cont = [a for a in arcs.arcs if a.label is EdgeLabel.CONT]
-    if not cont:
-        return {}, ArcRule.LEFT
-    directions = {a.head > a.dep for a in cont}
-    if len(directions) > 1:
-        raise MalformedArcs(
-            "CONT arcs mix both directions",
-            tokens=sorted({a.dep for a in cont}),
-            arcs=sorted(cont),
-        )
-    rule = ArcRule.LEFT if directions.pop() else ArcRule.RIGHT
+def _cont_spans(arcs: ArcSet, lenient: bool) -> tuple[dict[int, tuple[int, int]], ArcRule]:
+    """Group CONT-linked tokens into maximal spans and infer the chain rule.
+    CONT arcs in both directions raise MalformedArcs unless `lenient`."""
+    cont = sorted(a for a in arcs.arcs if a.label is EdgeLabel.CONT)
+    while len({a.head > a.dep for a in cont}) > 1:
+        if not lenient:
+            raise MalformedArcs(
+                "CONT arcs mix both directions",
+                tokens=sorted({a.dep for a in cont}),
+                arcs=cont,
+            )
+        cont.pop()
+    rule = ArcRule.RIGHT if cont and cont[0].head < cont[0].dep else ArcRule.LEFT
     linked = sorted({a.head for a in cont} | {a.dep for a in cont})
     pairs = {(min(a.head, a.dep), max(a.head, a.dep)) for a in cont}
     by_token: dict[int, tuple[int, int]] = {}
@@ -269,57 +269,49 @@ def _cont_spans(arcs: ArcSet) -> tuple[dict[int, tuple[int, int]], ArcRule]:
     return by_token, rule
 
 
-def to_node_centric_with_spans(
-    arcs: ArcSet, tokens: list[str]
-) -> tuple[SceneGraph, dict[NodeRef, tuple[int, int]]]:
-    """Rebuild a scene graph (and its node spans) from an edge-centric arc set.
+# The node kinds a typed arc votes for at its head and at its dependent.
+# ROOT heads the BEGN arcs and nothing else, so its "root" vote never conflicts.
+_KIND_VOTES = {
+    EdgeLabel.BEGN: ("root", "object"),
+    EdgeLabel.ATTR: ("object", "attribute"),
+    EdgeLabel.SUBJ: ("object", "relation"),
+    EdgeLabel.OBJT: ("relation", "object"),
+}
 
-    Maximal CONT chains collapse into one multi-word node; typed arcs decide
-    node kinds.  A token voting more than one kind raises MalformedArcs.
-    Spans that carry a CONT chain but no typed arc have no recoverable kind
-    and are dropped; relations missing a subject or object likewise produce
-    no triple.
-    """
+
+def _to_node_centric(
+    arcs: ArcSet, tokens: list[str], lenient: bool
+) -> tuple[SceneGraph, dict[NodeRef, tuple[int, int]]]:
     if len(tokens) != arcs.n_tokens:
         raise ValueError(f"{len(tokens)} tokens given for an arc set over {arcs.n_tokens}")
-    chain_span, rule = _cont_spans(arcs)
+    chain_span, rule = _cont_spans(arcs, lenient)
 
     def span_of(token: int) -> tuple[int, int]:
         return chain_span.get(token, (token, token))
 
     typed = sorted(a for a in arcs.arcs if a.label is not EdgeLabel.CONT)
-    votes: dict[tuple[int, int], dict[str, list[Arc]]] = {}
-
-    def vote(span: tuple[int, int], kind: str, arc: Arc) -> None:
-        votes.setdefault(span, {}).setdefault(kind, []).append(arc)
-
-    for arc in typed:
-        dep_span = span_of(arc.dep)
-        if arc.label is EdgeLabel.BEGN:
-            vote(dep_span, "object", arc)
-            continue
-        head_span = span_of(arc.head)
-        if arc.label is EdgeLabel.ATTR:
-            vote(head_span, "object", arc)
-            vote(dep_span, "attribute", arc)
-        elif arc.label is EdgeLabel.SUBJ:
-            vote(head_span, "object", arc)
-            vote(dep_span, "relation", arc)
-        elif arc.label is EdgeLabel.OBJT:
-            vote(head_span, "relation", arc)
-            vote(dep_span, "object", arc)
-
-    conflicted = {span: kinds for span, kinds in votes.items() if len(kinds) > 1}
-    if conflicted:
-        bad_tokens = sorted(_span_head(span, rule) for span in conflicted)
-        bad_arcs = sorted(a for kinds in conflicted.values() for lst in kinds.values() for a in lst)
-        raise MalformedArcs(
-            f"tokens {bad_tokens} are typed as more than one node kind",
-            tokens=bad_tokens,
-            arcs=bad_arcs,
-        )
-
-    kind_of = {span: next(iter(kinds)) for span, kinds in votes.items()}
+    votes = [(span_of(token), kind, arc) for arc in typed
+             for token, kind in zip((arc.head, arc.dep), _KIND_VOTES[arc.label])]
+    # Dropping a typed arc leaves the CONT spans as they are, so resolving a
+    # conflict takes back only the dropped arc's votes.
+    while True:
+        kinds: dict[tuple[int, int], set[str]] = {}
+        for span, kind, _ in votes:
+            kinds.setdefault(span, set()).add(kind)
+        conflicted = {span for span, voted in kinds.items() if len(voted) > 1}
+        if not conflicted:
+            break
+        bad_arcs = sorted(arc for span, _, arc in votes if span in conflicted)
+        if not lenient:
+            bad_tokens = sorted(_span_head(span, rule) for span in conflicted)
+            raise MalformedArcs(
+                f"tokens {bad_tokens} are typed as more than one node kind",
+                tokens=bad_tokens,
+                arcs=bad_arcs,
+            )
+        typed.remove(bad_arcs[-1])
+        votes = [vote for vote in votes if vote[2] != bad_arcs[-1]]
+    kind_of = {span: kind for span, kind, _ in votes}
 
     def label(span: tuple[int, int]) -> str:
         return normalize_label(" ".join(tokens[span[0] - 1: span[1]]))
@@ -357,24 +349,30 @@ def to_node_centric_with_spans(
     return graph, spans
 
 
+def to_node_centric_with_spans(
+    arcs: ArcSet, tokens: list[str]
+) -> tuple[SceneGraph, dict[NodeRef, tuple[int, int]]]:
+    """Rebuild a scene graph (and its node spans) from an edge-centric arc set.
+
+    Maximal CONT chains collapse into one multi-word node; typed arcs decide
+    node kinds.  CONT arcs in both directions, or a token voting more than
+    one kind, raise MalformedArcs.  Spans that carry a CONT chain but no
+    typed arc have no recoverable kind and are dropped; relations missing a
+    subject or object likewise produce no triple.
+    """
+    return _to_node_centric(arcs, tokens, lenient=False)
+
+
 def to_node_centric(arcs: ArcSet, tokens: list[str]) -> SceneGraph:
     """Collapse CONT chains and infer node kinds; see to_node_centric_with_spans."""
-    return to_node_centric_with_spans(arcs, tokens)[0]
+    return _to_node_centric(arcs, tokens, lenient=False)[0]
 
 
 def to_node_centric_lenient(arcs: ArcSet, tokens: list[str]) -> SceneGraph:
-    """Like to_node_centric, but resolve type conflicts by dropping arcs.
+    """Like to_node_centric, but resolve conflicts by dropping arcs.
 
-    On each conflict the latest offending arc in (head, dependent) order is
-    removed and conversion retried, so the result is deterministic.
+    While CONT arcs point both ways, the latest CONT arc in (head, dependent)
+    order is dropped; then, while a span is typed as two node kinds, the latest
+    arc voting on any such span is.  The result is to_node_centric of the rest.
     """
-    current = arcs
-    while True:
-        try:
-            return to_node_centric(current, tokens)
-        except MalformedArcs as err:
-            if not err.arcs:
-                raise
-            victim = max(err.arcs, key=lambda a: (a.head, a.dep))
-            remaining = frozenset(a for a in current.arcs if a != victim)
-            current = ArcSet(current.n_tokens, remaining)
+    return _to_node_centric(arcs, tokens, lenient=True)[0]

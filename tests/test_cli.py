@@ -741,15 +741,23 @@ class TestConfigKeys:
         assert stderr == f"error: {config}: key {key!r} is not read by {command}\n"
         assert not (tmp_path / "m.ckpt").exists()
 
-    def test_value_that_does_not_cast_names_file_and_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, line, message", [
+        ("synth", "seed = abc", "key 'seed': invalid literal for int() with base 10: 'abc'"),
+        ("align", "arc_rule = up", "key 'arc_rule': 'up' is not a valid ArcRule"),
+        ("align", "align_mode = some", "key 'align_mode': 'some' is not a valid AlignMode"),
+    ], ids=["seed", "arc_rule", "align_mode"])
+    def test_value_that_does_not_cast_names_file_and_key(self, command, line, message,
+                                                          tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(3, seed=6), corpus)
+        inputs = {"synth": ["--count", "3"], "align": ["--corpus", str(corpus)]}[command]
         config = tmp_path / "run.conf"
-        config.write_text("seed = abc\n")
-        out = tmp_path / "synth.jsonl"
-        code, stdout, stderr = run(["synth", "--count", "3", "--config", str(config),
+        config.write_text(line + "\n")
+        out = tmp_path / "out.jsonl"
+        code, stdout, stderr = run([command, *inputs, "--config", str(config),
                                     "--out", str(out)], capsys)
         assert code == 1 and stdout == ""
-        assert stderr == (f"error: {config}: key 'seed': "
-                          "invalid literal for int() with base 10: 'abc'\n")
+        assert stderr == f"error: {config}: {message}\n"
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgparse.align import AlignmentResult, align, tokenize
 from sgparse.corpus import generate_synthetic
@@ -17,6 +18,7 @@ from sgparse.graph import (
     to_node_centric_lenient,
     to_node_centric_with_spans,
 )
+from sgparse.transition import apply, initial, is_terminal, legal_actions
 from conftest import canonical
 
 A = EdgeLabel.ATTR
@@ -31,6 +33,72 @@ def arcs_as_tuples(arc_set):
 
 
 FIG_ARCS = sorted([(2, 1, A), (4, 3, C), (5, 4, C), (2, 5, S), (5, 7, O), (8, 2, B)])
+
+
+def first_conflict(arc_set):
+    """The MalformedArcs that converting `arc_set` raises, or None.
+
+    Written apart from sgparse.graph, as the reference for its checks: CONT
+    arcs in both directions first, then spans voted more than one node kind.
+    """
+    cont = [a for a in arc_set.arcs if a.label is C]
+    directions = {a.head > a.dep for a in cont}
+    if len(directions) > 1:
+        return MalformedArcs("CONT arcs mix both directions",
+                             tokens=sorted({a.dep for a in cont}), arcs=sorted(cont))
+    left = not cont or directions.pop()
+    pairs = {(min(a.head, a.dep), max(a.head, a.dep)) for a in cont}
+
+    def span_of(token):
+        start = end = token
+        while (start - 1, start) in pairs:
+            start -= 1
+        while (end, end + 1) in pairs:
+            end += 1
+        return start, end
+
+    votes = {}
+    for arc in sorted(a for a in arc_set.arcs if a.label is not C):
+        if arc.label is not B:
+            head_kind = "relation" if arc.label is O else "object"
+            votes.setdefault(span_of(arc.head), {}).setdefault(head_kind, []).append(arc)
+        dep_kind = {B: "object", A: "attribute", S: "relation", O: "object"}[arc.label]
+        votes.setdefault(span_of(arc.dep), {}).setdefault(dep_kind, []).append(arc)
+    conflicted = {span: kinds for span, kinds in votes.items() if len(kinds) > 1}
+    if not conflicted:
+        return None
+    tokens = sorted(span[1] if left else span[0] for span in conflicted)
+    return MalformedArcs(
+        f"tokens {tokens} are typed as more than one node kind", tokens=tokens,
+        arcs=sorted(a for kinds in conflicted.values() for arcs in kinds.values() for a in arcs))
+
+
+def lenient_by_retry(arc_set, tokens):
+    """The reference for to_node_centric_lenient: while converting would raise,
+    drop the latest offending arc in (head, dependent) order, then convert."""
+    while (err := first_conflict(arc_set)) is not None:
+        victim = max(err.arcs, key=lambda a: (a.head, a.dep))
+        arc_set = ArcSet(arc_set.n_tokens, arc_set.arcs - {victim})
+    return to_node_centric(arc_set, tokens)
+
+
+@st.composite
+def relabelled_walks(draw):
+    """The arcs of a random legal walk with each arc below ROOT relabelled; a
+    CONT label may go to any arc between adjacent tokens, so CONT directions
+    mix and spans are voted more than one kind."""
+    rule = draw(st.sampled_from(list(ArcRule)))
+    n = draw(st.integers(0, 10))
+    c = initial(n)
+    while not is_terminal(c):
+        c = apply(c, draw(st.sampled_from(sorted(legal_actions(c, rule), key=str))))
+    arcs = []
+    for arc in sorted(c.arc_set().arcs):
+        if arc.label is not B:
+            labels = [A, S, O] + ([C] if abs(arc.head - arc.dep) == 1 else [])
+            arc = arc._replace(label=draw(st.sampled_from(labels)))
+        arcs.append(arc)
+    return ArcSet(n, frozenset(arcs))
 
 
 class TestSceneGraph:
@@ -157,6 +225,47 @@ class TestToNodeCentric:
         arc_set = ArcSet(4, frozenset({Arc(2, 1, C), Arc(3, 4, C)}))
         with pytest.raises(MalformedArcs):
             to_node_centric(arc_set, ["a", "b", "c", "d"])
+
+
+class TestConflictResolution:
+    """Strict conversion against first_conflict, lenient against lenient_by_retry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arc_set=relabelled_walks())
+    def test_matches_reference_on_relabelled_walks(self, arc_set):
+        tokens = [f"w{i}" for i in range(1, arc_set.n_tokens + 1)]
+        assert to_node_centric_lenient(arc_set, tokens) == lenient_by_retry(arc_set, tokens)
+        expected = first_conflict(arc_set)
+        if expected is None:
+            to_node_centric(arc_set, tokens)
+            return
+        with pytest.raises(MalformedArcs) as err:
+            to_node_centric(arc_set, tokens)
+        assert (str(err.value), err.value.tokens, err.value.arcs) == (
+            str(expected), expected.tokens, expected.arcs)
+
+    def test_cascade_of_drops(self):
+        # tokens 2..4 each head one ATTR arc and depend on another; the latest
+        # arc goes first, and each drop leaves one conflict fewer
+        arc_set = ArcSet(5, frozenset({Arc(6, 1, B), Arc(1, 2, A), Arc(2, 3, A),
+                                       Arc(3, 4, A), Arc(4, 5, A)}))
+        tokens = ["a", "b", "c", "d", "e"]
+        with pytest.raises(MalformedArcs) as err:
+            to_node_centric(arc_set, tokens)
+        assert err.value.tokens == (2, 3, 4)
+        graph = to_node_centric_lenient(arc_set, tokens)
+        assert graph == SceneGraph(objects=("a",), attributes=((0, "b"),))
+        assert graph == lenient_by_retry(arc_set, tokens)
+
+    def test_lenient_resolves_mixed_chain_directions(self):
+        # (2, 1) points left, (3, 4) and (4, 5) right: the latest CONT arcs,
+        # (4, 5) and then (3, 4), go until only the left chain is left
+        arc_set = ArcSet(5, frozenset({Arc(2, 1, C), Arc(3, 4, C), Arc(4, 5, C),
+                                       Arc(6, 2, B), Arc(6, 3, B)}))
+        tokens = ["a", "b", "c", "d", "e"]
+        graph = to_node_centric_lenient(arc_set, tokens)
+        assert graph == SceneGraph(objects=("a b", "c"))
+        assert graph == lenient_by_retry(arc_set, tokens)
 
 
 class TestIsAcyclic:
