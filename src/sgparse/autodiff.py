@@ -3,10 +3,11 @@
 `lstm` runs one direction of a BiLSTM layer over a batch of sentences, in
 one-thread row-block GEMMs that agree with a batch of one to 1e-12; it runs
 in the dtype of its weights, so parsing from a checkpoint's float32 arrays
-runs in float32.  `_lstm_backward` is its backpropagation through time for
-one sentence, which `sgparse.model` calls for each layer and direction; it
-returns the per-step pre-activation gradients, and the caller forms the
-weight gradient from them, over a whole batch of sentences at once.
+runs in float32.  `lstm_backward` is its backpropagation through time over
+the same batch, in lockstep, which `sgparse.model` calls for each layer and
+direction of a training batch; it returns the per-step pre-activation
+gradients, and the caller forms the weight gradient from them in one
+matmul over every step of every sentence.
 
 `Tensor` and `backward` are a minimal reverse-mode tape, on which sgparse
 itself builds nothing.  They stay only because the tests build their
@@ -100,37 +101,57 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     return hs, (z, gates, cells, tanh_cells)
 
 
-def _lstm_backward(dhs: np.ndarray, w: np.ndarray, saved, hidden: int):
-    """Backpropagation through time for one sequence of `lstm`, given its
-    saved arrays and the gradients of its hidden states, both in step order.
+def lstm_backward(dhs: np.ndarray, lengths: np.ndarray, w: np.ndarray, saved, reverse: bool):
+    """Backpropagation through time for a batch of `lstm`, in lockstep,
+    given the first three arrays that `lstm` saved, its `[x; h]` rows, gates
+    and cells (the cells' tanh is made again, as `lstm` made it), and `dhs`,
+    the gradients of its hidden states, steps x batch x hidden at the rows
+    where `lstm` returned them.
 
-    Returns the per-step pre-activation gradients `dpre` and the inputs'
-    gradient.  The weights' gradient is `dpre.T @ z` and the bias's is
-    `dpre.sum(axis=0)`, with `z` the saved `[x; h]` rows: one matmul over
-    the steps rather than a sum of per-step outer products, which the caller
-    makes over the stacked rows of every sentence in a batch.  Every array
-    is made in the saved arrays' dtype.
+    Steps run from the last down; at each, the running sequences (a prefix
+    of the batch, as lengths descend) take `dh_next` from one GEMM,
+    `dpre_t @ w_h`, and a sequence starts from zeros at its last step.  A
+    batch of one makes the same products as a GEMV, bit for bit.  Returns
+    the pre-activation gradients `dpre`, steps x batch x 4H in step order
+    and zero past each sequence's end, written over the saved gates, and
+    the inputs' gradient at the inputs' rows, from one GEMM over every
+    step.  The weights' gradient is `dpre.T @ z` and the bias's
+    `dpre.sum(axis=0)` over the flattened steps, with `z` the saved
+    `[x; h]` rows, which are zero where `dpre` is.  Every array is made in
+    the saved arrays' dtype.
     """
-    z, gates, cells, tanh_cells = saved
-    steps = dhs.shape[0]
-    in_dim = z.shape[1] - hidden
+    z, gates, cells = saved
+    steps, batch, hidden = dhs.shape
+    in_dim = z.shape[2] - hidden
     w_h = w[:, in_dim:]
-    i, f = gates[:, :hidden], gates[:, hidden: 2 * hidden]
-    o, g = gates[:, 2 * hidden: 3 * hidden], gates[:, 3 * hidden:]
-    dpre = np.empty_like(gates)
-    dh_next = np.zeros(hidden, gates.dtype)
-    dc_next = np.zeros(hidden, gates.dtype)
+    dpre = gates   # a step's gradients replace its gates, which no other step reads
+    dh_next = np.zeros((batch, hidden), gates.dtype)
+    dc_next = np.zeros((batch, hidden), gates.dtype)
+    seqs = np.arange(batch)
+    # the row of step t of sequence k: t, or its mirror for `reverse`, which
+    # maps each step past the sequence's end to itself
+    at = np.arange(steps)[:, None]
+    rows = np.where(at < lengths, lengths - 1 - at, at) if reverse else at
+    running = 0
     for t in range(steps - 1, -1, -1):
-        dh = dhs[t] + dh_next
-        dc = dh * o[t] * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
-        c_prev = cells[t - 1] if t > 0 else 0.0
-        dpre[t, :hidden] = dc * g[t] * i[t] * (1.0 - i[t])
-        dpre[t, hidden: 2 * hidden] = dc * c_prev * f[t] * (1.0 - f[t])
-        dpre[t, 2 * hidden: 3 * hidden] = dh * tanh_cells[t] * o[t] * (1.0 - o[t])
-        dpre[t, 3 * hidden:] = dc * i[t] * (1.0 - g[t] * g[t])
-        dc_next = dc * f[t]
-        dh_next = dpre[t] @ w_h
-    return dpre, dpre @ w[:, :in_dim]
+        while running < batch and lengths[running] > t:
+            running += 1
+        run = slice(0, running)
+        i, f, o, g = (gates[t, run, k * hidden:(k + 1) * hidden] for k in range(4))
+        dh = dhs[rows[t, run], seqs[run]] + dh_next[run]
+        tc = np.tanh(cells[t, run])
+        dc = dh * o * (1.0 - tc * tc) + dc_next[run]
+        c_prev = cells[t - 1, run] if t > 0 else 0.0
+        di = dc * g * i * (1.0 - i)
+        df = dc * c_prev * f * (1.0 - f)
+        do = dh * tc * o * (1.0 - o)
+        dg = dc * i * (1.0 - g * g)
+        dc_next[run] = dc * f
+        i[...], f[...], o[...], g[...] = di, df, do, dg
+        dpre[t, running:] = 0.0
+        np.matmul(dpre[t, run], w_h, out=dh_next[run])
+    dxs = (dpre.reshape(steps * batch, -1) @ w[:, :in_dim]).reshape(steps, batch, in_dim)
+    return dpre, dxs[rows, seqs] if reverse else dxs
 
 
 def backward(root: Tensor) -> None:

@@ -17,7 +17,7 @@ class MalformedArcs(SgparseError):
     """Arcs imply contradictory node types, or CONT chains in both directions.
 
     Carries the offending token indices and the arcs that voted conflicting
-    types (or every CONT arc).  graph.to_node_centric_lenient resolves the
+    types, each once and sorted (or every CONT arc).  graph.to_node_centric_lenient resolves the
     same conflicts by dropping arcs instead of raising.
     """
 

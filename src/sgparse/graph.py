@@ -301,7 +301,8 @@ def _to_node_centric(
         conflicted = {span for span, voted in kinds.items() if len(voted) > 1}
         if not conflicted:
             break
-        bad_arcs = sorted(arc for span, _, arc in votes if span in conflicted)
+        # an arc between two conflicted spans votes on both; it is listed once
+        bad_arcs = sorted({arc for span, _, arc in votes if span in conflicted})
         if not lenient:
             bad_tokens = sorted(_span_head(span, rule) for span in conflicted)
             raise MalformedArcs(

@@ -11,14 +11,14 @@ drawn, read-only float32 views of one buffer when loaded from a checkpoint,
 and every kernel runs in their dtype.  Training rounds them to float32 once,
 as a checkpoint does, so it updates and evaluates the model that it saves;
 the gradient check runs on drawn float64 ones.  Training and parsing share
-one BiLSTM-stack forward.  Training follows the oracle's preferred action,
-sums the per-step hinge losses over a sentence, and runs that sum's backward
-itself, the MLP head first and then the layers from the top down, with no
-tape.  A sentence's backward stops short of the weights: it keeps the
-factors of each weight gradient, and a batch of `_TRAIN_BATCH` sentences
-writes its gradients with one matmul per tensor over the factors' stacked
-rows, into gradient arrays that the `Trainer` keeps for an epoch, then
-applies one Adam update from them.
+one BiLSTM-stack forward.  Training follows the oracle's preferred action
+and sums the per-step hinge losses over a sentence.  It trains a batch of
+`_TRAIN_BATCH` sentences together, on the same parameters: one forward over
+the batch, each sentence's steps scored on its own vectors, then one
+backward with no tape, the MLP head over every positive step of the batch
+and then one lockstep BPTT per LSTM from the top layer down.  Each weight
+gradient is one matmul over the batch, written into gradient arrays that the
+`Trainer` keeps for an epoch, and one Adam update follows.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .transition import (
     is_terminal,
     legal_actions,
     oracle,
+    oracle_parse,
     preferred,
 )
 
@@ -60,9 +61,10 @@ _GATES = 4
 # the gradient and two scratch buffers, a block's working set is 1.5 MB.
 _ADAM_BLOCK = 1 << 15
 
-# Training sentences per Adam update.  Each batch runs forward and backward
-# sentence by sentence on the same parameters; its weight gradients are one
-# matmul per tensor, and Adam runs once.  At 1 training is per-sentence Adam.
+# Training sentences per Adam update.  A batch runs one forward and one
+# backward over all its sentences on the same parameters; its weight
+# gradients are one matmul per tensor, and Adam runs once.  At 1 training is
+# per-sentence Adam.
 _TRAIN_BATCH = 8
 
 # Adam's decay rates for the first and second moments.
@@ -256,14 +258,15 @@ def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
                   saved: list | None = None) -> np.ndarray:
     """The BiLSTM stack that `encode` and `encode_batch` share, over `ids`,
     steps x batch, of sentences with descending `lengths`.  Returns the top
-    layer's states, steps x batch x 2H; appends the arrays that each
-    `ad.lstm` call saves, layer by layer and forward first, to `saved`."""
+    layer's states, steps x batch x 2H; appends what `ad.lstm_backward`
+    reads of each `ad.lstm` call's saved arrays, layer by layer and forward
+    first, to `saved`."""
     tensors = params.tensors
 
     def states(xs: np.ndarray, name: str, reverse: bool) -> np.ndarray:
         hs, arrays = ad.lstm(xs, lengths, tensors[f"{name}_w"], tensors[f"{name}_b"], reverse)
         if saved is not None:
-            saved.append(arrays)
+            saved.append(arrays[:3])   # the backward makes the cells' tanh again
         return hs
 
     layer_in = tensors["embeddings"][ids]
@@ -273,51 +276,79 @@ def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
     return layer_in
 
 
-def encode(
-    tokens: Sequence[str],
-    params: ModelParams,
-    rng: np.random.Generator | None = None,
-    dropout_alpha: float = 0.25,
-) -> tuple[np.ndarray, tuple[np.ndarray, list]]:
-    """Context vectors for each token plus a trailing one for ROOT, as the
-    rows of one (len(tokens) + 1) x 2H array, for training; also returns
-    what `_encode_backward` reads, the ids and the arrays each LSTM saved.
+def word_ids(tokens: Sequence[str], params: ModelParams, rng: np.random.Generator | None = None,
+             dropout_alpha: float = 0.25) -> np.ndarray:
+    """The vocabulary ids of the tokens and of a trailing ROOT.
 
     Given an rng (training), each occurrence of a word with corpus frequency
-    f is replaced by UNK with probability alpha / (alpha + f).
+    f is replaced by UNK with probability alpha / (alpha + f), one draw per
+    token in order.
     """
     ids = [params.vocab.id(w) for w in tokens]
     if rng is not None:
         ids = [0 if rng.random() < dropout_alpha / (dropout_alpha + params.vocab.count(w)) else i
                for w, i in zip(tokens, ids)]
-    ids = np.array(ids + [params.vocab.id(ROOT_WORD)], dtype=np.intp)
+    return np.array(ids + [params.vocab.id(ROOT_WORD)], dtype=np.intp)
+
+
+def _lockstep_ids(id_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sentences' ids as one steps x batch array, longest first as
+    `ad.lstm` takes them, zero past each sentence's end; returns it with
+    the descending lengths and each sentence's column."""
+    order = sorted(range(len(id_lists)), key=lambda k: -len(id_lists[k]))
+    lengths = np.array([len(id_lists[k]) for k in order])
+    ids = np.zeros((lengths[0], len(order)), dtype=np.intp)
+    for column, k in enumerate(order):
+        ids[:lengths[column], column] = id_lists[k]
+    return ids, lengths, np.argsort(order)
+
+
+def encode(id_lists: Sequence[np.ndarray], params: ModelParams) -> tuple[list[np.ndarray], tuple]:
+    """The context vectors of a batch of training sentences, from their
+    `word_ids`: one len(ids) x 2H array per sentence, in order.
+
+    The sentences run through each layer together (`ad.lstm`); a sentence's
+    vectors are a view of one steps x batch x 2H array of states, in the
+    column that `_lockstep_ids` gives it.  Also returns what the backward
+    reads: that array, the columns, the ids and lengths in the batch's
+    layout, and the arrays each LSTM saved.  A batch of one runs each step
+    as a GEMV, as parsing never does.
+    """
+    ids, lengths, columns = _lockstep_ids(id_lists)
     saved: list = []
-    vectors = _bilstm_stack(ids[:, None], np.array([len(ids)]), params, saved)
-    return vectors[:, 0], (ids, saved)
+    states = _bilstm_stack(ids, lengths, params, saved)
+    vectors = [states[:len(id_lists[k]), column] for k, column in enumerate(columns)]
+    return vectors, (states, columns, ids, lengths, saved)
 
 
-def _encode_backward(dvectors: np.ndarray, cache: tuple[np.ndarray, list],
-                     params: ModelParams) -> dict[str, tuple[np.ndarray, ...]]:
-    """Backpropagate the gradient of `encode`'s vectors through each layer's
-    two LSTMs, from the top layer down, to the embedding rows.  Returns the
-    factors of the `lstm*` and `embeddings` gradients (see `GradientBatch`):
-    per LSTM its pre-activation gradients and saved `[x; h]` rows, and the
-    ids with their rows' gradients."""
-    ids, saved = cache
-    tensors, hidden = params.tensors, params.hidden
-    factors = {}
+def _encode_backward(dstates: np.ndarray, cache: tuple, params: ModelParams,
+                     out: Mapping[str, np.ndarray]) -> None:
+    """Backpropagate the gradient of `encode`'s states, in its steps x batch
+    x 2H layout, through each layer's two LSTMs from the top layer down,
+    each over the whole batch in one lockstep BPTT (`ad.lstm_backward`),
+    and write the `lstm*` and `embeddings` gradients into `out`: a weight's
+    as one matmul of the batch's pre-activation gradients and saved `[x; h]`
+    rows, a bias's as their sum, and the embedding rows' with `np.add.at`
+    at the ids.  Each LSTM's saved arrays are dropped from the cache once
+    its gradients are written."""
+    _, _, ids, lengths, saved = cache
+    hidden = params.hidden
     for layer in reversed(range(params.layers)):
         dxs = []
         for k, direction in enumerate(("fwd", "bwd")):
             name = f"lstm{layer}_{direction}"
-            dhs = dvectors[:, :hidden] if k == 0 else dvectors[::-1, hidden:]
-            arrays = [a[:, 0] for a in saved[2 * layer + k]]
-            dpre, dx = ad._lstm_backward(dhs, tensors[f"{name}_w"], arrays, hidden)
-            factors[f"{name}_w"], factors[f"{name}_b"] = (dpre, arrays[0]), (dpre,)
+            # dropped once its gradients are written, so fewer are alive
+            arrays, saved[2 * layer + k] = saved[2 * layer + k], None
+            dpre, dx = ad.lstm_backward(dstates[..., k * hidden:(k + 1) * hidden], lengths,
+                                        params.tensors[f"{name}_w"], arrays, direction == "bwd")
+            dpre, z = dpre.reshape(-1, dpre.shape[2]), arrays[0].reshape(-1, arrays[0].shape[2])
+            np.matmul(dpre.T, z, out=out[f"{name}_w"])
+            dpre.sum(axis=0, out=out[f"{name}_b"])
             dxs.append(dx)
-        dvectors = dxs[0] + dxs[1][::-1]
-    factors["embeddings"] = (ids, dvectors)
-    return factors
+        dstates = dxs[0] + dxs[1]
+    valid = np.arange(len(ids))[:, None] < lengths
+    out["embeddings"].fill(0.0)
+    np.add.at(out["embeddings"], ids[valid], dstates[valid])
 
 
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
@@ -332,14 +363,9 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
     """
     if not token_lists:
         return []
-    order = sorted(range(len(token_lists)), key=lambda i: -len(token_lists[i]))
-    lengths = np.array([len(token_lists[i]) + 1 for i in order])
-    ids = np.zeros((lengths[0], len(order)), dtype=np.intp)
-    for k, i in enumerate(order):
-        ids[:lengths[k], k] = [params.vocab.id(w) for w in token_lists[i]] + [
-            params.vocab.id(ROOT_WORD)]
+    ids, lengths, columns = _lockstep_ids([word_ids(tokens, params) for tokens in token_lists])
     states = _bilstm_stack(ids, lengths, params)
-    return [np.ascontiguousarray(states[:lengths[k], k]) for k in np.argsort(order)]
+    return [np.ascontiguousarray(states[:lengths[column], column]) for column in columns]
 
 
 def score(vectors: np.ndarray, params: ModelParams):
@@ -409,11 +435,11 @@ def step_loss(
 
 
 def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
-                   pairs: np.ndarray, params: ModelParams
-                   ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
-    """Backpropagate a sentence's summed hinge loss through the MLP head;
-    returns the gradient of the rows of `[vectors; pad]` and the factors of
-    the `mlp_*` gradients (see `GradientBatch`).
+                   pairs: np.ndarray, params: ModelParams, out: Mapping[str, np.ndarray]
+                   ) -> np.ndarray:
+    """Backpropagate the summed hinge loss of some positive steps through
+    the MLP head, write the `mlp_*` gradients into `out`, and return the
+    gradient of the rows of `[vectors; pad]`.
 
     Positive step k read the rows `slots[k]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
@@ -430,111 +456,98 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     dscores[steps, pairs[:, 1]] = -1.0
     dpre = (dscores @ w2) * (1.0 - hidden * hidden)
     drows = np.zeros_like(rows)
-    dprojs = []
     for k in range(4):
         dproj = np.zeros((len(rows), dpre.shape[1]), dpre.dtype)
         np.add.at(dproj, slots[:, k], dpre)
         drows += dproj @ w1[:, k * d: (k + 1) * d]
-        dprojs.append(dproj)
-    factors = {"mlp_w1": (*dprojs, rows), "mlp_b1": (dpre,), "mlp_w2": (dscores, hidden),
-               "mlp_b2": (dscores,)}
-    return drows, factors
+        np.matmul(dproj.T, rows, out=out["mlp_w1"][:, k * d: (k + 1) * d])
+    dpre.sum(axis=0, out=out["mlp_b1"])
+    np.matmul(dscores.T, hidden, out=out["mlp_w2"])
+    dscores.sum(axis=0, out=out["mlp_b2"])
+    return drows
 
 
-def sentence_pass(
-    tokens: Sequence[str],
-    gold: ArcSet,
-    reduce_set: frozenset[int],
-    params: ModelParams,
-    rng: np.random.Generator | None = None,
-    dropout_alpha: float = 0.25,
-) -> tuple[float, tuple | None]:
-    """Oracle-guided forward pass over one sentence.
-
-    Follows the deterministic preferred gold action at every step and
-    scores each step with `score`; returns the summed hinge loss and what
-    the backward reads: `encode`'s output and each positive step's slots,
-    hidden layer and action pair, or None when no step's loss is positive.
-    """
-    vectors, cache = encode(tokens, params, rng=rng, dropout_alpha=dropout_alpha)
-    scores = score(vectors, params)
+def _oracle_walk(tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int],
+                 rule: ArcRule) -> list[tuple[Configuration, frozenset[Action], frozenset[Action]]]:
+    """The configurations that the oracle's preferred actions pass through,
+    from the initial one to the last before the terminal one, each with its
+    zero-cost and its legal actions.  Raises OracleStuck when the gold arcs
+    are unreachable.  None of it depends on the parameters."""
     c = initial(len(tokens))
-    total = 0.0
-    slots, hidden, pairs = [], [], []
+    walk = []
     while not is_terminal(c):
         y_plus = oracle(c, gold, reduce_set)
-        legal = legal_actions(c, params.arc_rule)
-        step_slots, step_hidden, row = scores(c)
-        value, pair = step_loss(row, y_plus, legal, params.action_index)
-        total += value
-        if pair is not None:
-            slots.append(step_slots)
-            hidden.append(step_hidden)
-            pairs.append(pair)
+        walk.append((c, y_plus, legal_actions(c, rule)))
         c = apply(c, preferred(y_plus))
-    if not pairs:
-        return total, None
-    return total, (vectors, cache, np.array(slots), np.array(hidden), np.array(pairs))
+    return walk
 
 
 class GradientBatch:
-    """The training sentences of one batch, up to `size`, and the gradient
-    arrays, one per tensor in its dtype, into which their summed gradients
-    are written.
+    """Up to `size` training sentences, queued with their word ids and
+    oracle walks, and the gradient arrays, one per tensor in its dtype, into
+    which `run` writes their summed gradients.  The arrays are made once,
+    with the batch.
 
-    Each sentence adds the factors of its weight gradients, as its backward
-    leaves them: per tensor, the arrays whose rows the sentence contributes.
-    `gradients` stacks every sentence's rows and writes each tensor once:
-    `a.T @ b` for a pair `(a, b)` (LSTM weights, `mlp_w2`), one such product
-    per block of `mlp_w1` from `(dproj_0, ..., dproj_3, rows)`, a sum over
-    rows for a bias or `pad`, and `np.add.at` of the rows into the ids'
-    embeddings.  For one sentence each product is its own backward's, on the
-    same rows.  The arrays are made once, with the batch.
+    `run` trains the queued sentences together on the parameters as they
+    are: one `encode` over the batch; each sentence's walk scored with
+    `score` on its own vectors, summing its per-step hinge losses; then one
+    head backward over every positive step of the batch, whose rows are the
+    encoder's states and one pad row, and one lockstep encoder backward
+    (`_encode_backward`).  Each weight gradient is one matmul over the whole
+    batch.  A batch of one makes the products of one sentence's backward.
     """
 
     def __init__(self, params: ModelParams, size: int):
+        self.params = params
         self.size = size
-        self.sentences = 0
         self.arrays = {name: np.empty_like(t) for name, t in params.tensors.items()}
-        self._factors: list[dict[str, tuple[np.ndarray, ...]]] = []
+        self._queued: list[tuple[np.ndarray, list]] = []
 
-    def add(self, factors: dict[str, tuple[np.ndarray, ...]] | None) -> None:
-        """Count one sentence, with its factors, or None when no step of it
-        had a positive loss."""
-        self.sentences += 1
-        if factors is not None:
-            self._factors.append(factors)
+    @property
+    def sentences(self) -> int:
+        return len(self._queued)
 
-    def gradients(self) -> dict[str, np.ndarray | None]:
-        """Write the batch's summed gradients, every element of every array,
-        and empty the batch; returns the arrays, or all None when no
-        sentence had a positive loss."""
-        batch, self._factors, self.sentences = self._factors, [], 0
-        if not batch:
-            return dict.fromkeys(self.arrays)
-        for name, out in self.arrays.items():
-            # a tensor's factors are dropped as soon as it is written, so
-            # that fewer of them are alive beside the arrays
-            _write_gradient(name, out, [np.concatenate(rows)
-                                        for rows in zip(*(f.pop(name) for f in batch))])
-        return self.arrays
+    def add(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int],
+            rng: np.random.Generator | None = None, dropout_alpha: float = 0.25) -> None:
+        """Queue one sentence: draw its `word_ids`, then walk its oracle
+        path.  A sentence whose oracle is stuck raises OracleStuck after its
+        draws, so the rng stream does not depend on it, and is not queued."""
+        ids = word_ids(tokens, self.params, rng, dropout_alpha)
+        self._queued.append((ids, _oracle_walk(tokens, gold, reduce_set, self.params.arc_rule)))
 
-
-def _write_gradient(name: str, out: np.ndarray, stacked: list[np.ndarray]) -> None:
-    """Write one tensor's gradient into `out` from its factors' stacked rows
-    (see `GradientBatch`)."""
-    if name == "embeddings":
-        out.fill(0.0)
-        np.add.at(out, *stacked)
-    elif name == "mlp_w1":
-        *dprojs, rows = stacked
-        d = rows.shape[1]
-        for k, dproj in enumerate(dprojs):
-            np.matmul(dproj.T, rows, out=out[:, k * d: (k + 1) * d])
-    elif len(stacked) == 2:
-        np.matmul(stacked[0].T, stacked[1], out=out)
-    else:
-        stacked[0].sum(axis=0, out=out)
+    def run(self) -> tuple[list[float], dict[str, np.ndarray | None]]:
+        """Train the queued sentences and empty the batch.  Returns each
+        sentence's summed loss, in order, and the arrays holding the batch's
+        summed gradients, every element written, or all None when no step's
+        loss is positive.  The parameter arrays are left unchanged."""
+        queued, self._queued = self._queued, []
+        params = self.params
+        vectors, cache = encode([ids for ids, _ in queued], params)
+        states, columns = cache[0], cache[1]
+        width = states.shape[1]
+        pad = states.shape[0] * width   # the pad row, after the states' rows
+        losses, slots, hidden, pairs = [], [], [], []
+        for (_, walk), sentence, column in zip(queued, vectors, columns):
+            scores = score(sentence, params)
+            total = 0.0
+            for c, y_plus, legal in walk:
+                step_slots, step_hidden, row = scores(c)
+                value, pair = step_loss(row, y_plus, legal, params.action_index)
+                total += value
+                if pair is not None:
+                    # the sentence's rows, and its pad, as rows of the batch's
+                    slots.append([pad if s == len(sentence) else s * width + column
+                                  for s in step_slots])
+                    hidden.append(step_hidden)
+                    pairs.append(pair)
+            losses.append(total)
+        if not pairs:
+            return losses, dict.fromkeys(self.arrays)
+        drows = _head_backward(states.reshape(pad, -1), np.array(slots), np.array(hidden),
+                               np.array(pairs), params, self.arrays)
+        self.arrays["pad"][...] = drows[-1]
+        _encode_backward(drows[:-1].reshape(states.shape), cache, params, self.arrays)
+        return losses, self.arrays
 
 
 def accumulate_gradients(
@@ -544,30 +557,16 @@ def accumulate_gradients(
     params: ModelParams,
     rng: np.random.Generator | None = None,
     dropout_alpha: float = 0.25,
-    batch: GradientBatch | None = None,
-) -> tuple[float, dict[str, np.ndarray | None] | None]:
-    """Run one sentence's `sentence_pass` and its loss's backward, the MLP
-    head then the encoder, and add it to `batch`.  Returns the summed loss
-    and, when the sentence fills the batch, the batch's gradients
-    (`GradientBatch.gradients`) in the parameters' dtype, else None.
-
-    Without `batch` the sentence is a batch of one in fresh arrays, so it
-    returns that sentence's gradients, all None when no step's loss is
+) -> tuple[float, dict[str, np.ndarray | None]]:
+    """One sentence's summed loss and gradients, as a `GradientBatch` of one
+    in fresh arrays; the gradients are all None when no step's loss is
     positive.  The parameter arrays are left unchanged.  A sentence whose
-    oracle is stuck raises OracleStuck and is not added.
+    oracle is stuck raises OracleStuck.
     """
-    total, saved = sentence_pass(tokens, gold, reduce_set, params, rng=rng,
-                                 dropout_alpha=dropout_alpha)
-    factors = None
-    if saved is not None:
-        vectors, cache, slots, hidden, pairs = saved
-        drows, factors = _head_backward(vectors, slots, hidden, pairs, params)
-        factors["pad"] = (drows[-1:],)
-        factors.update(_encode_backward(drows[:-1], cache, params))
-    if batch is None:
-        batch = GradientBatch(params, 1)
-    batch.add(factors)
-    return total, batch.gradients() if batch.sentences == batch.size else None
+    batch = GradientBatch(params, 1)
+    batch.add(tokens, gold, reduce_set, rng, dropout_alpha)
+    (total,), grads = batch.run()
+    return total, grads
 
 
 class Trainer:
@@ -579,14 +578,15 @@ class Trainer:
     training makes then takes their dtype, so a saved checkpoint holds the
     bytes that training evaluated.
 
-    Every sentence runs forward and backward on the parameters of its
-    batch, in order, with its word-dropout draws; a sentence whose oracle
-    is stuck is skipped and not counted.  The sentence that fills the batch
-    writes the batch's gradients (`GradientBatch`) and makes the update, and
-    `run_epoch` makes one more for a batch left part full at its end.  The
-    gradient arrays are made by the first `train_sentence` and dropped at
-    the end of `run_epoch`, so they are not alive through what follows an
-    epoch, such as `sgparse train`'s per-epoch eval and checkpoint save.
+    Each `train_sentence` call queues its sentence in the batch, after its
+    word-dropout draws; a sentence whose oracle is stuck is skipped and not
+    counted.  The call of the sentence that fills the batch, or of the last
+    sentence that `run_epoch` counts, trains the batch (`GradientBatch.run`)
+    on the parameters as they are, and makes the update, so every update
+    falls inside a `train_sentence` call.  The gradient arrays are made by
+    the first `train_sentence` and dropped at the end of `run_epoch`, so
+    they are not alive through what follows an epoch, such as `sgparse
+    train`'s per-epoch eval and checkpoint save.
     """
 
     def __init__(self, params: ModelParams, config: TrainConfig | None = None):
@@ -601,45 +601,60 @@ class Trainer:
         self.rng = np.random.default_rng(self.config.rng_seed)
         self.skipped = 0
         self._grads: GradientBatch | None = None
+        self._ends_epoch = False   # set by `run_epoch` for its last counted sentence
 
-    def train_sentence(self, tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> float:
-        """Add one sentence to the batch, and update when it fills the
-        batch; returns the sentence's loss."""
+    def train_sentence(self, tokens: Sequence[str], gold: ArcSet,
+                       reduce_set: frozenset[int]) -> list[float]:
+        """Queue one sentence, and train its batch and update when it fills
+        the batch or ends the epoch; returns the losses of the batch's
+        sentences, in order, when this call trained it, else []."""
         if self._grads is None:
             self._grads = GradientBatch(self.params, _TRAIN_BATCH)
+        batch = self._grads
+        batch.add(tokens, gold, reduce_set, self.rng, self.config.word_dropout_alpha)
+        if batch.sentences < batch.size and not self._ends_epoch:
+            return []
         # Overflow here can only come from parameters that are already huge;
         # the update's finite check then names the tensor instead of a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            total, grads = accumulate_gradients(tokens, gold, reduce_set, self.params, self.rng,
-                                                self.config.word_dropout_alpha, self._grads)
-        if grads is not None:
-            self.optimizer.step(grads)
-        return total
+            losses, grads = batch.run()
+        self.optimizer.step(grads)
+        return losses
 
     def run_epoch(self, instances: Iterable[tuple[Sequence[str], ArcSet, frozenset[int]]]) -> float:
         """Train over the instances in order; returns the mean sentence loss.
 
         Instances whose gold arcs are unreachable are skipped and counted.
-        A ParameterNonFinite from an update is raised again with the
-        position in the epoch of its batch's last sentence added.
+        Whether an oracle is stuck does not depend on the parameters, so the
+        epoch's last counted sentence is known before it is queued, and its
+        call trains the part-full batch that it ends.  A ParameterNonFinite
+        from an update is raised again with the position in the epoch of its
+        batch's last sentence added.
         """
+        instances = list(instances)
+        last = len(instances)
+        while last and _is_stuck(*instances[last - 1]):
+            last -= 1
         losses = []
-        last = 0, ()   # the epoch's last counted sentence, by position
         try:
             for position, (tokens, gold, reduce_set) in enumerate(instances, 1):
+                self._ends_epoch = position == last
                 try:
                     with _named_update(position, tokens):
-                        losses.append(self.train_sentence(tokens, gold, reduce_set))
+                        losses += self.train_sentence(tokens, gold, reduce_set)
                 except OracleStuck:
                     self.skipped += 1
-                else:
-                    last = position, tokens
-            if self._grads is not None and self._grads.sentences:
-                with _named_update(*last), np.errstate(over="ignore", invalid="ignore"):
-                    self.optimizer.step(self._grads.gradients())
         finally:
-            self._grads = None
+            self._grads, self._ends_epoch = None, False
         return float(np.mean(losses)) if losses else 0.0
+
+
+def _is_stuck(tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> bool:
+    try:
+        oracle_parse(len(tokens), gold, reduce_set)
+    except OracleStuck:
+        return True
+    return False
 
 
 @contextmanager

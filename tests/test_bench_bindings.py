@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 from time import perf_counter
 
-from sgparse.graph import ArcRule
+from sgparse.graph import ArcRule, SceneGraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -105,3 +105,54 @@ def test_latency_probes_sample_each_item_once(tmp_path, capsys):
     for (path, kind), samples in rec.samples.items():
         assert len(samples) == len(records), (path, kind)
         assert sum(samples) <= wall[path], (path, kind)
+
+
+def test_training_item_holds_its_batch_update(tmp_path, capsys):
+    """`train`'s item is one `Trainer.train_sentence` call, and a batch's
+    forward, backward and Adam step run inside the call of its last
+    sentence.  On a corpus whose last batch is part full, with one record
+    whose oracle is stuck, each counted sentence gives one sample, every
+    `Adam.step` falls inside a sampled call, and the samples sum to no more
+    than the command's wall time."""
+    run, probes = _load("run"), _load("probes")
+    sg = run.import_sgparse()
+    size, epochs = sg.model._TRAIN_BATCH, 2
+    records = sg.corpus.generate_synthetic(size + 3, seed=3)
+    # crossing relation arcs: the oracle cannot reach them
+    records.insert(4, sg.corpus.RegionRecord(
+        image_id=99, region_id=99, phrase="man dog holds chases cat ball",
+        graph=SceneGraph(objects=("man", "dog", "cat", "ball"),
+                         relations=((0, "holds", 2), (1, "chases", 3)))))
+    corpus = tmp_path / "c.jsonl"
+    sg.corpus.save_corpus(records, corpus)
+    spans, steps = [], []
+
+    class SpanRecorder(probes.Recorder):
+        def sample(self, kind, seconds):
+            super().sample(kind, seconds)
+            end = perf_counter()
+            spans.append((end - seconds, end))
+
+    def timed_step(step):
+        def timed(self, grads):
+            start = perf_counter()
+            step(self, grads)
+            steps.append((start, perf_counter()))
+        return timed
+
+    rec, patches = SpanRecorder(), probes.Patches()
+    probes.install_latency_probes(patches, rec, sg)
+    patches.wrap(sg.model.Adam, "step", timed_step)
+    try:
+        rec.path = "train"
+        start = perf_counter()
+        assert sg.cli.main(["train", "--corpus", str(corpus), "--epochs", str(epochs),
+                            "--checkpoint", str(tmp_path / "m.ckpt")]) == 0
+        wall = perf_counter() - start
+    finally:
+        patches.restore()
+    assert f"instances={size + 3} " in capsys.readouterr().out and not rec.problems
+    samples = rec.samples[("train", "train_sentence")]
+    assert len(samples) == epochs * (size + 3) and sum(samples) <= wall
+    assert len(steps) == epochs * 2
+    assert all(any(a <= s and e <= b for a, b in spans) for s, e in steps)

@@ -853,9 +853,10 @@ def align_inputs(tmp_path_factory):
 
 
 class TestMutatedInputProperty:
-    """`sgparse align` on a mutated corpus line, config file or lexicon, and
-    `sgparse parse` on mutated input lines, return 0 with no error line, or
-    1 after exactly one `error:` line; they never raise."""
+    """`sgparse align` on a mutated corpus line, config file or lexicon,
+    `sgparse parse` on mutated input lines, and `sgparse train` on mutated
+    split files, return 0 with no error line, or 1 after exactly one
+    `error:` line; they never raise."""
 
     def run_align(self, tmp, corpus, config, lexicon=None):
         (tmp / "mutated.jsonl").write_bytes(corpus)
@@ -868,19 +869,22 @@ class TestMutatedInputProperty:
         self.run_cli(argv)
 
     @staticmethod
-    def run_cli(argv):
+    def run_cli(argv, reports=False):
         """Runs `main(argv)`, whose outputs go to files, and checks what it
-        wrote to the terminal."""
+        wrote to the terminal; stdout stays empty unless the command
+        `reports` there, as `train` does."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         stderr = err.getvalue()
-        assert "Traceback" not in stderr and out.getvalue() == ""
+        assert "Traceback" not in stderr and (reports or out.getvalue() == "")
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         if code == 0:
             assert errors == []
         else:
-            assert code == 1 and stderr.endswith("\n") and stderr.splitlines() == errors
+            # a reporting command may have reported on stderr before failing
+            lines = stderr.splitlines()[-1:] if reports else stderr.splitlines()
+            assert code == 1 and stderr.endswith("\n") and lines == errors
             assert len(errors) == 1
 
     @settings(max_examples=120, deadline=None)
@@ -914,3 +918,22 @@ class TestMutatedInputProperty:
         (tmp / "mutated.txt").write_bytes(_mutate(data, phrases))
         self.run_cli(["parse", "--checkpoint", str(small_checkpoint[0] / "model.ckpt"),
                       "--input", str(tmp / "mutated.txt"), "--out", str(tmp / "parsed.jsonl")])
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_mutated_split_files(self, align_inputs, data):
+        tmp, lines, _ = align_inputs
+        images = sorted({json.loads(line)["image_id"] for line in lines})
+        argv = ["train", "--corpus", str(tmp / "corpus.jsonl"), "--epochs", "1",
+                "--checkpoint", str(tmp / "split.ckpt")]
+        # the last image evaluates and the others train; either file may be
+        # left out, and any given one may be mutated
+        for flag, ids in (("--split-train", images[:-1]), ("--split-eval", images[-1:])):
+            if data.draw(st.booleans()):
+                split = "".join(f"{i}\n" for i in ids).encode()
+                if data.draw(st.booleans()):
+                    split = _mutate(data, split)
+                path = tmp / f"mutated{flag[7:]}.txt"
+                path.write_bytes(split)
+                argv += [flag, str(path)]
+        self.run_cli(argv, reports=True)

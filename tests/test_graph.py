@@ -70,7 +70,7 @@ def first_conflict(arc_set):
     tokens = sorted(span[1] if left else span[0] for span in conflicted)
     return MalformedArcs(
         f"tokens {tokens} are typed as more than one node kind", tokens=tokens,
-        arcs=sorted(a for kinds in conflicted.values() for arcs in kinds.values() for a in arcs))
+        arcs=sorted({a for kinds in conflicted.values() for arcs in kinds.values() for a in arcs}))
 
 
 def lenient_by_retry(arc_set, tokens):
@@ -256,6 +256,14 @@ class TestConflictResolution:
         graph = to_node_centric_lenient(arc_set, tokens)
         assert graph == SceneGraph(objects=("a",), attributes=((0, "b"),))
         assert graph == lenient_by_retry(arc_set, tokens)
+
+    def test_conflict_lists_each_arc_once(self):
+        # (2, 3) and (3, 4) each vote on two conflicted tokens
+        chain = [Arc(1, 2, A), Arc(2, 3, A), Arc(3, 4, A), Arc(4, 5, A)]
+        arc_set = ArcSet(5, frozenset(chain + [Arc(6, 1, B)]))
+        with pytest.raises(MalformedArcs) as err:
+            to_node_centric(arc_set, ["a", "b", "c", "d", "e"])
+        assert err.value.arcs == tuple(chain) == first_conflict(arc_set).arcs
 
     def test_lenient_resolves_mixed_chain_directions(self):
         # (2, 1) points left, (3, 4) and (4, 5) right: the latest CONT arcs,

@@ -29,7 +29,6 @@ from sgparse.model import (
     parse,
     save_checkpoint,
     score,
-    sentence_pass,
     step_loss,
 )
 from sgparse.transition import (
@@ -63,6 +62,12 @@ def small_params(tokens_groups, seed=0, rule=ArcRule.LEFT):
 def leaves(params):
     """Fresh tape leaves over the parameter arrays, for the reference tapes."""
     return {name: ad.Tensor(a) for name, a in params.tensors.items()}
+
+
+def encode_one(tokens, params, rng=None, dropout_alpha=0.25):
+    """`encode` over a batch of one sentence: its vectors and the cache."""
+    vectors, cache = encode([model.word_ids(tokens, params, rng, dropout_alpha)], params)
+    return vectors[0], cache
 
 
 def reference_lstm_direction(xs, w, b, hidden):
@@ -300,24 +305,24 @@ class TestVocab:
 class TestEncode:
     def test_single_token_dimensions(self):
         params = small_params([("dog",)])
-        vectors, _ = encode(["dog"], params)
+        vectors, _ = encode_one(["dog"], params)
         assert vectors.shape == (2, 16)  # token + ROOT
 
     def test_default_dimensions(self):
         vocab = Vocab.from_sentences([("dog",)])
         params = ModelParams(vocab, ArcRule.LEFT, seed=0)
-        vectors, _ = encode(["dog"], params)
+        vectors, _ = encode_one(["dog"], params)
         assert vectors.shape == (2, 512)
 
     def test_empty_sentence_gives_root_only(self):
         params = small_params([("dog",)])
-        assert encode([], params)[0].shape == (1, 16)
+        assert encode_one([], params)[0].shape == (1, 16)
 
     def test_context_sensitivity(self):
         words = ("a", "b", "c", "d", "e")
         params = small_params([words], seed=3)
-        forward, _ = encode(list(words), params)
-        backward, _ = encode(list(reversed(words)), params)
+        forward, _ = encode_one(list(words), params)
+        backward, _ = encode_one(list(reversed(words)), params)
         # token "c" sits at index 2 both times but its context differs
         assert not np.allclose(forward[2], backward[2])
 
@@ -331,19 +336,13 @@ def assert_grads_close(grads, ref_grads, params):
         assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
-def factor_gradients(factors, params):
-    """The gradients that `_encode_backward`'s factors stand for, written out
-    one tensor at a time."""
-    grads = {}
-    for name, parts in factors.items():
-        if name == "embeddings":
-            grads[name] = np.zeros(params.tensors[name].shape)
-            np.add.at(grads[name], *parts)
-        elif len(parts) == 2:
-            grads[name] = parts[0].T @ parts[1]
-        else:
-            grads[name] = parts[0].sum(axis=0)
-    return grads
+def encoder_gradients(dvectors, cache, params):
+    """The `lstm*` and `embeddings` gradients that `_encode_backward` writes
+    for a batch of one, given the gradient of its vectors."""
+    out = {name: np.empty_like(t) for name, t in params.tensors.items()
+           if name == "embeddings" or name.startswith("lstm")}
+    model._encode_backward(dvectors[:, None], cache, params, out)
+    return out
 
 
 def assert_matches_reference(instance, params):
@@ -356,16 +355,13 @@ def assert_matches_reference(instance, params):
     ref_tape = leaves(params)
     ref_vectors = reference_encode(tokens, params, ref_tape)
     ref_steps, _, ref_grads = reference_gradients(ref_vectors, instance, params, ref_tape)
-    vectors, cache = encode(tokens, params)
+    vectors, cache = encode_one(tokens, params)
     assert np.array_equal(vectors, np.array([v.data for v in ref_vectors]))
     rows = [ad.Tensor(v) for v in vectors]
     steps, _, grads = reference_gradients(rows, instance, params, leaves(params))
     assert [value for _, value, _ in steps] == [value for _, value, _ in ref_steps]
     dvectors = np.array([np.zeros(params.d_ctx) if r.grad is None else r.grad for r in rows])
-    encoder = factor_gradients(model._encode_backward(dvectors, cache, params), params)
-    assert sorted(encoder) == sorted(name for name in params.tensors
-                                     if name == "embeddings" or name.startswith("lstm"))
-    grads.update(encoder)
+    grads.update(encoder_gradients(dvectors, cache, params))
     assert_grads_close(grads, ref_grads, params)
 
 
@@ -412,12 +408,11 @@ class TestFusedBiLSTM:
     def test_word_dropout_reaches_the_embedding_rows(self):
         tokens = ("dog", "cat", "dog")
         params = small_params([tokens])
-        vectors, cache = encode(list(tokens), params, rng=np.random.default_rng(0),
-                                dropout_alpha=1e9)
+        vectors, cache = encode_one(list(tokens), params, rng=np.random.default_rng(0),
+                                    dropout_alpha=1e9)
         dvectors = np.zeros_like(vectors)
         dvectors[:, 0] = 1.0
-        grad = factor_gradients(model._encode_backward(dvectors, cache, params),
-                                params)["embeddings"]
+        grad = encoder_gradients(dvectors, cache, params)["embeddings"]
         touched = set(np.flatnonzero(np.abs(grad).sum(axis=1)))
         assert touched == {params.vocab.id("<unk>"), params.vocab.id(ROOT_WORD)}
 
@@ -549,7 +544,7 @@ class TestSlotScores:
         ref_actions, steps = reference_greedy_parse(tokens, params)
         arcs, actions = greedy_parse(tokens, params)
         assert actions == ref_actions
-        scores = score(encode(tokens, params)[0], params)
+        scores = score(encode_one(tokens, params)[0], params)
         for c, ref in steps:
             assert np.abs(scores(c)[2] - ref).max() <= 1e-12
         c = initial(len(tokens))
@@ -609,7 +604,7 @@ class TestEncodeBatch:
         got = encode_batch(token_lists, params)
         assert len(got) == len(token_lists)
         for tokens, vectors in zip(token_lists, got):
-            expected, _ = encode(tokens, params)
+            expected, _ = encode_one(tokens, params)
             assert vectors.shape == expected.shape
             assert np.abs(vectors - expected).max() <= 1e-12
             assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
@@ -690,7 +685,7 @@ class TestFeature:
     @staticmethod
     def slots(config):
         params = small_params([("a", "b", "c", "d", "e", "f", "g")])
-        vectors, _ = encode(list("abcdefg"), params)
+        vectors, _ = encode_one(list("abcdefg"), params)
         slots, hidden, _ = score(vectors, params)(config)
         rows = np.concatenate([vectors, params.tensors["pad"][None]])
         w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
@@ -716,7 +711,7 @@ class TestScore:
         params = small_params([("dog",)])
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.tensors[name][:] = 0.0
-        vectors, _ = encode(["dog"], params)
+        vectors, _ = encode_one(["dog"], params)
         _, _, out = score(vectors, params)(initial(1))
         assert np.array_equal(out, np.zeros(len(params.actions)))
 
@@ -734,7 +729,7 @@ class TestScore:
 
     def test_doubling_output_weights_doubles_scores(self):
         params = small_params([("dog", "cat")])
-        vectors, _ = encode(["dog", "cat"], params)
+        vectors, _ = encode_one(["dog", "cat"], params)
         base = score(vectors, params)(initial(2))[2]
         params.tensors["mlp_w2"] *= 2.0
         params.tensors["mlp_b2"] *= 2.0
@@ -805,7 +800,7 @@ class TestTrainSentence:
         tokens, gold, reduce_set = fig_instance
         params = small_params([tokens])
         with mock.patch.object(model, "apply", wraps=apply) as applied:
-            sentence_pass(tokens, gold, reduce_set, params)
+            accumulate_gradients(tokens, gold, reduce_set, params)
         assert applied.call_count == 14
 
     def test_all_tokens_unaligned_terminates(self):
@@ -814,8 +809,8 @@ class TestTrainSentence:
         gold = ArcSet(3)
         reduce_set = frozenset({1, 2, 3})
         trainer = Trainer(params, TrainConfig(rng_seed=0))
-        loss = trainer.train_sentence(tokens, gold, reduce_set)
-        assert np.isfinite(loss)
+        loss = trainer.run_epoch([(tokens, gold, reduce_set)])
+        assert np.isfinite(loss) and trainer.optimizer.t == 1
 
     @pytest.mark.usefixtures("per_sentence_updates")
     def test_loss_reaches_zero_on_repeated_updates(self, fig_instance):
@@ -824,7 +819,7 @@ class TestTrainSentence:
         trainer = Trainer(params, TrainConfig(rng_seed=1, learning_rate=0.01,
                                               word_dropout_alpha=1e-9))
         losses = [trainer.train_sentence(tokens, gold, reduce_set) for _ in range(250)]
-        assert losses[-1] < 0.05
+        assert losses[-1][0] < 0.05
         assert all(np.isfinite(t).all() for t in params.tensors.values())
 
     def test_unreachable_gold_skipped_and_counted(self):
@@ -888,17 +883,17 @@ class TestGradientArrays:
         fresh.tensors = {name: t.astype(np.float32) for name, t in fresh.tensors.items()}
         optimizer = Adam(fresh.tensors, lr=config.learning_rate, eps=config.adam_epsilon)
         rng = np.random.default_rng(config.rng_seed)
-        original = model.accumulate_gradients
+        original = model.GradientBatch.run
         calls = []
 
-        def recording(*args):
-            total, grads = original(*args)
-            calls.append((total, args[-1]))
-            return total, grads
+        def recording(batch):
+            losses, grads = original(batch)
+            calls.append((losses, batch.arrays))
+            return losses, grads
 
         for _ in range(2):
             calls.clear()
-            with mock.patch.object(model, "accumulate_gradients", recording):
+            with mock.patch.object(model.GradientBatch, "run", recording):
                 mean = trainer.run_epoch(instances)
             assert trainer._grads is None
             losses = []
@@ -910,7 +905,7 @@ class TestGradientArrays:
                     continue
                 optimizer.step(grads)
                 losses.append(total)
-            assert [total for total, _ in calls] == losses
+            assert [batch_losses for batch_losses, _ in calls] == [[total] for total in losses]
             assert [total > 0.0 for total in losses] == [True, False, True, True, False, True]
             assert mean == float(np.mean(losses))
             assert len({id(out) for _, out in calls}) == 1   # one set of arrays per epoch
@@ -921,20 +916,32 @@ class TestGradientArrays:
         assert trainer.skipped == 2
 
     def test_warm_training_sentence_allocates_less_than_a_weight(self):
-        """Every call of a warm batch, the one that fills it and updates
-        included, allocates less than the largest weight tensor."""
+        """Every call of a warm batch allocates less than the largest weight
+        tensor, beyond, in the call that fills the batch and trains it, the
+        arrays that the batch's forward keeps for its backward."""
         params, instances = default_size_model()
         size = model._TRAIN_BATCH
         trainer = Trainer(params)
         for instance in instances[:size]:   # the first batch makes the arrays
             trainer.train_sentence(*instance)
+        forward, kept = model.encode, []
+
+        def encoder(*args):
+            vectors, cache = forward(*args)
+            states, saved = cache[0], cache[4]
+            kept.append(states.nbytes + sum(a.nbytes for arrays in saved for a in arrays))
+            return vectors, cache
+
         losses, peaks = [], []
-        with mock.patch.object(trainer.optimizer, "step", wraps=trainer.optimizer.step) as step:
+        with mock.patch.object(trainer.optimizer, "step", wraps=trainer.optimizer.step) as step, \
+                mock.patch.object(model, "encode", side_effect=encoder):
             for instance in instances[size: 2 * size]:
-                peaks.append(traced_peak(lambda: losses.append(trainer.train_sentence(*instance))))
+                peaks.append(traced_peak(lambda: losses.extend(trainer.train_sentence(*instance))))
                 assert step.call_count == (len(peaks) == size)
-        assert step.call_args.args[0]["mlp_w1"] is not None and max(losses) > 0.0
-        assert max(peaks) < max(t.nbytes for t in params.tensors.values())
+        assert step.call_args.args[0]["mlp_w1"] is not None
+        assert len(losses) == size and max(losses) > 0.0 and len(kept) == 1
+        largest = max(t.nbytes for t in params.tensors.values())
+        assert max(peaks[:-1]) < largest and peaks[-1] < largest + kept[0]
 
 
 def summed_gradients(instances, params):
@@ -950,6 +957,92 @@ def summed_gradients(instances, params):
             if g is not None:
                 summed[name] += g
     return summed
+
+
+def assert_batch_matches_sentences(batch, instances, params):
+    """`batch.run` against `accumulate_gradients` sentence by sentence, in
+    float64: each counted sentence's loss to 1e-12, and the batch's
+    gradients equal to the summed sentence gradients to 1e-12 relative."""
+    losses, grads = batch.run()
+    want = []
+    for instance in instances:
+        try:
+            want.append(accumulate_gradients(*instance, params)[0])
+        except OracleStuck:
+            continue
+    assert len(losses) == len(want) and batch.sentences == 0
+    assert all(abs(got - total) <= 1e-12 * max(1.0, total) for got, total in zip(losses, want))
+    assert_grads_close(grads, summed_gradients(instances, params), params)
+
+
+class TestLockstepBPTT:
+    """A batch trains through one `encode` and one lockstep BPTT per LSTM,
+    and its gradients are the sum of its sentences' own, to 1e-12 relative
+    in float64, whatever lengths the batch mixes."""
+
+    @staticmethod
+    def queue(instances, params):
+        batch = model.GradientBatch(params, len(instances))
+        for instance in instances:
+            try:
+                batch.add(*instance)
+            except OracleStuck:
+                pass
+        return batch
+
+    @pytest.mark.parametrize("rule", list(ArcRule))
+    def test_sentence_that_outlasts_the_rest(self, rule):
+        by_length = INSTANCES_BY_LENGTH[rule]
+        # the 7-token sentence runs its last five steps alone, ROOT alone is
+        # one step, and the stuck sentence inside the batch is not queued
+        instances = [by_length[1][0], by_length[0][0], STUCK_INSTANCE, by_length[7][0],
+                     by_length[2][1]]
+        params = ModelParams(Vocab.from_sentences(inst[0] for inst in instances), rule,
+                             emb_dim=12, hidden=8, mlp_hidden=4, seed=2)
+        batch = self.queue(instances, params)
+        assert batch.sentences == 4
+        assert_batch_matches_sentences(batch, instances, params)
+
+    def test_default_size_on_synthetic_sentences(self):
+        params, instances = default_size_model()
+        assert_batch_matches_sentences(self.queue(instances[:8], params), instances[:8], params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)),
+           picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1000)),
+                          min_size=1, max_size=8),
+           emb_dim=st.integers(1, 6), hidden=st.integers(1, 5), mlp_hidden=st.integers(1, 5),
+           layers=st.integers(1, 2), seed=st.integers(0, 1000))
+    def test_small_sizes_and_lengths(self, rule, picks, emb_dim, hidden, mlp_hidden, layers,
+                                     seed):
+        pools = INSTANCES_BY_LENGTH[rule]
+        instances = [pools[n][k % len(pools[n])] for n, k in picks]
+        params = ModelParams(Vocab.from_sentences(inst[0] for inst in instances), rule,
+                             emb_dim=emb_dim, hidden=hidden, mlp_hidden=mlp_hidden,
+                             layers=layers, seed=seed)
+        assert_batch_matches_sentences(self.queue(instances, params), instances, params)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_backward_matches_each_sequence(self, reverse):
+        """`ad.lstm_backward` over a batch against each sequence's batch of
+        one: the pre-activation and input gradients to 1e-12 relative, and
+        zero past each sequence's end."""
+        rng = np.random.default_rng(4)
+        hidden, in_dim, lengths = 5, 3, np.array([9, 4, 4, 1])
+        w = rng.standard_normal((4 * hidden, in_dim + hidden))
+        b = rng.standard_normal(4 * hidden)
+        xs = rng.standard_normal((9, 4, in_dim))
+        dhs = rng.standard_normal((9, 4, hidden))
+        valid = np.arange(9)[:, None] < lengths
+        xs[~valid], dhs[~valid] = 0.0, 0.0
+        _, saved = ad.lstm(xs, lengths, w, b, reverse)
+        dpre, dxs = ad.lstm_backward(dhs, lengths, w, saved[:3], reverse)
+        assert not dpre[~valid].any() and not dxs[~valid].any()
+        for k, n in enumerate(lengths):
+            _, one = ad.lstm(xs[:n, k:k + 1], lengths[k:k + 1], w, b, reverse)
+            want = ad.lstm_backward(dhs[:n, k:k + 1], lengths[k:k + 1], w, one[:3], reverse)
+            for got, expected in zip((dpre[:n, k], dxs[:n, k]), want):
+                assert np.abs(got - expected[:, 0]).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestTrainBatch:
@@ -968,29 +1061,26 @@ class TestTrainBatch:
         instances = self.batch_instances(fig_instance)
         params = small_params([inst[0] for inst in instances], seed=5)
         batch = model.GradientBatch(params, size)
-        fed, counted = [], 0
+        fed = []
         for instance in instances:
             fed.append(instance)
             try:
-                total, grads = accumulate_gradients(*instance, params, None, 0.25, batch)
+                batch.add(*instance)
             except OracleStuck:
                 continue
-            counted += 1
-            if counted < size:
-                assert grads is None
-            else:
+            if batch.sentences == size:
                 break
         assert STUCK_INSTANCE in fed and INSTANCES_BY_LENGTH[ArcRule.LEFT][0][0] in fed
-        assert batch.sentences == 0 and all(g is not None for g in grads.values())
-        assert_grads_close(grads, summed_gradients(fed, params), params)
+        assert_batch_matches_sentences(batch, fed, params)
 
     def test_batch_without_positive_loss_gives_none(self):
         empty = INSTANCES_BY_LENGTH[ArcRule.LEFT][0][0]
         params = small_params([("dog",)])
         batch = model.GradientBatch(params, 2)
-        assert accumulate_gradients(*empty, params, None, 0.25, batch) == (0.0, None)
-        total, grads = accumulate_gradients(*empty, params, None, 0.25, batch)
-        assert total == 0.0 and grads == dict.fromkeys(params.tensors)
+        batch.add(*empty)
+        batch.add(*empty)
+        assert batch.run() == ([0.0, 0.0], dict.fromkeys(params.tensors))
+        assert batch.sentences == 0
 
     @pytest.mark.parametrize("size", [1, 2, 3, 8])
     def test_one_adam_step_per_batch(self, fig_instance, monkeypatch, size):
@@ -1028,32 +1118,39 @@ class TestFloat32Training:
         instances = TestTrainBatch.batch_instances(fig_instance)
         params = small_params([inst[0] for inst in instances], seed=5)
         trainer = Trainer(params, TrainConfig(rng_seed=5))
-        head_backward, encode_backward = model._head_backward, model._encode_backward
-        made = []   # every factor, as a backward returns it; the batch then drops them
-
-        def head(*args):
-            drows, factors = head_backward(*args)
-            made.extend([drows, *(a for f in factors.values() for a in f)])
-            return drows, factors
+        forward, head_backward, bptt = model.encode, model._head_backward, ad.lstm_backward
+        made = []   # every array that a pass returns or saves; the batch then drops them
 
         def encoder(*args):
-            factors = encode_backward(*args)
-            ids, rows = factors["embeddings"]
+            vectors, cache = forward(*args)
+            states, _, ids, _, saved = cache
             assert ids.dtype == np.intp
-            made.extend([rows, *(a for name, f in factors.items() if name != "embeddings"
-                                 for a in f)])
-            return factors
+            made.extend([*vectors, states, *(a for arrays in saved for a in arrays)])
+            return vectors, cache
 
-        with mock.patch.object(model, "_head_backward", side_effect=head) as heads, \
-                mock.patch.object(model, "_encode_backward", side_effect=encoder) as encoders, \
-                mock.patch.object(model.GradientBatch, "gradients", autospec=True,
-                                  side_effect=model.GradientBatch.gradients) as gradients:
+        def head(*args):
+            drows = head_backward(*args)
+            made.append(drows)
+            return drows
+
+        def lstm_backward(*args):
+            dpre, dxs = bptt(*args)
+            made.extend([dpre, dxs])
+            return dpre, dxs
+
+        with mock.patch.object(model, "encode", side_effect=encoder) as encoders, \
+                mock.patch.object(model, "_head_backward", side_effect=head) as heads, \
+                mock.patch.object(ad, "lstm_backward", side_effect=lstm_backward) as bptts, \
+                mock.patch.object(model.GradientBatch, "run", autospec=True,
+                                  side_effect=model.GradientBatch.run) as runs:
             trainer.run_epoch(instances)
-        # 9 counted sentences, 8 with a positive loss, in batches of 8
-        assert heads.call_count == encoders.call_count == 8 and gradients.call_count == 2
+        # 9 counted sentences in batches of 8, each batch with a positive loss;
+        # one BPTT per LSTM and batch
+        assert encoders.call_count == heads.call_count == runs.call_count == 2
+        assert bptts.call_count == 2 * 2 * params.layers
         made += [*params.tensors.values(), *trainer.optimizer._scratch]
         made += [*trainer.optimizer.m.values(), *trainer.optimizer.v.values()]
-        made += [a for call in gradients.call_args_list for a in call.args[0].arrays.values()]
+        made += [a for call in runs.call_args_list for a in call.args[0].arrays.values()]
         assert {a.dtype for a in made} == {np.dtype(np.float32)}
 
     def test_float32_gradients_agree_with_float64(self):
@@ -1080,6 +1177,22 @@ class TestFloat32Training:
             if compared == 10:
                 break
         assert compared == 10
+
+
+    def test_float32_batch_agrees_with_float64_sentences(self):
+        """A float32 batch of 8 against the sum of its sentences' float64
+        gradients, on the same rounded values, within the bounds above."""
+        wide, instances = default_size_model()
+        narrow, _ = default_size_model()
+        narrow.tensors = {name: t.astype(np.float32) for name, t in narrow.tensors.items()}
+        wide.tensors = {name: t.astype(np.float64) for name, t in narrow.tensors.items()}
+        batch = TestLockstepBPTT.queue(instances[:8], narrow)
+        losses, grads = batch.run()
+        wanted = [accumulate_gradients(*instance, wide)[0] for instance in instances[:8]]
+        assert all(abs(got - want) <= 1e-6 * abs(want) for got, want in zip(losses, wanted))
+        for name, g64 in summed_gradients(instances[:8], wide).items():
+            assert grads[name].dtype == np.float32, name
+            assert np.abs(grads[name] - g64).max() <= 1e-5 * np.abs(g64).max(), name
 
 
 class TestParse:
@@ -1128,8 +1241,8 @@ class TestGradCheck:
         b2[params.action_index[SHIFT]] = 100.0
         # after SHIFT the correct action is LEFT(BEGN)
         b2[params.action_index[left(EdgeLabel.BEGN)]] = 200.0
-        value, saved = sentence_pass(tokens, gold, frozenset(), params)
-        assert value == 0.0 and saved is None
+        value, grads = accumulate_gradients(tokens, gold, frozenset(), params)
+        assert value == 0.0 and grads == dict.fromkeys(params.tensors)
         err = grad_check(params, (tokens, gold, frozenset()), step=1e-3)
         assert err == 0.0
 
@@ -1313,13 +1426,13 @@ class TestWordDropout:
         params = small_params([tokens])
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
-        va, _ = encode(["dog"], params, rng=rng_a, dropout_alpha=1e9)
+        va, _ = encode_one(["dog"], params, rng=rng_a, dropout_alpha=1e9)
         # with an enormous alpha the word always drops to UNK
-        unk_only, _ = encode(["zebra"], params, rng=rng_b, dropout_alpha=1e9)
+        unk_only, _ = encode_one(["zebra"], params, rng=rng_b, dropout_alpha=1e9)
         assert np.allclose(va[0], unk_only[0])
 
     def test_no_rng_no_dropout(self):
         params = small_params([("dog",)])
-        kept, _ = encode(["dog"], params, dropout_alpha=1e9)
-        unk_only, _ = encode(["zebra"], params, dropout_alpha=1e9)
+        kept, _ = encode_one(["dog"], params, dropout_alpha=1e9)
+        unk_only, _ = encode_one(["zebra"], params, dropout_alpha=1e9)
         assert not np.allclose(kept[0], unk_only[0])
