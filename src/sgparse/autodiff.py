@@ -69,7 +69,7 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     `w @ z`) to 1e-12 in float64, and bit for bit across batches of two or
     more.  Every array is made in `w`'s dtype.
     Returns the hidden states at their inputs' rows and, in step order, the
-    backward pass's `[x; h]`, gates, cells and their tanh, written in place.
+    backward pass's `[x; h]`, gates and cells, written in place.
     """
     steps, batch, in_dim = xs.shape
     hidden = b.shape[0] // 4
@@ -78,7 +78,6 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     z = np.zeros((steps, batch, in_dim + hidden), dtype)
     gates = np.empty((steps, batch, 4 * hidden), dtype)
     cells = np.empty((steps, batch, hidden), dtype)
-    tanh_cells = np.empty((steps, batch, hidden), dtype)
     hs = np.zeros((steps, batch, hidden), dtype)
     h = c = np.zeros((batch, hidden), dtype)
     running = batch
@@ -96,15 +95,15 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
         np.tanh(pre[:, three:], out=gt[:, three:])
         c = np.add(gt[:, hidden: 2 * hidden] * c[:running], gt[:, :hidden] * gt[:, three:],
                    out=cells[t, :running])
-        h = gt[:, 2 * hidden: three] * np.tanh(c, out=tanh_cells[t, :running])
+        h = gt[:, 2 * hidden: three] * np.tanh(c)
         hs[pos, seq] = h
-    return hs, (z, gates, cells, tanh_cells)
+    return hs, (z, gates, cells)
 
 
 def lstm_backward(dhs: np.ndarray, lengths: np.ndarray, w: np.ndarray, saved, reverse: bool):
     """Backpropagation through time for a batch of `lstm`, in lockstep,
-    given the first three arrays that `lstm` saved, its `[x; h]` rows, gates
-    and cells (the cells' tanh is made again, as `lstm` made it), and `dhs`,
+    given the arrays that `lstm` saved, its `[x; h]` rows, gates and cells
+    (the cells' tanh is made again, as `lstm` made it), and `dhs`,
     the gradients of its hidden states, steps x batch x hidden at the rows
     where `lstm` returned them.
 
@@ -151,7 +150,10 @@ def lstm_backward(dhs: np.ndarray, lengths: np.ndarray, w: np.ndarray, saved, re
         dpre[t, running:] = 0.0
         np.matmul(dpre[t, run], w_h, out=dh_next[run])
     dxs = (dpre.reshape(steps * batch, -1) @ w[:, :in_dim]).reshape(steps, batch, in_dim)
-    return dpre, dxs[rows, seqs] if reverse else dxs
+    if reverse:   # each sequence's steps back to their inputs' rows, in place
+        for k, n in enumerate(lengths):
+            dxs[:n, k] = dxs[n - 1::-1, k]
+    return dpre, dxs
 
 
 def backward(root: Tensor) -> None:

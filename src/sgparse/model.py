@@ -46,7 +46,6 @@ from .transition import (
     is_terminal,
     legal_actions,
     oracle,
-    oracle_parse,
     preferred,
 )
 
@@ -258,15 +257,14 @@ def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
                   saved: list | None = None) -> np.ndarray:
     """The BiLSTM stack that `encode` and `encode_batch` share, over `ids`,
     steps x batch, of sentences with descending `lengths`.  Returns the top
-    layer's states, steps x batch x 2H; appends what `ad.lstm_backward`
-    reads of each `ad.lstm` call's saved arrays, layer by layer and forward
-    first, to `saved`."""
+    layer's states, steps x batch x 2H; appends each `ad.lstm` call's saved
+    arrays, layer by layer and forward first, to `saved`."""
     tensors = params.tensors
 
     def states(xs: np.ndarray, name: str, reverse: bool) -> np.ndarray:
         hs, arrays = ad.lstm(xs, lengths, tensors[f"{name}_w"], tensors[f"{name}_b"], reverse)
         if saved is not None:
-            saved.append(arrays[:3])   # the backward makes the cells' tanh again
+            saved.append(arrays)
         return hs
 
     layer_in = tensors["embeddings"][ids]
@@ -321,34 +319,40 @@ def encode(id_lists: Sequence[np.ndarray], params: ModelParams) -> tuple[list[np
     return vectors, (states, columns, ids, lengths, saved)
 
 
-def _encode_backward(dstates: np.ndarray, cache: tuple, params: ModelParams,
-                     out: Mapping[str, np.ndarray]) -> None:
+def _encode_backward(dstates: np.ndarray, ids: np.ndarray, lengths: np.ndarray, saved: list,
+                     params: ModelParams, out: Mapping[str, np.ndarray]) -> None:
     """Backpropagate the gradient of `encode`'s states, in its steps x batch
     x 2H layout, through each layer's two LSTMs from the top layer down,
-    each over the whole batch in one lockstep BPTT (`ad.lstm_backward`),
-    and write the `lstm*` and `embeddings` gradients into `out`: a weight's
-    as one matmul of the batch's pre-activation gradients and saved `[x; h]`
-    rows, a bias's as their sum, and the embedding rows' with `np.add.at`
-    at the ids.  Each LSTM's saved arrays are dropped from the cache once
-    its gradients are written."""
-    _, _, ids, lengths, saved = cache
+    given the ids, lengths and saved arrays of `encode`'s cache, and write
+    the `lstm*` and `embeddings` gradients into `out`; the embedding rows'
+    with `np.add.at` at the ids.  Each LSTM's saved arrays are popped from
+    `saved` and freed once its gradients are written, so that fewer are
+    alive at once."""
     hidden = params.hidden
     for layer in reversed(range(params.layers)):
-        dxs = []
-        for k, direction in enumerate(("fwd", "bwd")):
-            name = f"lstm{layer}_{direction}"
-            # dropped once its gradients are written, so fewer are alive
-            arrays, saved[2 * layer + k] = saved[2 * layer + k], None
-            dpre, dx = ad.lstm_backward(dstates[..., k * hidden:(k + 1) * hidden], lengths,
-                                        params.tensors[f"{name}_w"], arrays, direction == "bwd")
-            dpre, z = dpre.reshape(-1, dpre.shape[2]), arrays[0].reshape(-1, arrays[0].shape[2])
-            np.matmul(dpre.T, z, out=out[f"{name}_w"])
-            dpre.sum(axis=0, out=out[f"{name}_b"])
-            dxs.append(dx)
-        dstates = dxs[0] + dxs[1]
+        dx_bwd = _lstm_gradients(f"lstm{layer}_bwd", dstates[..., hidden:], lengths, saved.pop(),
+                                 params, out)
+        dx_fwd = _lstm_gradients(f"lstm{layer}_fwd", dstates[..., :hidden], lengths, saved.pop(),
+                                 params, out)
+        dstates = dx_fwd + dx_bwd
     valid = np.arange(len(ids))[:, None] < lengths
     out["embeddings"].fill(0.0)
     np.add.at(out["embeddings"], ids[valid], dstates[valid])
+
+
+def _lstm_gradients(name: str, dhs: np.ndarray, lengths: np.ndarray, saved: tuple,
+                    params: ModelParams, out: Mapping[str, np.ndarray]) -> np.ndarray:
+    """One LSTM's backward over the whole batch, in one lockstep BPTT
+    (`ad.lstm_backward`), given its states' gradient and its saved arrays.
+    Writes its weight gradient into `out`, as one matmul of the batch's
+    pre-activation gradients and saved `[x; h]` rows, and its bias's, as
+    their sum; returns its inputs' gradient."""
+    dpre, dxs = ad.lstm_backward(dhs, lengths, params.tensors[f"{name}_w"], saved,
+                                 name.endswith("bwd"))
+    dpre, z = dpre.reshape(-1, dpre.shape[2]), saved[0].reshape(-1, saved[0].shape[2])
+    np.matmul(dpre.T, z, out=out[f"{name}_w"])
+    dpre.sum(axis=0, out=out[f"{name}_b"])
+    return dxs
 
 
 def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> list[np.ndarray]:
@@ -434,12 +438,13 @@ def step_loss(
     return float(value), (best_wrong, best_correct)
 
 
-def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
+def _head_backward(rows: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
                    pairs: np.ndarray, params: ModelParams, out: Mapping[str, np.ndarray]
                    ) -> np.ndarray:
     """Backpropagate the summed hinge loss of some positive steps through
     the MLP head, write the `mlp_*` gradients into `out`, and return the
-    gradient of the rows of `[vectors; pad]`.
+    gradient of `rows`, the context vectors and the pad vector last,
+    written over `rows` once the `mlp_w1` gradient has read them.
 
     Positive step k read the rows `slots[k]`, had the hidden layer
     `hidden[k]`, and its loss is its score of action `pairs[k, 0]` minus its
@@ -449,18 +454,18 @@ def _head_backward(vectors: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
     """
     w1, w2 = params.tensors["mlp_w1"], params.tensors["mlp_w2"]
     d = params.d_ctx
-    rows = np.concatenate([vectors, params.tensors["pad"][None]])
     dscores = np.zeros((len(pairs), w2.shape[0]), w2.dtype)
     steps = np.arange(len(pairs))
     dscores[steps, pairs[:, 0]] = 1.0
     dscores[steps, pairs[:, 1]] = -1.0
     dpre = (dscores @ w2) * (1.0 - hidden * hidden)
-    drows = np.zeros_like(rows)
-    for k in range(4):
-        dproj = np.zeros((len(rows), dpre.shape[1]), dpre.dtype)
+    dprojs = [np.zeros((len(rows), dpre.shape[1]), dpre.dtype) for _ in range(4)]
+    for k, dproj in enumerate(dprojs):
         np.add.at(dproj, slots[:, k], dpre)
-        drows += dproj @ w1[:, k * d: (k + 1) * d]
         np.matmul(dproj.T, rows, out=out["mlp_w1"][:, k * d: (k + 1) * d])
+    drows = np.matmul(dprojs[0], w1[:, :d], out=rows)
+    for k in range(1, 4):
+        drows += dprojs[k] @ w1[:, k * d: (k + 1) * d]
     dpre.sum(axis=0, out=out["mlp_b1"])
     np.matmul(dscores.T, hidden, out=out["mlp_w2"])
     dscores.sum(axis=0, out=out["mlp_b2"])
@@ -480,6 +485,32 @@ def _oracle_walk(tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]
         walk.append((c, y_plus, legal_actions(c, rule)))
         c = apply(c, preferred(y_plus))
     return walk
+
+
+def _walk_losses(walks: Sequence[list], vectors: Sequence[np.ndarray], columns: np.ndarray,
+                 width: int, params: ModelParams
+                 ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
+    """Each sentence's oracle walk scored with `score` on its own vectors:
+    returns each sentence's summed hinge loss and, for every positive step
+    of the batch, its slots, as rows of the batch's states (step times
+    `width` plus the sentence's column, and the pad row after them all),
+    its hidden layer and its action pair, as `_head_backward` takes them."""
+    pad = max(len(sentence) for sentence in vectors) * width
+    losses, slots, hidden, pairs = [], [], [], []
+    for walk, sentence, column in zip(walks, vectors, columns):
+        scores = score(sentence, params)
+        total = 0.0
+        for c, y_plus, legal in walk:
+            step_slots, step_hidden, row = scores(c)
+            value, pair = step_loss(row, y_plus, legal, params.action_index)
+            total += value
+            if pair is not None:
+                slots.append([pad if s == len(sentence) else s * width + column
+                              for s in step_slots])
+                hidden.append(step_hidden)
+                pairs.append(pair)
+        losses.append(total)
+    return losses, np.array(slots), np.array(hidden), np.array(pairs)
 
 
 class GradientBatch:
@@ -522,31 +553,21 @@ class GradientBatch:
         loss is positive.  The parameter arrays are left unchanged."""
         queued, self._queued = self._queued, []
         params = self.params
-        vectors, cache = encode([ids for ids, _ in queued], params)
-        states, columns = cache[0], cache[1]
-        width = states.shape[1]
-        pad = states.shape[0] * width   # the pad row, after the states' rows
-        losses, slots, hidden, pairs = [], [], [], []
-        for (_, walk), sentence, column in zip(queued, vectors, columns):
-            scores = score(sentence, params)
-            total = 0.0
-            for c, y_plus, legal in walk:
-                step_slots, step_hidden, row = scores(c)
-                value, pair = step_loss(row, y_plus, legal, params.action_index)
-                total += value
-                if pair is not None:
-                    # the sentence's rows, and its pad, as rows of the batch's
-                    slots.append([pad if s == len(sentence) else s * width + column
-                                  for s in step_slots])
-                    hidden.append(step_hidden)
-                    pairs.append(pair)
-            losses.append(total)
-        if not pairs:
+        vectors, (states, columns, ids, lengths, saved) = encode(
+            [sentence_ids for sentence_ids, _ in queued], params)
+        losses, slots, hidden, pairs = _walk_losses([walk for _, walk in queued], vectors,
+                                                    columns, states.shape[1], params)
+        if not len(pairs):
             return losses, dict.fromkeys(self.arrays)
-        drows = _head_backward(states.reshape(pad, -1), np.array(slots), np.array(hidden),
-                               np.array(pairs), params, self.arrays)
+        shape = states.shape
+        rows = np.concatenate([states.reshape(-1, shape[2]), params.tensors["pad"][None]])
+        # `rows` is the states' only copy left, and the head's backward
+        # writes their gradient over it, so fewer arrays are alive in the
+        # backward
+        del vectors, states
+        drows = _head_backward(rows, slots, hidden, pairs, params, self.arrays)
         self.arrays["pad"][...] = drows[-1]
-        _encode_backward(drows[:-1].reshape(states.shape), cache, params, self.arrays)
+        _encode_backward(drows[:-1].reshape(shape), ids, lengths, saved, params, self.arrays)
         return losses, self.arrays
 
 
@@ -633,7 +654,7 @@ class Trainer:
         """
         instances = list(instances)
         last = len(instances)
-        while last and _is_stuck(*instances[last - 1]):
+        while last and _is_stuck(*instances[last - 1], self.params.arc_rule):
             last -= 1
         losses = []
         try:
@@ -649,9 +670,12 @@ class Trainer:
         return float(np.mean(losses)) if losses else 0.0
 
 
-def _is_stuck(tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int]) -> bool:
+def _is_stuck(tokens: Sequence[str], gold: ArcSet, reduce_set: frozenset[int],
+              rule: ArcRule) -> bool:
+    """Whether `GradientBatch.add` raises OracleStuck for the sentence: the
+    same `_oracle_walk` decides both."""
     try:
-        oracle_parse(len(tokens), gold, reduce_set)
+        _oracle_walk(tokens, gold, reduce_set, rule)
     except OracleStuck:
         return True
     return False
