@@ -4,7 +4,9 @@ Alignment runs two cycles, each trying objects, then attributes, then
 relations.  The first cycle matches object labels word-for-word only; every
 other step may also use synonyms.  An attribute aligns only after its object,
 a relation only after both endpoints, and each token is consumed at most
-once, so spans stay disjoint.
+once, so spans stay disjoint.  An `AlignmentResult` is the sentence's tokens
+and its node spans, so gold arcs and the aligned subgraph derive from it
+alone, with no second tokenization.
 """
 
 from __future__ import annotations
@@ -104,28 +106,22 @@ class SynonymLexicon:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Partial map from graph nodes to disjoint 1-based token spans."""
+    """A sentence's tokens and a partial map from graph nodes to disjoint
+    1-based spans over them; a span out of bounds or overlapping another
+    raises AlignmentConflict."""
 
-    n_tokens: int
+    tokens: tuple[str, ...]
     node_spans: dict[NodeRef, tuple[int, int]] = field(default_factory=dict)
-    aligned_words: frozenset[int] = frozenset()
-    aligned_nodes: frozenset[NodeRef] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "aligned_words", frozenset(self.aligned_words))
-        object.__setattr__(self, "aligned_nodes", frozenset(self.aligned_nodes))
         covered: set[int] = set()
         for ref, (start, end) in self.node_spans.items():
-            if not (1 <= start <= end <= self.n_tokens):
+            if not (1 <= start <= end <= len(self.tokens)):
                 raise AlignmentConflict(f"span {start}..{end} for {ref} is out of bounds")
             toks = set(range(start, end + 1))
             if toks & covered:
                 raise AlignmentConflict(f"span for {ref} overlaps an earlier span")
             covered |= toks
-            if ref not in self.aligned_nodes:
-                raise AlignmentConflict(f"{ref} mapped but missing from aligned_nodes")
-        if not covered <= set(self.aligned_words):
-            raise AlignmentConflict("span tokens missing from aligned_words")
 
 
 class AlignMode(Enum):
@@ -152,7 +148,8 @@ def align(
     lexicon: SynonymLexicon | None = None,
     mode: AlignMode = AlignMode.FULL,
 ) -> AlignmentResult:
-    """Two-cycle greedy alignment; unaligned nodes simply stay unmapped.
+    """Two-cycle greedy alignment of the sentence's tokens; unaligned nodes
+    simply stay unmapped.
 
     Nodes are visited in declaration order and each takes the leftmost free
     span whose length equals its word count; ties never arise because the
@@ -164,7 +161,6 @@ def align(
     n = len(tokens)
     spans: dict[NodeRef, tuple[int, int]] = {}
     used_words: set[int] = set()
-    aligned: set[NodeRef] = set()
 
     def try_align(ref: NodeRef, label: str, synonyms: SynonymLexicon) -> None:
         words = normalize_label(label).split()
@@ -178,7 +174,6 @@ def align(
             if syn_match(label, tokens, start, synonyms):
                 spans[ref] = (start, start + width - 1)
                 used_words.update(span)
-                aligned.add(ref)
                 return
 
     for cycle in (1, 2):
@@ -191,54 +186,46 @@ def align(
             other_syn = lexicon
         for i, label in enumerate(graph.objects):
             ref = NodeRef("object", i)
-            if ref not in aligned:
+            if ref not in spans:
                 try_align(ref, label, object_syn)
         for j, (oi, label) in enumerate(graph.attributes):
             ref = NodeRef("attribute", j)
-            if ref not in aligned and NodeRef("object", oi) in aligned:
+            if ref not in spans and NodeRef("object", oi) in spans:
                 try_align(ref, label, other_syn)
         for k, (si, label, oi) in enumerate(graph.relations):
             ref = NodeRef("relation", k)
             if (
-                ref not in aligned
-                and NodeRef("object", si) in aligned
-                and NodeRef("object", oi) in aligned
+                ref not in spans
+                and NodeRef("object", si) in spans
+                and NodeRef("object", oi) in spans
             ):
                 try_align(ref, label, other_syn)
 
-    return AlignmentResult(
-        n_tokens=n,
-        node_spans=spans,
-        aligned_words=frozenset(used_words),
-        aligned_nodes=frozenset(aligned),
-    )
+    return AlignmentResult(tuple(tokens), spans)
 
 
 def derive_gold(
-    alignment: AlignmentResult, graph: SceneGraph, rule: ArcRule, n_tokens: int
+    alignment: AlignmentResult, graph: SceneGraph, rule: ArcRule
 ) -> tuple[ArcSet, frozenset[int]]:
-    """Gold arcs plus the tokens a parser must drop with REDUCE.
+    """Gold arcs over the alignment's tokens plus the tokens a parser must
+    drop with REDUCE.
 
     The reduce set is every token that takes part in no arc at all, which
     covers unaligned words and the spans of nodes whose guards failed.
     """
-    if n_tokens != alignment.n_tokens:
-        raise AlignmentConflict(
-            f"alignment covers {alignment.n_tokens} tokens, caller says {n_tokens}"
-        )
     gold = to_edge_centric(graph, alignment, rule)
-    reduce_set = frozenset(range(1, n_tokens + 1)) - gold.participants()
+    reduce_set = frozenset(range(1, len(alignment.tokens) + 1)) - gold.participants()
     return gold, reduce_set
 
 
-def aligned_subgraph(graph: SceneGraph, alignment: AlignmentResult, tokens: list[str]) -> SceneGraph:
+def aligned_subgraph(graph: SceneGraph, alignment: AlignmentResult) -> SceneGraph:
     """The scene graph actually taught to the parser: aligned nodes only,
     with labels realized from the matched tokens (synonym matches therefore
     surface the sentence's words)."""
 
     def realize(ref: NodeRef) -> str:
         start, end = alignment.node_spans[ref]
-        return normalize_label(" ".join(tokens[start - 1: end]))
+        return normalize_label(" ".join(alignment.tokens[start - 1: end]))
 
     spans = alignment.node_spans
     kept_objects = [i for i in range(len(graph.objects)) if NodeRef("object", i) in spans]

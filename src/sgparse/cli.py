@@ -19,13 +19,11 @@ from .align import AlignMode, SynonymLexicon, align, aligned_subgraph, derive_go
 from .align import tokenize as _tokenize_batch
 from .corpus import (
     RegionRecord,
-    SplitSpec,
     build_instances,
     generate_synthetic,
     graph_to_json,
     load_corpus,
     load_split,
-    make_splits,
     read_config,
     save_corpus,
 )
@@ -180,16 +178,11 @@ def cmd_align(args) -> int:
         }, sort_keys=True))
     _write_text(args.out, "".join(line + "\n" for line in lines))
 
-    def aligned_pair(item):
-        record, alignment = item
-        subgraph = aligned_subgraph(record.graph, alignment, tokenize(record.phrase))
-        return subgraph, len(alignment.aligned_nodes)
-
-    pairs = parallel_map(aligned_pair, zip(records, alignments))
-    candidates = [subgraph for subgraph, _ in pairs]
-    oracle_f = corpus_f(candidates, [r.graph for r in records], lexicon)
+    graphs = [r.graph for r in records]
+    candidates = parallel_map(lambda pair: aligned_subgraph(*pair), zip(graphs, alignments))
+    oracle_f = corpus_f(candidates, graphs, lexicon)
     total_nodes = sum(len(r.graph.node_refs()) for r in records)
-    aligned_nodes = sum(count for _, count in pairs)
+    aligned_nodes = sum(len(alignment.node_spans) for alignment in alignments)
     err = sys.stderr
     print(f"records={stats['total']} malformed_skipped={skipped}", file=err)
     print(f"gold_instances={stats['used']} cyclic={stats['cyclic']} "
@@ -213,20 +206,18 @@ def cmd_train(args) -> int:
     rule = _arc_rule(settings)
     mode = _align_mode(settings)
     records = _load_records(settings)
-    eval_records = records
-    if args.split_train and args.split_eval:
-        spec = SplitSpec(load_split(args.split_train), load_split(args.split_eval))
-        records, eval_records = make_splits(records, spec)
-    elif args.split_train:
-        train_ids = load_split(args.split_train)
-        records = [r for r in records if r.image_id in train_ids]
-        eval_records = records
-    elif args.split_eval:
-        eval_ids = load_split(args.split_eval)
-        eval_records = [r for r in records if r.image_id in eval_ids]
-        records = [r for r in records if r.image_id not in eval_ids]
+    # Training takes the listed training images, or every image not held out
+    # for evaluation; evaluation takes the listed images, or the training ones.
+    train_ids = load_split(args.split_train) if args.split_train else None
+    eval_ids = load_split(args.split_eval) if args.split_eval else None
+    if train_ids and eval_ids and (overlap := train_ids & eval_ids):
+        raise SgparseError(f"train and eval image ids overlap: {sorted(overlap)[:5]}")
+    train_records = [r for r in records if (train_ids is None or r.image_id in train_ids)
+                     and (eval_ids is None or r.image_id not in eval_ids)]
+    eval_records = (train_records if eval_ids is None
+                    else [r for r in records if r.image_id in eval_ids])
     corpus = settings.require("corpus")
-    instances, stats = build_instances(records, lexicon, rule, mode)
+    instances, stats = build_instances(train_records, lexicon, rule, mode)
     skips = (f"skipped_cyclic={stats['cyclic']} skipped_arc_conflict={stats['arc_conflict']} "
              f"skipped_non_projective={stats['non_projective']}")
     if not instances:
@@ -333,8 +324,8 @@ def cmd_trace(args) -> int:
         record = matches[0]
         lexicon = _load_lexicon(settings)
         alignment = align(sentence, record.graph, lexicon, _align_mode(settings))
-        gold, reduce_set = derive_gold(alignment, record.graph, _arc_rule(settings), len(tokens))
-        actions = oracle_parse(len(tokens), gold, reduce_set)
+        gold, reduce_set = derive_gold(alignment, record.graph, _arc_rule(settings))
+        actions = oracle_parse(len(alignment.tokens), gold, reduce_set)
     else:
         params, _ = load_checkpoint(settings.require("checkpoint"))
         _, actions = greedy_parse(tokens, params)

@@ -1,4 +1,4 @@
-"""Corpus ingestion, dataset splits, and synthetic data for verification.
+"""Corpus ingestion, split files, and synthetic data for verification.
 
 The corpus format is line-delimited JSON, one region per line:
 
@@ -7,9 +7,9 @@ The corpus format is line-delimited JSON, one region per line:
      "attributes": [{"object_id": int, "attribute": str}],
      "relationships": [{"subject_id": int, "predicate": str, "object_id": int}]}
 
-Malformed records (one that is not UTF-8, or an id that is not a JSON
-integer) are skipped and counted; a corpus with more than 10% malformed
-lines is rejected outright.
+Malformed records (one that is not UTF-8, an id that is not a JSON integer,
+or a phrase with no token) are skipped and counted; a corpus with more than
+10% malformed lines is rejected outright.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .align import (AlignMode, AlignmentResult, SynonymLexicon, align, derive_go
                     read_text_lines, tokenize)
 from .errors import AlignmentConflict, ArcConflict, CorpusCorrupt, OracleStuck
 from .graph import ArcRule, ArcSet, SceneGraph, is_acyclic, normalize_label
-from .transition import apply, initial, oracle_parse
+from .transition import oracle_parse
 
 MALFORMED_LIMIT = 0.10
 
@@ -86,10 +86,13 @@ def record_from_json(data: dict) -> RegionRecord:
         raise ValueError("record is not a JSON object")
     if data.get("phrase") is None:
         raise ValueError("phrase must not be null")
+    phrase = str(data["phrase"])
+    if not tokenize(phrase):
+        raise ValueError(f"phrase {phrase!r} has no token")
     return RegionRecord(
         image_id=_json_int(data["image_id"]),
         region_id=_json_int(data["region_id"]),
-        phrase=str(data["phrase"]),
+        phrase=phrase,
         graph=graph_from_json(data),
     )
 
@@ -128,19 +131,6 @@ def save_corpus(records: Iterable[RegionRecord], path: str | Path) -> None:
             handle.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_ids: frozenset[int]
-    eval_ids: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_ids", frozenset(self.train_ids))
-        object.__setattr__(self, "eval_ids", frozenset(self.eval_ids))
-        overlap = self.train_ids & self.eval_ids
-        if overlap:
-            raise ValueError(f"train and eval image ids overlap: {sorted(overlap)[:5]}")
-
-
 def load_split(path: str | Path) -> frozenset[int]:
     """One image id per line."""
     ids = set()
@@ -152,15 +142,6 @@ def load_split(path: str | Path) -> frozenset[int]:
             except ValueError as err:
                 raise ValueError(f"{path}:{number}: {err}") from err
     return frozenset(ids)
-
-
-def make_splits(
-    records: Sequence[RegionRecord], spec: SplitSpec
-) -> tuple[list[RegionRecord], list[RegionRecord]]:
-    """Partition by image id; records in neither set are dropped."""
-    train = [r for r in records if r.image_id in spec.train_ids]
-    evaluation = [r for r in records if r.image_id in spec.eval_ids]
-    return train, evaluation
 
 
 @dataclass(frozen=True)
@@ -256,11 +237,13 @@ def build_instances(
 ) -> tuple[list[TrainInstance], dict[str, int]]:
     """Alignment-derived supervision for every usable record.
 
-    Records are dropped (and counted) when their graph is cyclic, when the
-    derived arcs violate the single-head property, or when the oracle cannot
-    reach the gold arcs (non-projective).  The oracle action sequence is
-    replayed on every kept instance as a safety check.  When `alignments` is
-    a list, each record's alignment is appended to it in record order.
+    Each record's phrase is tokenized once, by `align`, and its instance
+    takes the alignment's tokens.  Records are dropped (and counted) when
+    their graph is cyclic, when the derived arcs violate the single-head
+    property, or when `oracle_parse` cannot reach the gold arcs
+    (non-projective); it checks that its walk ends on exactly those arcs.
+    When `alignments` is a list, each record's alignment is appended to it
+    in record order.
     """
     instances = []
     stats = {"total": len(records), "used": 0, "cyclic": 0, "arc_conflict": 0,
@@ -272,25 +255,18 @@ def build_instances(
         if not is_acyclic(record.graph):
             stats["cyclic"] += 1
             continue
-        tokens = tuple(tokenize(record.phrase))
         try:
-            gold, reduce_set = derive_gold(alignment, record.graph, rule, len(tokens))
+            gold, reduce_set = derive_gold(alignment, record.graph, rule)
         except (ArcConflict, AlignmentConflict):
             stats["arc_conflict"] += 1
             continue
         try:
-            actions = oracle_parse(len(tokens), gold, reduce_set)
+            oracle_parse(len(alignment.tokens), gold, reduce_set)
         except OracleStuck:
             stats["non_projective"] += 1
             continue
-        c = initial(len(tokens))
-        for a in actions:
-            c = apply(c, a)
-        if c.arc_set() != gold:
-            stats["non_projective"] += 1
-            continue
         stats["used"] += 1
-        instances.append(TrainInstance(record.region_id, tokens, gold, reduce_set))
+        instances.append(TrainInstance(record.region_id, alignment.tokens, gold, reduce_set))
     return instances, stats
 
 

@@ -32,8 +32,8 @@ class IllegalAction(SgparseError):
 
 
 class OracleStuck(SgparseError):
-    """No zero-cost action exists; the gold arcs are unreachable (non-projective
-    or corrupt) from the current configuration."""
+    """No zero-cost action exists, or the oracle's path ends without the gold
+    arcs; they are unreachable (non-projective or corrupt)."""
 
 
 class CorpusCorrupt(SgparseError):

@@ -177,18 +177,12 @@ def _chain_arcs(span: tuple[int, int], rule: ArcRule) -> list[Arc]:
     return [Arc(i, i + 1, EdgeLabel.CONT) for i in range(start, end)]
 
 
-def _check_spans(spans: dict[NodeRef, tuple[int, int]], graph: SceneGraph, n_tokens: int) -> None:
+def _check_spans(spans: dict[NodeRef, tuple[int, int]], graph: SceneGraph) -> None:
     counts = {"object": len(graph.objects), "attribute": len(graph.attributes),
               "relation": len(graph.relations)}
-    for ref, (start, end) in spans.items():
+    for ref in spans:
         if ref.kind not in counts or not 0 <= ref.index < counts[ref.kind]:
             raise AlignmentConflict(f"alignment references unknown node {ref}")
-        if not (1 <= start <= end <= n_tokens):
-            raise AlignmentConflict(f"span {start}..{end} for {ref} is out of bounds")
-    ordered = sorted(spans.values())
-    for (s1, e1), (s2, _) in zip(ordered, ordered[1:]):
-        if s2 <= e1:
-            raise AlignmentConflict(f"alignment spans overlap around tokens {s2}..{e1}")
 
 
 def to_edge_centric(graph: SceneGraph, alignment: "AlignmentResult", rule: ArcRule) -> ArcSet:
@@ -198,10 +192,11 @@ def to_edge_centric(graph: SceneGraph, alignment: "AlignmentResult", rule: ArcRu
     an attribute needs its object, a relation needs both endpoints.  Nodes
     that contribute emit a CONT chain inside their span; ATTR/SUBJ/OBJT arcs
     connect span heads; BEGN arcs attach parentless object heads to ROOT.
+    The alignment has already checked its spans' bounds and overlap.
     """
-    n = alignment.n_tokens
-    spans = dict(alignment.node_spans)
-    _check_spans(spans, graph, n)
+    n = len(alignment.tokens)
+    spans = alignment.node_spans
+    _check_spans(spans, graph)
 
     def span(ref: NodeRef) -> tuple[int, int] | None:
         return spans.get(ref)

@@ -214,7 +214,8 @@ def oracle_parse(
     """Follow the preferred zero-cost action to termination.
 
     Applying the returned sequence from the initial configuration rebuilds
-    exactly the gold arc set.
+    exactly the gold arc set: a walk whose terminal configuration holds
+    other arcs raises OracleStuck, as does one that does not terminate.
     """
     c = initial(n_tokens)
     actions: list[Action] = []
@@ -225,6 +226,8 @@ def oracle_parse(
         a = preferred(oracle(c, gold, reduce_set))
         actions.append(a)
         c = apply(c, a)
+    if c.arc_set() != gold:
+        raise OracleStuck("the oracle's path ends without the gold arcs")
     return actions
 
 

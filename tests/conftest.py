@@ -1,5 +1,6 @@
 import pytest
 
+from sgparse import transition
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.graph import ArcRule, SceneGraph
 
@@ -34,8 +35,8 @@ def fig_alignment():
 
 
 @pytest.fixture
-def fig_gold(fig_alignment, fig_tokens):
-    return derive_gold(fig_alignment, FIG_GRAPH, ArcRule.LEFT, len(fig_tokens))
+def fig_gold(fig_alignment):
+    return derive_gold(fig_alignment, FIG_GRAPH, ArcRule.LEFT)
 
 
 @pytest.fixture
@@ -58,3 +59,19 @@ def canonical(graph: SceneGraph):
             (graph.objects[si], r) for si, r, oi in graph.relations if oi == i))
         per_object.append((label, attrs, outgoing, incoming))
     return tuple(sorted(per_object))
+
+
+@pytest.fixture
+def arc_skipping_oracle(monkeypatch):
+    """Patches `sgparse.transition.oracle` with a mutant that offers REDUCE
+    alone wherever the oracle offers an arc action, so the path it leads
+    reaches the terminal configuration without those gold arcs."""
+    oracle = transition.oracle
+
+    def skipping(c, gold, reduce_set):
+        actions = oracle(c, gold, reduce_set)
+        if any(a.kind in ("LEFT", "RIGHT") for a in actions):
+            return frozenset({transition.REDUCE})
+        return actions
+
+    monkeypatch.setattr(transition, "oracle", skipping)

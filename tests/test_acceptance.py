@@ -229,7 +229,7 @@ def test_criterion_6_retrieval_sanity(capsys):
     def oracle_parser(text: str) -> SceneGraph:
         record = by_phrase[text]
         alignment = align(text, record.graph)
-        return aligned_subgraph(record.graph, alignment, tokenize(text))
+        return aligned_subgraph(record.graph, alignment)
 
     queries = [(oracle_parser(r.phrase), {r.image_id}) for r in records]
     result = evaluate_retrieval(queries, index)

@@ -87,6 +87,11 @@ class TestLexiconFile:
             SynonymLexicon.load(path)
 
 
+def covered(result):
+    """The token indices inside the result's spans."""
+    return {t for start, end in result.node_spans.values() for t in range(start, end + 1)}
+
+
 class TestAlign:
     def test_worked_example(self, fig_sentence, fig_graph):
         result = align(fig_sentence, fig_graph)
@@ -96,7 +101,7 @@ class TestAlign:
             NodeRef("attribute", 0): (1, 1),
             NodeRef("relation", 0): (3, 5),
         }
-        assert 6 not in result.aligned_words
+        assert 6 not in covered(result)
 
     def test_absent_object_blocks_dependents(self):
         graph = SceneGraph(
@@ -105,20 +110,20 @@ class TestAlign:
             relations=((0, "near", 1),),
         )
         result = align("the dog sat", graph)
-        assert result.aligned_nodes == frozenset({NodeRef("object", 0)})
+        assert result.node_spans.keys() == {NodeRef("object", 0)}
 
     def test_duplicate_labels_second_cycle(self):
         lex = SynonymLexicon.from_pairs([("man", "men")])
         graph = SceneGraph(objects=("man", "man"))
         result = align("two men", graph, lex)
         assert result.node_spans == {NodeRef("object", 0): (2, 2)}
-        assert NodeRef("object", 1) not in result.aligned_nodes
+        assert NodeRef("object", 1) not in result.node_spans
 
     def test_no_syn_disables_lexicon(self):
         lex = SynonymLexicon.from_pairs([("man", "guy")])
         graph = SceneGraph(objects=("man",))
-        assert align("a guy", graph, lex).aligned_nodes
-        assert not align("a guy", graph, lex, AlignMode.NO_SYN).aligned_nodes
+        assert align("a guy", graph, lex).node_spans
+        assert not align("a guy", graph, lex, AlignMode.NO_SYN).node_spans
 
     def test_all_syn_can_shift_object_alignment(self):
         lex = SynonymLexicon.from_pairs([("man", "guy")])
@@ -135,25 +140,25 @@ class TestAlign:
         for record in generate_synthetic(40, seed=3):
             full = align(record.phrase, record.graph, lex)
             no_syn = align(record.phrase, record.graph, lex, AlignMode.NO_SYN)
-            assert no_syn.aligned_nodes <= full.aligned_nodes
+            assert no_syn.node_spans.keys() <= full.node_spans.keys()
 
     def test_deterministic(self, fig_sentence, fig_graph):
         first = align(fig_sentence, fig_graph)
         second = align(fig_sentence, fig_graph)
         assert first.node_spans == second.node_spans
-        assert first.aligned_words == second.aligned_words
+        assert covered(first) == covered(second)
 
     def test_guard_soundness_random(self):
         lex = SynonymLexicon.from_pairs([("man", "guy")])
         for record in generate_synthetic(40, seed=8):
             result = align(record.phrase, record.graph, lex)
             for j, (oi, _) in enumerate(record.graph.attributes):
-                if NodeRef("attribute", j) in result.aligned_nodes:
-                    assert NodeRef("object", oi) in result.aligned_nodes
+                if NodeRef("attribute", j) in result.node_spans:
+                    assert NodeRef("object", oi) in result.node_spans
             for k, (si, _, oi) in enumerate(record.graph.relations):
-                if NodeRef("relation", k) in result.aligned_nodes:
-                    assert NodeRef("object", si) in result.aligned_nodes
-                    assert NodeRef("object", oi) in result.aligned_nodes
+                if NodeRef("relation", k) in result.node_spans:
+                    assert NodeRef("object", si) in result.node_spans
+                    assert NodeRef("object", oi) in result.node_spans
 
 
 # labels of one and more words, some of them synonyms under LEXICON
@@ -183,13 +188,14 @@ class TestAlignSpansProperty:
            mode=st.sampled_from(list(AlignMode)))
     def test_spans_disjoint_in_range_and_covered(self, graph, words, mode):
         result = align(" ".join(words), graph, LEXICON, mode)
-        covered: set[int] = set()
+        taken: set[int] = set()
         for start, end in result.node_spans.values():
             assert 1 <= start <= end <= len(words)
             span = set(range(start, end + 1))
-            assert not span & covered
-            covered |= span
-        assert covered <= result.aligned_words
+            assert not span & taken
+            taken |= span
+        # the spans index the sentence's own tokens
+        assert result.tokens == tuple(words)
 
 
 class TestDeriveGold:
@@ -202,14 +208,14 @@ class TestDeriveGold:
     def test_nothing_aligned(self):
         graph = SceneGraph(objects=("zebra",))
         result = align("the dog sat", graph)
-        gold, reduce_set = derive_gold(result, graph, ArcRule.LEFT, 3)
+        gold, reduce_set = derive_gold(result, graph, ArcRule.LEFT)
         assert gold == ArcSet(3)
         assert reduce_set == frozenset({1, 2, 3})
 
     def test_single_object_sentence(self):
         graph = SceneGraph(objects=("dog",))
         result = align("dog", graph)
-        gold, reduce_set = derive_gold(result, graph, ArcRule.LEFT, 1)
+        gold, reduce_set = derive_gold(result, graph, ArcRule.LEFT)
         assert gold == ArcSet(1, frozenset({Arc(2, 1, EdgeLabel.BEGN)}))
         assert reduce_set == frozenset()
 
@@ -219,7 +225,7 @@ class TestAlignedSubgraph:
         lex = SynonymLexicon.from_pairs([("man", "guy")])
         graph = SceneGraph(objects=("man",), attributes=((0, "old"),))
         result = align("old guy", graph, lex)
-        sub = aligned_subgraph(graph, result, tokenize("old guy"))
+        sub = aligned_subgraph(graph, result)
         assert sub == SceneGraph(objects=("guy",), attributes=((0, "old"),))
 
     def test_partial_alignment_drops_nodes(self):
@@ -227,5 +233,5 @@ class TestAlignedSubgraph:
             objects=("dog", "zebra"), relations=((0, "near", 1),)
         )
         result = align("a dog", graph)
-        sub = aligned_subgraph(graph, result, tokenize("a dog"))
+        sub = aligned_subgraph(graph, result)
         assert sub == SceneGraph(objects=("dog",))

@@ -67,6 +67,25 @@ def test_spans_fire_on_training_and_parsing():
         assert parsing[span] > 0, span
 
 
+def test_instance_spans_count_one_alignment_per_record():
+    """`build_instances` aligns each record once, and its instances take the
+    alignment's tokens, so the `align.align` span counts one call per record
+    and the `corpus.build_instances` span holds the rest of its time."""
+    run, probes = _load("run"), _load("probes")
+    sg = run.import_sgparse()
+    records = sg.corpus.generate_synthetic(12, seed=5)
+    tracer, patches = probes.Tracer(), probes.Patches()
+    tracer.install(patches, sg)
+    try:
+        instances, _ = sg.cli.build_instances(records)
+    finally:
+        patches.restore()
+    assert len(instances) == len(records)
+    assert tracer.calls["align.align"] == len(records)
+    assert tracer.calls["corpus.build_instances"] == 1
+    assert tracer.metrics()["corpus.build_instances_s"][0] > 0
+
+
 def test_latency_probes_sample_each_item_once(tmp_path, capsys):
     """The benchmark's item boundaries: a parsed sentence runs from
     `cli.tokenize` to `cli.to_node_centric_lenient`, and a query from

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import string
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from sgparse import corpus as corpus_module
 from sgparse import retrieval
 from sgparse.align import SynonymLexicon, tokenize
 from sgparse.cli import main
-from sgparse.corpus import RegionRecord, generate_synthetic, load_corpus, save_corpus
+from sgparse.corpus import (RegionRecord, build_instances, generate_synthetic, load_corpus,
+                            save_corpus)
 from sgparse.graph import ArcRule, SceneGraph, to_node_centric_lenient
 from sgparse.model import (
     ModelParams,
@@ -98,6 +100,18 @@ class TestAlign:
                             str(tmp_path / "gold.jsonl")], capsys)
         assert code == 0
         assert "records=30 malformed_skipped=1" in err
+
+    def test_records_whose_phrase_has_no_token_are_malformed(self, tmp_path, capsys):
+        corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
+        records = generate_synthetic(30, seed=6)
+        graph = SceneGraph(objects=("dog",))
+        records += [RegionRecord(image_id=99, region_id=100 + i, phrase=phrase, graph=graph)
+                    for i, phrase in enumerate(["   ", "..."])]
+        save_corpus(records, corpus)
+        code, _, err = run(["align", "--corpus", str(corpus), "--out", str(gold)], capsys)
+        assert code == 0
+        assert "records=30 malformed_skipped=2" in err and "gold_instances=30 " in err
+        assert all(json.loads(line)["n_tokens"] > 0 for line in gold.read_text().splitlines())
 
     def test_arc_rule_changes_gold(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -413,6 +427,62 @@ class TestTrainWithSplits:
         ], capsys)
         assert code == 1
         assert "overlap" in stderr
+
+    def test_shared_image_ids_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(20, seed=2), corpus)
+        (tmp_path / "train_ids.txt").write_text("1\n2\n")
+        (tmp_path / "eval_ids.txt").write_text("2\n3\n")
+        code, stdout, stderr = run([
+            "train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m.ckpt"),
+            "--epochs", "1", "--split-train", str(tmp_path / "train_ids.txt"),
+            "--split-eval", str(tmp_path / "eval_ids.txt"),
+        ], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines()[-1] == "error: train and eval image ids overlap: [2]"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("train_ids, eval_ids, trained, evaluated", [
+        ([0, 1], [2], [0, 1], [2]),
+        ([0], [1], [0], [1]),                       # image 2 is in neither file
+        ([0, 1, 2], None, [0, 1, 2], [0, 1, 2]),    # the training records evaluate
+        ([1], None, [1], [1]),
+        (None, [2], [0, 1], [2]),                   # the images not held out train
+        (None, None, [0, 1, 2], [0, 1, 2]),
+    ], ids=["partition", "unlisted-dropped", "all-in-train", "only-train", "only-eval",
+            "no-split"])
+    def test_records_by_split(self, train_ids, eval_ids, trained, evaluated, tmp_path,
+                              capsys, monkeypatch):
+        """The records `sgparse train` trains on and evaluates on, by image,
+        for each combination of split files."""
+        corpus = tmp_path / "corpus.jsonl"
+        records = generate_synthetic(15, seed=2)  # images 0..2
+        save_corpus(records, corpus)
+        argv = ["train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--epochs", "1"]
+        for flag, ids in (("--split-train", train_ids), ("--split-eval", eval_ids)):
+            if ids is not None:
+                path = tmp_path / f"{flag[2:]}.txt"
+                path.write_text("".join(f"{i}\n" for i in ids))
+                argv += [flag, str(path)]
+        seen = {}
+        parse_each = cli_module._parse_each
+
+        def recording_build(train_records, *args):
+            seen["train"] = train_records
+            return build_instances(train_records, *args)
+
+        def recording_parse(params, texts):
+            seen["eval"] = texts
+            return parse_each(params, texts)
+
+        monkeypatch.setattr(cli_module, "build_instances", recording_build)
+        monkeypatch.setattr(cli_module, "_parse_each", recording_parse)
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert seen["train"] == [r for r in records if r.image_id in trained]
+        assert seen["eval"] == [r.phrase for r in records if r.image_id in evaluated]
+        assert f"instances={len(seen['train'])} " in stdout
 
     def test_non_integer_id_names_file_and_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -866,13 +936,13 @@ class TestMutatedInputProperty:
         if lexicon is not None:
             (tmp / "mutated.tsv").write_bytes(lexicon)
             argv += ["--lexicon", str(tmp / "mutated.tsv")]
-        self.run_cli(argv)
+        return self.run_cli(argv)
 
     @staticmethod
     def run_cli(argv, reports=False):
         """Runs `main(argv)`, whose outputs go to files, and checks what it
         wrote to the terminal; stdout stays empty unless the command
-        `reports` there, as `train` does."""
+        `reports` there, as `train` does.  Returns stderr."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -886,6 +956,7 @@ class TestMutatedInputProperty:
             lines = stderr.splitlines()[-1:] if reports else stderr.splitlines()
             assert code == 1 and stderr.endswith("\n") and lines == errors
             assert len(errors) == 1
+        return stderr
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -894,6 +965,18 @@ class TestMutatedInputProperty:
         k = data.draw(st.integers(0, len(lines) - 1))
         corpus = b"".join(lines[:k] + [_mutate(data, lines[k])] + lines[k + 1:])
         self.run_align(tmp, corpus, b"")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_phrase_without_a_token(self, align_inputs, data):
+        """A phrase that is empty, or only whitespace and punctuation, makes
+        its record one malformed record."""
+        tmp, lines, _ = align_inputs
+        k = data.draw(st.integers(0, len(lines) - 1))
+        phrase = data.draw(st.text(alphabet=" \t\n" + string.punctuation, max_size=8))
+        line = json.dumps(dict(json.loads(lines[k]), phrase=phrase)).encode() + b"\n"
+        stderr = self.run_align(tmp, b"".join(lines[:k] + [line] + lines[k + 1:]), b"")
+        assert f"records={len(lines) - 1} malformed_skipped=1\n" in stderr
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())

@@ -4,15 +4,15 @@ import re
 
 import pytest
 
-from sgparse.align import SynonymLexicon
+from sgparse import align as align_module
+from sgparse import corpus as corpus_module
+from sgparse.align import SynonymLexicon, tokenize
 from sgparse.corpus import (
     RegionRecord,
-    SplitSpec,
     build_instances,
     generate_synthetic,
     load_corpus,
     load_split,
-    make_splits,
     read_config,
     record_from_json,
     save_corpus,
@@ -104,6 +104,14 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="not a JSON object"):
             record_from_json(data)
 
+    @pytest.mark.parametrize("phrase", ["", "   ", "...", " -- !? "])
+    def test_phrase_without_a_token_rejected(self, phrase):
+        data = {"image_id": 1, "region_id": 1, "phrase": phrase,
+                "objects": [{"id": 0, "name": "dog"}], "attributes": [], "relationships": []}
+        assert record_from_json(dict(data, phrase=phrase + " dog")).phrase == phrase + " dog"
+        with pytest.raises(ValueError, match="has no token"):
+            record_from_json(data)
+
     def test_null_phrase_rejected(self):
         with pytest.raises(ValueError):
             record_from_json({"image_id": 1, "region_id": 1, "phrase": None,
@@ -134,24 +142,6 @@ class TestSaveLoadRoundTrip:
 
 
 class TestSplits:
-    def test_all_in_train(self):
-        records = generate_synthetic(10, seed=1)
-        ids = {r.image_id for r in records}
-        train, evaluation = make_splits(records, SplitSpec(frozenset(ids), frozenset()))
-        assert train == records and evaluation == []
-
-    def test_unlisted_images_dropped(self):
-        records = generate_synthetic(15, seed=1)
-        spec = SplitSpec(frozenset({0}), frozenset({1}))
-        train, evaluation = make_splits(records, spec)
-        assert all(r.image_id == 0 for r in train)
-        assert all(r.image_id == 1 for r in evaluation)
-        assert len(train) + len(evaluation) < len(records)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            SplitSpec(frozenset({1, 2}), frozenset({2, 3}))
-
     def test_split_file(self, tmp_path):
         path = tmp_path / "ids.txt"
         path.write_text("3\n\n17\n5\n")
@@ -207,6 +197,29 @@ class TestBuildInstances:
         )
         instances, stats = build_instances([shared_object])
         assert instances == [] and stats["arc_conflict"] == 1
+
+    def test_oracle_path_without_the_gold_arcs_is_non_projective(self, arc_skipping_oracle):
+        record = RegionRecord(image_id=1, region_id=1, phrase="the black dog",
+                              graph=SceneGraph(objects=("dog",), attributes=((0, "black"),)))
+        instances, stats = build_instances([record])
+        assert instances == [] and stats["non_projective"] == 1 and stats["used"] == 0
+
+    def test_each_record_tokenized_once(self, monkeypatch):
+        """An instance's tokens are its alignment's: `build_instances`
+        tokenizes each record's phrase once, inside `align`."""
+        records = generate_synthetic(20, seed=4)
+        calls = []
+
+        def counted(phrase):
+            calls.append(phrase)
+            return tokenize(phrase)
+
+        for module in (align_module, corpus_module):   # each module that binds it
+            monkeypatch.setattr(module, "tokenize", counted)
+        instances, stats = build_instances(records)
+        assert stats["used"] == 20
+        assert calls == [r.phrase for r in records]
+        assert [inst.tokens for inst in instances] == [tuple(tokenize(r.phrase)) for r in records]
 
     def test_right_rule_supported(self):
         records = generate_synthetic(20, seed=4)

@@ -140,7 +140,7 @@ class TestToEdgeCentric:
         assert arcs_as_tuples(arc_set) == FIG_ARCS
 
     def test_empty_graph(self):
-        al = AlignmentResult(n_tokens=4)
+        al = AlignmentResult(("a", "b", "c", "d"))
         assert to_edge_centric(SceneGraph.empty(), al, ArcRule.LEFT) == ArcSet(4)
 
     def test_worked_example_right_rule(self, fig_graph, fig_alignment):
@@ -150,29 +150,24 @@ class TestToEdgeCentric:
             [(2, 1, A), (3, 4, C), (4, 5, C), (2, 3, S), (3, 7, O), (8, 2, B)]
         )
 
-    def test_overlapping_spans_rejected(self, fig_graph):
+    def test_overlapping_spans_rejected(self, fig_tokens):
         spans = {
             NodeRef("object", 0): (2, 2),
             NodeRef("object", 1): (2, 3),
         }
-        with pytest.raises(AlignmentConflict):
-            AlignmentResult(
-                n_tokens=7,
-                node_spans=spans,
-                aligned_words=frozenset({2, 3}),
-                aligned_nodes=frozenset(spans),
-            )
+        with pytest.raises(AlignmentConflict, match="overlaps"):
+            AlignmentResult(tuple(fig_tokens), spans)
+
+    @pytest.mark.parametrize("span", [(7, 8), (0, 1), (3, 2)])
+    def test_out_of_bounds_span_rejected(self, fig_tokens, span):
+        with pytest.raises(AlignmentConflict, match="out of bounds"):
+            AlignmentResult(tuple(fig_tokens), {NodeRef("object", 0): span})
 
     def test_unaligned_relation_endpoint_contributes_nothing(self):
         # relation and subject aligned, object not: no SUBJ/OBJT/chain arcs
         graph = SceneGraph(objects=("dog", "cat"), relations=((0, "next to", 1),))
         spans = {NodeRef("object", 0): (1, 1), NodeRef("relation", 0): (2, 3)}
-        al = AlignmentResult(
-            n_tokens=4,
-            node_spans=spans,
-            aligned_words=frozenset({1, 2, 3}),
-            aligned_nodes=frozenset(spans),
-        )
+        al = AlignmentResult(("dog", "next", "to", "cat"), spans)
         arc_set = to_edge_centric(graph, al, ArcRule.LEFT)
         assert arcs_as_tuples(arc_set) == [(5, 1, B)]
 
@@ -300,7 +295,7 @@ class TestRoundTrip:
         records = generate_synthetic(120, seed=5)
         for record in records:
             al = align(record.phrase, record.graph)
-            assert al.aligned_nodes == frozenset(record.graph.node_refs())
+            assert al.node_spans.keys() == set(record.graph.node_refs())
             arc_set = to_edge_centric(record.graph, al, rule)
             tokens = tokenize(record.phrase)
             back = to_node_centric(arc_set, tokens)
@@ -310,14 +305,7 @@ class TestRoundTrip:
     def test_arcs_rebuild_from_recovered_spans(self, rule, fig_graph, fig_alignment, fig_tokens):
         arc_set = to_edge_centric(fig_graph, fig_alignment, rule)
         graph, spans = to_node_centric_with_spans(arc_set, fig_tokens)
-        al = AlignmentResult(
-            n_tokens=len(fig_tokens),
-            node_spans=spans,
-            aligned_words=frozenset(
-                t for s, e in spans.values() for t in range(s, e + 1)
-            ),
-            aligned_nodes=frozenset(spans),
-        )
+        al = AlignmentResult(tuple(fig_tokens), spans)
         assert to_edge_centric(graph, al, rule) == arc_set
 
     def test_begn_count_matches_parentless_objects(self):

@@ -233,7 +233,7 @@ def fig_instance():
     )
     tokens = tuple(tokenize(sentence))
     al = align(sentence, graph)
-    gold, reduce_set = derive_gold(al, graph, ArcRule.LEFT, len(tokens))
+    gold, reduce_set = derive_gold(al, graph, ArcRule.LEFT)
     return tokens, gold, reduce_set
 
 

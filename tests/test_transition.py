@@ -189,11 +189,16 @@ class TestOracleParse:
         with pytest.raises(OracleStuck):
             oracle_parse(4, gold, frozenset())
 
+    def test_path_that_skips_gold_arcs_raises(self, arc_skipping_oracle, fig_gold, fig_tokens):
+        gold, reduce_set = fig_gold
+        with pytest.raises(OracleStuck, match="ends without the gold arcs"):
+            oracle_parse(len(fig_tokens), gold, reduce_set)
+
     def test_completeness_on_synthetic(self):
         for record in generate_synthetic(80, seed=21):
             tokens = tokenize(record.phrase)
             al = align(record.phrase, record.graph)
-            gold, reduce_set = derive_gold(al, record.graph, ArcRule.LEFT, len(tokens))
+            gold, reduce_set = derive_gold(al, record.graph, ArcRule.LEFT)
             actions = oracle_parse(len(tokens), gold, reduce_set)
             c = initial(len(tokens))
             n_reduce = 0
@@ -211,7 +216,7 @@ class TestOracleParse:
         for record in generate_synthetic(40, seed=22):
             tokens = tokenize(record.phrase)
             al = align(record.phrase, record.graph)
-            gold, reduce_set = derive_gold(al, record.graph, ArcRule.RIGHT, len(tokens))
+            gold, reduce_set = derive_gold(al, record.graph, ArcRule.RIGHT)
             actions = oracle_parse(len(tokens), gold, reduce_set)
             c = initial(len(tokens))
             for a in actions:
