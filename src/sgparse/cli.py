@@ -34,7 +34,6 @@ from .model import (
     TrainConfig,
     Trainer,
     Vocab,
-    encode_batch,
     grad_check,
     greedy_parse,
     load_checkpoint,
@@ -114,7 +113,7 @@ def _load_records(settings: Settings) -> list[RegionRecord]:
     return records
 
 
-# Sentences per `encode_batch` pass: a command parses its list of sentences
+# Sentences per `model_parse` pass: a command parses its list of sentences
 # in fixed chunks of this many, in list order.
 PARSE_BATCH = 32
 
@@ -122,19 +121,19 @@ PARSE_BATCH = 32
 def _parse_each(params: ModelParams, texts: Sequence[str]) -> Iterator[SceneGraph]:
     """The scene graph of each text, in order.
 
-    Each text is tokenized, parsed and converted through the names bound in
-    this module, so wrappers installed here see one call of each per text.
-    The first text of each chunk of PARSE_BATCH also encodes the whole chunk
-    in one `encode_batch` pass, after its own `tokenize` call; the chunk is
-    tokenized through a second name, so a wrapper of `tokenize` still sees
-    each text once.
+    Each text is tokenized, then converted, in turn, through the names bound
+    in this module, so wrappers installed here see one call of each per
+    text, in text order.  The first text of each chunk of PARSE_BATCH also
+    parses the whole chunk in one `model_parse` call, which decodes it in
+    lockstep, after its own `tokenize` call; the chunk is tokenized through
+    a second name, so a wrapper of `tokenize` still sees each text once.
     """
     for i, text in enumerate(texts):
         tokens = tokenize(text)
         if i % PARSE_BATCH == 0:
-            chunk = encode_batch([_tokenize_batch(t) for t in texts[i:i + PARSE_BATCH]], params)
-        vectors = chunk[i % PARSE_BATCH]
-        yield to_node_centric_lenient(model_parse(tokens, params, vectors), tokens)
+            chunk = model_parse([_tokenize_batch(t) for t in texts[i:i + PARSE_BATCH]], params)
+        arcs, _ = chunk[i % PARSE_BATCH]
+        yield to_node_centric_lenient(arcs, tokens)
 
 
 def _write_text(path: str | None, text: str) -> None:

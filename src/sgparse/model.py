@@ -5,20 +5,25 @@ and a finite-difference gradient check.
 The configuration feature concatenates the context vectors of the top three
 stack elements and the buffer front, substituting a learned pad vector for
 missing slots.  One scorer, `score`, serves greedy parsing and training: it
-projects every context vector through the first MLP layer once per sentence,
-so a step adds four rows.  The parameters are plain arrays: float64 when
-drawn, read-only float32 views of one buffer when loaded from a checkpoint,
-and every kernel runs in their dtype.  Training rounds them to float32 once,
-as a checkpoint does, so it updates and evaluates the model that it saves;
-the gradient check runs on drawn float64 ones.  Training and parsing share
-one BiLSTM-stack forward.  Training follows the oracle's preferred action
-and sums the per-step hinge losses over a sentence.  It trains a batch of
-`_TRAIN_BATCH` sentences together, on the same parameters: one forward over
-the batch, each sentence's steps scored on its own vectors, then one
-backward with no tape, the MLP head over every positive step of the batch
-and then one lockstep BPTT per LSTM from the top layer down.  Each weight
-gradient is one matmul over the batch, written into gradient arrays that the
-`Trainer` keeps for an epoch, and one Adam update follows.
+projects a block of context vectors through the first MLP layer once, and
+scores any number of configurations per call, each from four gathered rows.
+Greedy parsing (`parse`) decodes a chunk of sentences in lockstep: one
+encoder pass and one projection for the chunk, then at each step one `score`
+call for every sentence still running, while each sentence looks up its
+legal actions and applies its best one on its own.  The parameters are plain
+arrays: float64 when drawn, read-only float32 views of one buffer when
+loaded from a checkpoint, and every kernel runs in their dtype.  Training
+rounds them to float32 once, as a checkpoint does, so it updates and
+evaluates the model that it saves; the gradient check runs on drawn float64
+ones.  Training and parsing share one BiLSTM-stack forward.  Training
+follows the oracle's preferred action and sums the per-step hinge losses
+over a sentence.  It trains a batch of `_TRAIN_BATCH` sentences together, on
+the same parameters: one forward over the batch, each sentence's steps
+scored on its own vectors, then one backward with no tape, the MLP head over
+every positive step of the batch and then one lockstep BPTT per LSTM from
+the top layer down.  Each weight gradient is one matmul over the batch,
+written into gradient arrays that the `Trainer` keeps for an epoch, and one
+Adam update follows.
 """
 
 from __future__ import annotations
@@ -373,37 +378,49 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
 
 
 def score(vectors: np.ndarray, params: ModelParams):
-    """The action scorer of one sentence, which greedy parsing and training
-    share, given the context vectors as the rows of one array.
+    """The action scorer of a block of context vectors, the rows of one
+    array, which greedy parsing (a chunk of sentences) and training (one
+    sentence) share.
 
-    Returns `step(c)`, which gives configuration c's four feature slots, its
-    MLP hidden layer and its per-action scores, `w2 @ hidden + b2`.  The
-    slots are the top three stack elements and the buffer front, as rows of
-    `[vectors; pad]`, so the learned pad vector fills missing stack slots.
-    `mlp_w1` splits into four `mlp_hidden x 2H` blocks, one per slot; each
-    block is applied to every row once, so a step adds four precomputed rows
-    instead of multiplying the concatenated slots by `mlp_w1`.
+    Returns `step(slots)`, which takes any number of configurations' four
+    feature slots, as rows of `[vectors; pad]` (`_slots` gives them), and
+    gives their MLP hidden layers and per-action scores, `w2 @ hidden +
+    b2`, one row per configuration.  The slots are the top three stack
+    elements and the buffer front, so the learned pad vector fills missing
+    stack slots.  `mlp_w1` splits into four `mlp_hidden x 2H` blocks, one
+    per slot; each block is applied to every row once, so a step adds four
+    precomputed rows instead of multiplying the concatenated slots by
+    `mlp_w1`.
     """
     d = params.d_ctx
     w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
     w2, b2 = params.tensors["mlp_w2"], params.tensors["mlp_b2"]
     rows = np.concatenate([vectors, params.tensors["pad"][None]])
-    pad = len(vectors)
+    blocks = w1.reshape(len(w1), 4, d).transpose(1, 2, 0)   # slot k's block, transposed
     # Four rows per product: OpenBLAS runs products that small on the calling
-    # thread, so parsing never wakes its second thread.
-    p0, p1, p2, p3 = (
-        np.concatenate([rows[i: i + 4] @ w1[:, k * d: (k + 1) * d].T
-                        for i in range(0, len(rows), 4)])
-        for k in range(4)
-    )
+    # thread, so parsing never wakes its second thread.  One matmul makes
+    # every product of four rows and one block; the rows left over make their
+    # own, a GEMV for one row, as a block of them would.
+    full = len(rows) - len(rows) % 4
+    fours = np.matmul(rows[:full].reshape(-1, 1, 4, d), blocks)
+    projected = np.concatenate([fours.transpose(1, 0, 2, 3).reshape(4, full, len(w1)),
+                                rows[full:] @ blocks], axis=1)
+    slot = np.arange(4)
 
-    def step(c: Configuration) -> tuple[tuple[int, int, int, int], np.ndarray, np.ndarray]:
-        top = [pad] * 3 + [token - 1 for token in c.stack[-3:]]
-        slots = (top[-3], top[-2], top[-1], c.buffer[0] - 1)
-        hidden = np.tanh(p0[slots[0]] + p1[slots[1]] + p2[slots[2]] + p3[slots[3]] + b1)
-        return slots, hidden, w2 @ hidden + b2
+    def step(slots: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        # one gather; the sum adds the four slot rows in slot order
+        hidden = np.tanh(projected[slot, np.array(slots, dtype=np.intp)].sum(axis=1) + b1)
+        return hidden, hidden @ w2.T + b2
 
     return step
+
+
+def _slots(c: Configuration, first: int, pad: int) -> list[int]:
+    """Configuration c's four feature slots, the top three stack elements
+    and the buffer front, as rows of a block whose row `first` holds its
+    sentence's first token and whose row `pad` the pad vector."""
+    top = [pad] * 3 + [first + token - 1 for token in c.stack[-3:]]
+    return [top[-3], top[-2], top[-1], first + c.buffer[0] - 1]
 
 
 def step_loss(
@@ -501,7 +518,8 @@ def _walk_losses(walks: Sequence[list], vectors: Sequence[np.ndarray], columns: 
         scores = score(sentence, params)
         total = 0.0
         for c, y_plus, legal in walk:
-            step_slots, step_hidden, row = scores(c)
+            step_slots = _slots(c, 0, len(sentence))
+            (step_hidden,), (row,) = scores([step_slots])
             value, pair = step_loss(row, y_plus, legal, params.action_index)
             total += value
             if pair is not None:
@@ -692,35 +710,46 @@ def _named_update(position: int, tokens: Sequence[str]):
                                  f"of the epoch ({' '.join(tokens)!r})") from err
 
 
-def greedy_parse(
-    tokens: Sequence[str], params: ModelParams, vectors: np.ndarray | None = None
-) -> tuple[ArcSet, list[Action]]:
-    """Greedy decoding restricted to legal actions; deterministic given params.
+def parse(token_lists: Sequence[Sequence[str]], params: ModelParams
+          ) -> list[tuple[ArcSet, list[Action]]]:
+    """Greedy decoding of a chunk of sentences in lockstep, restricted to
+    legal actions; deterministic given params.  Returns each sentence's arcs
+    and actions, in order.
 
-    `vectors` are the sentence's context vectors from `encode_batch`, which
-    computes them alone if they are not given.  Scores are compared as
-    Python floats, which hold float32 and float64 values exactly.
+    The chunk is encoded in one `encode_batch` pass, and its vectors, one
+    block of rows, are projected once (`score`).  Each step then scores
+    every sentence still running in one `score` step, and each takes its
+    best legal action, the lowest index among equal scores.  Scores are
+    compared as Python floats, which hold float32 and float64 values
+    exactly.
     """
-    if vectors is None:
-        vectors = encode_batch([tokens], params)[0]
-    scores = score(vectors, params)
-    c = initial(len(tokens))
-    actions: list[Action] = []
-    while not is_terminal(c):
-        legal = legal_actions(c, params.arc_rule)
-        data = scores(c)[2].tolist()
-        best = None
-        for i, a in enumerate(params.actions):
-            if a in legal and (best is None or data[i] > data[best]):
-                best = i
-        a = params.actions[best]
-        actions.append(a)
-        c = apply(c, a)
-    return c.arc_set(), actions
+    vectors = encode_batch(token_lists, params)
+    if not vectors:
+        return []
+    firsts = np.cumsum([0] + [len(v) for v in vectors]).tolist()   # each sentence's first row
+    scores = score(np.concatenate(vectors), params)
+    pad, choices, rule = firsts[-1], params.actions, params.arc_rule
+    configs = [initial(len(tokens)) for tokens in token_lists]
+    taken: list[list[Action]] = [[] for _ in token_lists]
+    legal_indices: dict[frozenset[Action], list[int]] = {}   # in scorer order
+    running = [k for k, c in enumerate(configs) if not is_terminal(c)]
+    while running:
+        _, rows = scores([_slots(configs[k], firsts[k], pad) for k in running])
+        for k, row in zip(running, rows.tolist()):
+            legal = legal_actions(configs[k], rule)
+            indices = legal_indices.get(legal)
+            if indices is None:
+                indices = legal_indices[legal] = [i for i, a in enumerate(choices) if a in legal]
+            a = choices[max(indices, key=row.__getitem__)]
+            taken[k].append(a)
+            configs[k] = apply(configs[k], a)
+        running = [k for k in running if not is_terminal(configs[k])]
+    return [(c.arc_set(), actions) for c, actions in zip(configs, taken)]
 
 
-def parse(tokens: Sequence[str], params: ModelParams, vectors: np.ndarray | None = None) -> ArcSet:
-    return greedy_parse(tokens, params, vectors)[0]
+def greedy_parse(tokens: Sequence[str], params: ModelParams) -> tuple[ArcSet, list[Action]]:
+    """`parse` of one sentence: its arcs and actions."""
+    return parse([tokens], params)[0]
 
 
 def _loss_value_plain(

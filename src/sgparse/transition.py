@@ -93,57 +93,59 @@ def is_terminal(c: Configuration) -> bool:
     return not c.stack and c.buffer == (c.root,)
 
 
-def _arc_action_ok(c: Configuration, a: Action) -> bool:
-    """Structural legality of a LEFT/RIGHT action in configuration c.
+def _shape(c: Configuration) -> tuple[int, bool, bool, bool]:
+    """The facts about c that decide which actions it allows: the stack
+    depth (0, 1, or 2 for two or more), whether the buffer front is ROOT,
+    whether the stack top is the front's left neighbour, and whether the
+    top two stack elements are neighbours."""
+    stack, front = c.stack, c.buffer[0]
+    depth = min(len(stack), 2)
+    return (depth, front == c.root,
+            depth > 0 and front == stack[-1] + 1,
+            depth == 2 and stack[-1] == stack[-2] + 1)
+
+
+def _allowed(a: Action, depth: int, front_is_root: bool, top_adjacent: bool,
+             pair_adjacent: bool) -> bool:
+    """Whether a configuration of the given `_shape` allows action a.
 
     Beyond the stack and buffer shapes this enforces the arc-set
     invariants: BEGN if and only if the head would be ROOT, and CONT only
     between adjacent tokens, so every reachable arc set is well formed.
     """
+    if a.kind == "SHIFT":
+        return not front_is_root
+    if a.kind == "REDUCE":
+        return depth > 0
     if a.kind == "LEFT":
-        if not c.stack:
-            return False
-        front_is_root = c.buffer[0] == c.root
-        if (a.label is EdgeLabel.BEGN) != front_is_root:
-            return False
-        if a.label is EdgeLabel.CONT and c.buffer[0] != c.stack[-1] + 1:
-            return False
-        return True
+        return (depth > 0 and (a.label is EdgeLabel.BEGN) == front_is_root
+                and (a.label is not EdgeLabel.CONT or top_adjacent))
     if a.kind == "RIGHT":
-        if len(c.stack) < 2 or a.label is EdgeLabel.BEGN:
-            return False
-        if a.label is EdgeLabel.CONT and c.stack[-1] != c.stack[-2] + 1:
-            return False
-        return True
+        return (depth == 2 and a.label is not EdgeLabel.BEGN
+                and (a.label is not EdgeLabel.CONT or pair_adjacent))
     return False
 
 
+@lru_cache(maxsize=None)
+def _legal_by_shape(rule: ArcRule, shape: tuple[int, bool, bool, bool]) -> frozenset[Action]:
+    return frozenset(a for a in inventory(rule) if _allowed(a, *shape))
+
+
 def legal_actions(c: Configuration, rule: ArcRule = ArcRule.LEFT) -> frozenset[Action]:
-    out = set()
-    for a in inventory(rule):
-        if a.kind == "SHIFT":
-            if c.buffer[0] != c.root:
-                out.add(a)
-        elif a.kind == "REDUCE":
-            if c.stack:
-                out.add(a)
-        elif _arc_action_ok(c, a):
-            out.add(a)
-    return frozenset(out)
+    """The actions of `inventory(rule)` that c allows.  Every configuration
+    of one `_shape` gets the same frozenset, made when the shape is first
+    met."""
+    return _legal_by_shape(rule, _shape(c))
 
 
 def apply(c: Configuration, a: Action) -> Configuration:
     """Apply one action, returning the successor configuration."""
+    if not _allowed(a, *_shape(c)):
+        raise IllegalAction(f"{a} is not applicable in {c}")
     if a.kind == "SHIFT":
-        if c.buffer[0] == c.root:
-            raise IllegalAction(f"cannot SHIFT ROOT in {c}")
         return Configuration(c.n_tokens, c.stack + (c.buffer[0],), c.buffer[1:], c.arcs)
     if a.kind == "REDUCE":
-        if not c.stack:
-            raise IllegalAction(f"cannot REDUCE with empty stack in {c}")
         return Configuration(c.n_tokens, c.stack[:-1], c.buffer, c.arcs)
-    if not _arc_action_ok(c, a):
-        raise IllegalAction(f"{a} is not applicable in {c}")
     if a.kind == "LEFT":
         arc = Arc(c.buffer[0], c.stack[-1], a.label)
     else:

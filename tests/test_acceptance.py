@@ -23,7 +23,7 @@ from sgparse.model import (
     Vocab,
     accumulate_gradients,
     grad_check,
-    parse,
+    greedy_parse,
 )
 from sgparse.retrieval import build_index, evaluate_retrieval, rank_images
 from sgparse.spice import corpus_f, extract_tuples, f_score, match_count
@@ -134,7 +134,7 @@ def test_criterion_4_overfit(capsys):
     for epoch in range(1, 51):
         trainer.run_epoch(items)
         candidates = [
-            to_node_centric_lenient(parse(inst.tokens, params), list(inst.tokens))
+            to_node_centric_lenient(greedy_parse(inst.tokens, params)[0], list(inst.tokens))
             for inst in instances
         ]
         references = [by_region[inst.region_id].graph for inst in instances]

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 from time import perf_counter
 
+import reference_decoder
 from sgparse.graph import ArcRule, SceneGraph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,9 +39,10 @@ def test_every_wrapped_name_is_bound():
 
 def test_spans_fire_on_training_and_parsing():
     """A span that binds but never fires reads 0 in every traced run, so each
-    span that a training epoch or a greedy parse passes through must count
-    calls, on a small model.  The epoch is one sentence, and its update
-    comes at the epoch's end, from a part-full batch."""
+    span that a training epoch, a greedy parse or a command's parse pass
+    passes through must count calls, on a small model.  The epoch is one
+    sentence, and its update comes at the epoch's end, from a part-full
+    batch."""
     run, probes = _load("run"), _load("probes")
     sg = run.import_sgparse()
     instances, _ = sg.corpus.build_instances(sg.corpus.generate_synthetic(4, seed=1))
@@ -65,6 +67,17 @@ def test_spans_fire_on_training_and_parsing():
     parsing = calls(lambda: sg.model.greedy_parse(tokens, params))
     for span in ("model.score", "transition.apply"):
         assert parsing[span] > 0, span
+    # a two-chunk input through the commands' parse pass: one `model.parse`
+    # and one `model.score` per chunk, and one `transition.apply` per action
+    batch = sg.cli.PARSE_BATCH
+    texts = [r.phrase for r in sg.corpus.generate_synthetic(batch + 3, seed=2)]
+    parsing = calls(lambda: list(sg.cli._parse_each(params, texts)))
+    assert parsing["model.parse"] == parsing["model.score"] == 2
+    assert parsing["transition.legal_actions"] > 0
+    token_lists = [sg.cli.tokenize(text) for text in texts]
+    assert parsing["transition.apply"] == sum(
+        len(actions) for i in (0, batch)
+        for actions, _ in reference_decoder.parse_chunk(token_lists[i:i + batch], params))
 
 
 def test_instance_spans_count_one_alignment_per_record():

@@ -305,9 +305,9 @@ class TestRetrieveWithLexicon:
 
 
 def parse_text(params, text):
-    """One sentence through `model.parse` alone, encoded on its own."""
+    """One sentence through `model.greedy_parse`, a chunk of one."""
     tokens = tokenize(text)
-    return to_node_centric_lenient(parse(tokens, params), tokens)
+    return to_node_centric_lenient(greedy_parse(tokens, params)[0], tokens)
 
 
 class TestParseEach:
@@ -373,11 +373,11 @@ class TestFloat32Parsing:
         texts += [r.phrase for r in generate_synthetic(40, seed=17)]
         texts += ["", "a zebra beside the old piano", "red red red car on a dog"]
         token_lists = [tokenize(t) for t in texts]
-        for tokens, narrow, broad in zip(token_lists, encode_batch(token_lists, params),
-                                         encode_batch(token_lists, wide)):
+        for narrow, broad in zip(encode_batch(token_lists, params),
+                                 encode_batch(token_lists, wide)):
             assert narrow.dtype == np.float32 and broad.dtype == np.float64
             assert np.abs(narrow - broad).max() <= 1e-6
-            assert greedy_parse(tokens, params, narrow) == greedy_parse(tokens, wide, broad)
+        assert parse(token_lists, params) == parse(token_lists, wide)
 
     def test_tensors_are_aligned_read_only_float32(self, trained, tmp_path):
         _, checkpoint = trained

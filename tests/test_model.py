@@ -43,6 +43,7 @@ from sgparse.transition import (
     oracle,
     preferred,
 )
+import reference_decoder
 import tape_ops as ops
 
 
@@ -68,6 +69,14 @@ def encode_one(tokens, params, rng=None, dropout_alpha=0.25):
     """`encode` over a batch of one sentence: its vectors and the cache."""
     vectors, cache = encode([model.word_ids(tokens, params, rng, dropout_alpha)], params)
     return vectors[0], cache
+
+
+def score_config(vectors, params, c):
+    """`score` of one sentence's vectors at configuration c: its four slots,
+    its hidden layer and its score row."""
+    slots = model._slots(c, 0, len(vectors))
+    (hidden,), (row,) = score(vectors, params)([slots])
+    return tuple(slots), hidden, row
 
 
 def reference_lstm_direction(xs, w, b, hidden):
@@ -473,8 +482,8 @@ class TestBuildsNoTensor:
             save_checkpoint(params, path)
             loaded, _ = load_checkpoint(path)
             vectors = encode_batch([tokens, tokens[:3]], loaded)
-            _, _, scores = score(vectors[0], loaded)(initial(len(tokens)))
-            greedy_parse(tokens, loaded, vectors[0])
+            _, _, scores = score_config(vectors[0], loaded, initial(len(tokens)))
+            parse([tokens, tokens[:3]], loaded)
             greedy_parse(tokens[:3], loaded)
             for source in (params, loaded):
                 total, grads = accumulate_gradients(*fig_instance, source)
@@ -542,9 +551,9 @@ class TestSlotScores:
         ref_actions, steps = reference_greedy_parse(tokens, params)
         arcs, actions = greedy_parse(tokens, params)
         assert actions == ref_actions
-        scores = score(encode_one(tokens, params)[0], params)
+        vectors = encode_one(tokens, params)[0]
         for c, ref in steps:
-            assert np.abs(scores(c)[2] - ref).max() <= 1e-12
+            assert np.abs(score_config(vectors, params, c)[2] - ref).max() <= 1e-12
         c = initial(len(tokens))
         for a in actions:
             c = apply(c, a)
@@ -590,10 +599,89 @@ class TestSlotScores:
         self.assert_matches_reference(instance, params)
 
 
+def mixed_chunk_texts():
+    """Texts of 0 to 15 tokens, blank lines among them, for two full parse
+    chunks and a part-full third."""
+    rng = np.random.default_rng(8)
+    words = [w for r in generate_synthetic(60, seed=8) for w in tokenize(r.phrase)]
+    texts = []
+    for k in range(2 * cli.PARSE_BATCH + 5):
+        start, n = int(rng.integers(len(words) - 15)), 7 * k % 16
+        texts.append(" ".join(words[start:start + n]))
+    return texts
+
+
+class TestLockstepDecoder:
+    """`parse` decodes a chunk in lockstep, and takes the actions of the
+    per-sentence decoder it replaced (`reference_decoder`), each sentence
+    decoded from the vectors of the same `encode_batch` pass.  Its score
+    rows sum each step's output product in another order than the
+    reference's GEMV, so they agree within a bound set by the dtype: 1e-12
+    in float64, and in float32, whose rounding unit is 6e-8, 1e-6.  The
+    chunks are those of `cli._parse_each` over texts of 0 to 15 tokens,
+    blank lines included: two full, one part full, and a chunk of one
+    sentence, whose encoder runs each step as a GEMV."""
+
+    @staticmethod
+    def recorded_parse(token_lists, params):
+        """`parse` of a chunk, and the score rows of each `score` step."""
+        steps = []
+
+        def recording_score(vectors, p):
+            step = score(vectors, p)
+
+            def recorded(slots):
+                hidden, rows = step(slots)
+                steps.append(rows)
+                return hidden, rows
+            return recorded
+
+        with mock.patch.object(model, "score", recording_score):
+            return parse(token_lists, params), steps
+
+    def assert_matches_reference(self, token_lists, params, bound):
+        parsed, steps = self.recorded_parse(token_lists, params)
+        reference = reference_decoder.parse_chunk(token_lists, params)
+        assert [actions for _, actions in parsed] == [actions for actions, _ in reference]
+        for tokens, (arcs, actions) in zip(token_lists, parsed):
+            c = initial(len(tokens))
+            for a in actions:
+                c = apply(c, a)
+            assert is_terminal(c) and c.arc_set() == arcs
+        # step t scores, in chunk order, each sentence that takes more than t actions
+        assert len(steps) == max(len(actions) for actions, _ in reference)
+        for t, rows in enumerate(steps):
+            wanted = [rows_k[t] for _, rows_k in reference if len(rows_k) > t]
+            assert rows.dtype == params.tensors["mlp_w2"].dtype and len(rows) == len(wanted)
+            assert np.abs(rows - np.array(wanted)).max() <= bound
+
+    @pytest.mark.parametrize("rule", list(ArcRule))
+    def test_drawn_float64_and_loaded_float32(self, rule, tmp_path):
+        texts = mixed_chunk_texts()
+        token_lists = [tokenize(t) for t in texts]
+        assert {len(tokens) for tokens in token_lists} == set(range(16)) and "" in texts
+        drawn = ModelParams(Vocab.from_sentences(token_lists[::2]), rule, seed=3)
+        save_checkpoint(drawn, tmp_path / "model.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
+        batch = cli.PARSE_BATCH
+        chunks = [token_lists[i:i + batch] for i in range(0, len(token_lists), batch)]
+        assert [len(chunk) for chunk in chunks] == [batch, batch, 5]
+        for params, bound in ((drawn, 1e-12), (loaded, 1e-6)):
+            for chunk in chunks + [token_lists[7:8]]:
+                self.assert_matches_reference(chunk, params, bound)
+
+    def test_equal_scores_go_to_the_lowest_index(self):
+        token_lists = [tokenize(t) for t in mixed_chunk_texts()[:cli.PARSE_BATCH]]
+        params = small_params(token_lists, seed=1)
+        params.tensors["mlp_w2"][:] = 0.0
+        params.tensors["mlp_b2"][:] = 0.0
+        self.assert_matches_reference(token_lists, params, 0.0)
+
+
 class TestEncodeBatch:
     """`encode_batch` against `encode`, sentence by sentence: the same
-    context vectors to 1e-12 max-abs, whatever the batch holds, and greedy
-    parses from them that take the same actions.  A batch multiplies each
+    context vectors to 1e-12 max-abs, whatever the batch holds, and a
+    lockstep parse of the batch that takes each sentence's actions alone.  A batch multiplies each
     row block of the LSTM weights by every running sentence in one GEMM,
     whose sums run in another order than the GEMV of a batch of one."""
 
@@ -605,7 +693,7 @@ class TestEncodeBatch:
             expected, _ = encode_one(tokens, params)
             assert vectors.shape == expected.shape
             assert np.abs(vectors - expected).max() <= 1e-12
-            assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
+        assert parse(token_lists, params) == [greedy_parse(tokens, params) for tokens in token_lists]
 
     def test_default_size_on_synthetic_sentences(self):
         instances, _ = build_instances(generate_synthetic(40, seed=21))
@@ -672,8 +760,7 @@ class TestEncodeBatch:
         params = ModelParams(Vocab.from_sentences(i.tokens for i in instances),
                              ArcRule.LEFT, seed=3)
         token_lists = [i.tokens for i in instances]
-        for tokens, vectors in zip(token_lists, encode_batch(token_lists, params)):
-            assert greedy_parse(tokens, params, vectors) == greedy_parse(tokens, params)
+        assert parse(token_lists, params) == [greedy_parse(tokens, params) for tokens in token_lists]
 
 
 class TestFeature:
@@ -684,7 +771,7 @@ class TestFeature:
     def slots(config):
         params = small_params([("a", "b", "c", "d", "e", "f", "g")])
         vectors, _ = encode_one(list("abcdefg"), params)
-        slots, hidden, _ = score(vectors, params)(config)
+        slots, hidden, _ = score_config(vectors, params, config)
         rows = np.concatenate([vectors, params.tensors["pad"][None]])
         w1, b1 = params.tensors["mlp_w1"], params.tensors["mlp_b1"]
         feat = np.concatenate([rows[i] for i in slots])
@@ -710,7 +797,7 @@ class TestScore:
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.tensors[name][:] = 0.0
         vectors, _ = encode_one(["dog"], params)
-        _, _, out = score(vectors, params)(initial(1))
+        _, _, out = score_config(vectors, params, initial(1))
         assert np.array_equal(out, np.zeros(len(params.actions)))
 
     def test_hand_computed_two_by_two(self):
@@ -728,10 +815,10 @@ class TestScore:
     def test_doubling_output_weights_doubles_scores(self):
         params = small_params([("dog", "cat")])
         vectors, _ = encode_one(["dog", "cat"], params)
-        base = score(vectors, params)(initial(2))[2]
+        base = score_config(vectors, params, initial(2))[2]
         params.tensors["mlp_w2"] *= 2.0
         params.tensors["mlp_b2"] *= 2.0
-        assert np.allclose(score(vectors, params)(initial(2))[2], 2.0 * base)
+        assert np.allclose(score_config(vectors, params, initial(2))[2], 2.0 * base)
 
 
 class TestStepLoss:
@@ -1191,11 +1278,12 @@ class TestParse:
                                               word_dropout_alpha=1e-9))
         for _ in range(250):
             trainer.train_sentence(tokens, gold, reduce_set)
-        assert parse(tokens, params) == gold
+        assert greedy_parse(tokens, params)[0] == gold
 
     def test_empty_sentence(self):
         params = small_params([("dog",)])
-        assert parse([], params) == ArcSet(0)
+        assert greedy_parse([], params) == (ArcSet(0), [])
+        assert parse([], params) == []
 
     def test_terminates_and_emits_legal_actions(self):
         records = generate_synthetic(10, seed=13)
@@ -1367,7 +1455,7 @@ class TestCheckpoint:
         for name, t in params.tensors.items():
             # payload is float32, so compare at that precision
             assert np.allclose(loaded.tensors[name], t, atol=1e-6)
-        assert parse(tokens, loaded) == parse(tokens, params)
+        assert parse([tokens], loaded) == parse([tokens], params)
 
     @pytest.mark.usefixtures("per_sentence_updates")
     def test_streamed_bytes_equal_the_joined_payload(self, fig_instance, tmp_path):

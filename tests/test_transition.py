@@ -287,6 +287,60 @@ class TestRandomLegalWalk:
         to_node_centric_lenient(arcs, [f"w{i}" for i in range(1, n + 1)])
 
 
+def direct_legal_actions(c, rule):
+    """The legality rules evaluated on c itself, action by action, as
+    `legal_actions` did before it looked its set up by configuration shape;
+    kept as the reference for that lookup."""
+    out = set()
+    for a in inventory(rule):
+        if a.kind == "SHIFT":
+            ok = c.buffer[0] != c.root
+        elif a.kind == "REDUCE":
+            ok = bool(c.stack)
+        elif a.kind == "LEFT":
+            ok = (bool(c.stack) and (a.label is B) == (c.buffer[0] == c.root)
+                  and (a.label is not C or c.buffer[0] == c.stack[-1] + 1))
+        else:
+            ok = (len(c.stack) >= 2 and a.label is not B
+                  and (a.label is not C or c.stack[-1] == c.stack[-2] + 1))
+        if ok:
+            out.add(a)
+    return frozenset(out)
+
+
+@st.composite
+def reachable_configurations(draw, rule):
+    """Every configuration of a random walk of legal actions, chosen by the
+    direct rules, from the initial configuration to the terminal one."""
+    c = initial(draw(st.integers(0, 12)))
+    walk = [c]
+    while not is_terminal(c):
+        c = apply(c, draw(st.sampled_from(sorted(direct_legal_actions(c, rule), key=str))))
+        walk.append(c)
+    return walk
+
+
+class TestLegalActionsByShape:
+    """`legal_actions` looks its set up by configuration shape: the stack
+    depth (0, 1, or 2 or more), whether the buffer front is ROOT, whether
+    the stack top is adjacent to the front, and whether the top two are
+    adjacent.  It gives the set of the direct rules, and every configuration
+    of one shape the same frozenset object."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule=st.sampled_from(list(ArcRule)), data=st.data())
+    def test_lookup_equals_direct_rules(self, rule, data):
+        by_shape = {}
+        for c in data.draw(reachable_configurations(rule)):
+            legal = legal_actions(c, rule)
+            assert legal == direct_legal_actions(c, rule)
+            stack, front = c.stack, c.buffer[0]
+            shape = (min(len(stack), 2), front == c.root,
+                     bool(stack) and front == stack[-1] + 1,
+                     len(stack) >= 2 and stack[-1] == stack[-2] + 1)
+            assert by_shape.setdefault(shape, legal) is legal
+
+
 class TestPreferred:
     def test_priority_order(self):
         assert preferred({SHIFT, REDUCE}) == REDUCE
