@@ -399,8 +399,9 @@ def score(vectors: np.ndarray, params: ModelParams):
     blocks = w1.reshape(len(w1), 4, d).transpose(1, 2, 0)   # slot k's block, transposed
     # Four rows per product: OpenBLAS runs products that small on the calling
     # thread, so parsing never wakes its second thread.  One matmul makes
-    # every product of four rows and one block; the rows left over make their
-    # own, a GEMV for one row, as a block of them would.
+    # every product of four rows and one block.  The rows left over make a
+    # product of their own: a lone row's is a GEMV, which rounds otherwise
+    # than a row padded into a block, and training's scores keep their bits.
     full = len(rows) - len(rows) % 4
     fours = np.matmul(rows[:full].reshape(-1, 1, 4, d), blocks)
     projected = np.concatenate([fours.transpose(1, 0, 2, 3).reshape(4, full, len(w1)),
