@@ -3,11 +3,12 @@
 `lstm` runs one direction of a BiLSTM layer over a batch of sentences, in
 one-thread row-block GEMMs that agree with a batch of one to 1e-12; it runs
 in the dtype of its weights, so parsing from a checkpoint's float32 arrays
-runs in float32.  `lstm_backward` is its backpropagation through time over
-the same batch, in lockstep, which `sgparse.model` calls for each layer and
-direction of a training batch; it returns the per-step pre-activation
-gradients, and the caller forms the weight gradient from them in one
-matmul over every step of every sentence.
+runs in float32, and keeps the arrays its backward reads only for a caller
+that passes a list to save them in.  `lstm_backward` is its backpropagation
+through time over the same batch, in lockstep, which `sgparse.model` calls
+for each layer and direction of a training batch; it returns the per-step
+pre-activation gradients, and the caller forms the weight gradient from them
+in one matmul over every step of every sentence.
 
 `Tensor` and `backward` are a minimal reverse-mode tape, on which sgparse
 itself builds nothing.  They stay only because the tests build their
@@ -47,9 +48,12 @@ def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
     One sequence takes the whole matrix, the GEMV `w @ z`.  A batch takes
     blocks of 16, 8 or 4 rows (the most that divide the row count and fit
     in 32 KB at `w`'s item size, else 4), each times the running batch in
-    one GEMM that OpenBLAS runs on the calling thread.  The whole matrix would take two
-    threads: beside one busy process on a 2-core host, `parse-eval` read
-    71 items/s with it and 170-202 with the blocks.
+    one GEMM.  OpenBLAS 0.3.31 runs a GEMM on the calling thread up to
+    524,288 rows x in x columns, or up to 1,000,000 at 1,200 rows x columns
+    or fewer: 786,432 (8 x 768 x 128) ran on one thread, 933,888 (16 x 456
+    x 128) on two, so `model.PARSE_GROUP` caps the columns.  The whole
+    matrix would take two threads: beside one busy process on a 2-core
+    host, `parse-eval` read 71 items/s with it and 170-202 with the blocks.
     """
     if batch == 1:
         return w[None]
@@ -58,7 +62,8 @@ def _row_blocks(w: np.ndarray, batch: int) -> np.ndarray:
     return w.reshape(out_dim // rows, rows, in_dim)
 
 
-def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool):
+def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reverse: bool,
+         saved: list | None = None) -> np.ndarray:
     """One LSTM direction over a batch of sequences, run in lockstep.
 
     `xs` is steps x batch x in; sequence k is `xs[:lengths[k], k]`, lengths
@@ -68,36 +73,44 @@ def lstm(xs: np.ndarray, lengths: np.ndarray, w: np.ndarray, b: np.ndarray, reve
     running sequence in one GEMM: states agree with a batch of one (the GEMV
     `w @ z`) to 1e-12 in float64, and bit for bit across batches of two or
     more.  Every array is made in `w`'s dtype.
-    Returns the hidden states at their inputs' rows and, in step order, the
-    backward pass's `[x; h]`, gates and cells, written in place.
+    Returns the hidden states at their inputs' rows.  Given a list `saved`,
+    it appends the backward pass's `[x; h]` rows, gates and cells of every
+    step, in step order; without one, every step reuses one step's arrays,
+    so parsing holds no steps x batch array but its inputs and states.
     """
     steps, batch, in_dim = xs.shape
     hidden = b.shape[0] // 4
     three = 3 * hidden
     blocks, seqs, dtype = _row_blocks(w, batch), np.arange(batch), w.dtype
-    z = np.zeros((steps, batch, in_dim + hidden), dtype)
-    gates = np.empty((steps, batch, 4 * hidden), dtype)
-    cells = np.empty((steps, batch, hidden), dtype)
+    kept = steps if saved is not None else 1
+    z = np.zeros((kept, batch, in_dim + hidden), dtype)
+    gates = np.empty((kept, batch, 4 * hidden), dtype)
+    cells = np.empty((kept, batch, hidden), dtype)
+    if saved is not None:
+        saved.append((z, gates, cells))
     hs = np.zeros((steps, batch, hidden), dtype)
     h = c = np.zeros((batch, hidden), dtype)
     running = batch
     for t in range(steps):
         while lengths[running - 1] <= t:
             running -= 1
-        zt, gt, seq = z[t, :running], gates[t, :running], seqs[:running]
+        s = t % kept   # the step's row of the arrays: t, or the one reused row
+        zt, gt, seq = z[s, :running], gates[s, :running], seqs[:running]
         pos = lengths[:running] - 1 - t if reverse else t
         zt[:, :in_dim], zt[:, in_dim:] = xs[pos, seq], h[:running]
         # two columns at least, so a sequence that outlasts its batch still
         # takes a GEMM, not a GEMV; the finished column reads zeros
         cols = max(running, min(batch, 2))
-        pre = np.matmul(blocks, z[t, :cols].T).reshape(4 * hidden, cols)[:, :running].T + b
+        if running < cols:
+            z[s, running:cols] = 0.0
+        pre = np.matmul(blocks, z[s, :cols].T).reshape(4 * hidden, cols)[:, :running].T + b
         gt[:, :three] = _sigmoid(pre[:, :three])
         np.tanh(pre[:, three:], out=gt[:, three:])
         c = np.add(gt[:, hidden: 2 * hidden] * c[:running], gt[:, :hidden] * gt[:, three:],
-                   out=cells[t, :running])
+                   out=cells[s, :running])
         h = gt[:, 2 * hidden: three] * np.tanh(c)
         hs[pos, seq] = h
-    return hs, (z, gates, cells)
+    return hs
 
 
 def lstm_backward(dhs: np.ndarray, lengths: np.ndarray, w: np.ndarray, saved, reverse: bool):

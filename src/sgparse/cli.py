@@ -113,26 +113,21 @@ def _load_records(settings: Settings) -> list[RegionRecord]:
     return records
 
 
-# Sentences per `model_parse` pass: a command parses its list of sentences
-# in fixed chunks of this many, in list order.
-PARSE_BATCH = 32
-
-
 def _parse_each(params: ModelParams, texts: Sequence[str]) -> Iterator[SceneGraph]:
     """The scene graph of each text, in order.
 
     Each text is tokenized, then converted, in turn, through the names bound
     in this module, so wrappers installed here see one call of each per
-    text, in text order.  The first text of each chunk of PARSE_BATCH also
-    parses the whole chunk in one `model_parse` call, which decodes it in
-    lockstep, after its own `tokenize` call; the chunk is tokenized through
-    a second name, so a wrapper of `tokenize` still sees each text once.
+    text, in text order.  The first text also parses every text in one
+    `model_parse` call, which decodes them in length-sorted lockstep groups,
+    after its own `tokenize` call; the texts are tokenized for it through a
+    second name, so a wrapper of `tokenize` still sees each text once.
     """
     for i, text in enumerate(texts):
         tokens = tokenize(text)
-        if i % PARSE_BATCH == 0:
-            chunk = model_parse([_tokenize_batch(t) for t in texts[i:i + PARSE_BATCH]], params)
-        arcs, _ = chunk[i % PARSE_BATCH]
+        if i == 0:
+            parsed = model_parse([_tokenize_batch(t) for t in texts], params)
+        arcs, _ = parsed[i]
         yield to_node_centric_lenient(arcs, tokens)
 
 
@@ -304,7 +299,7 @@ def cmd_retrieve(args) -> int:
             and subgraph_of(record.graph, entry.graph)
         )
         truths.append(truth)
-    # each query is parsed just before it is ranked
+    # the first query read parses every query; each is then ranked as it is read
     queries = zip(_parse_each(params, [r.phrase for r in records]), truths)
     result = evaluate_retrieval(queries, index, lexicon)
     _write_text(args.out, format_results(result))

@@ -7,8 +7,9 @@ stack elements and the buffer front, substituting a learned pad vector for
 missing slots.  One scorer, `score`, serves greedy parsing and training: it
 projects a block of context vectors through the first MLP layer once, and
 scores any number of configurations per call, each from four gathered rows.
-Greedy parsing (`parse`) decodes a chunk of sentences in lockstep: one
-encoder pass and one projection for the chunk, then at each step one `score`
+Greedy parsing (`parse`) sorts its sentences by length and decodes them in
+lockstep groups of up to `PARSE_GROUP`: one encoder pass, which keeps no
+backward arrays, and one projection per group, then at each step one `score`
 call for every sentence still running, while each sentence looks up its
 legal actions and applies its best one on its own.  The parameters are plain
 arrays: float64 when drawn, read-only float32 views of one buffer when
@@ -70,6 +71,10 @@ _ADAM_BLOCK = 1 << 15
 # gradients are one matmul per tensor, and Adam runs once.  At 1 training is
 # per-sentence Adam.
 _TRAIN_BATCH = 8
+
+# Most sentences that `parse` decodes in lockstep at once; at 64 the default
+# size's row-block GEMMs stay on the calling thread (`ad._row_blocks`).
+PARSE_GROUP = 64
 
 # Adam's decay rates for the first and second moments.
 _BETA1, _BETA2 = 0.9, 0.999
@@ -262,15 +267,13 @@ def _bilstm_stack(ids: np.ndarray, lengths: np.ndarray, params: ModelParams,
                   saved: list | None = None) -> np.ndarray:
     """The BiLSTM stack that `encode` and `encode_batch` share, over `ids`,
     steps x batch, of sentences with descending `lengths`.  Returns the top
-    layer's states, steps x batch x 2H; appends each `ad.lstm` call's saved
-    arrays, layer by layer and forward first, to `saved`."""
+    layer's states, steps x batch x 2H; given a list `saved`, each `ad.lstm`
+    call appends its saved arrays to it, layer by layer and forward first,
+    and without one no LSTM keeps them."""
     tensors = params.tensors
 
     def states(xs: np.ndarray, name: str, reverse: bool) -> np.ndarray:
-        hs, arrays = ad.lstm(xs, lengths, tensors[f"{name}_w"], tensors[f"{name}_b"], reverse)
-        if saved is not None:
-            saved.append(arrays)
-        return hs
+        return ad.lstm(xs, lengths, tensors[f"{name}_w"], tensors[f"{name}_b"], reverse, saved)
 
     layer_in = tensors["embeddings"][ids]
     for layer in range(params.layers):
@@ -379,7 +382,7 @@ def encode_batch(token_lists: Sequence[Sequence[str]], params: ModelParams) -> l
 
 def score(vectors: np.ndarray, params: ModelParams):
     """The action scorer of a block of context vectors, the rows of one
-    array, which greedy parsing (a chunk of sentences) and training (one
+    array, which greedy parsing (a group of sentences) and training (one
     sentence) share.
 
     Returns `step(slots)`, which takes any number of configurations' four
@@ -713,11 +716,31 @@ def _named_update(position: int, tokens: Sequence[str]):
 
 def parse(token_lists: Sequence[Sequence[str]], params: ModelParams
           ) -> list[tuple[ArcSet, list[Action]]]:
-    """Greedy decoding of a chunk of sentences in lockstep, restricted to
-    legal actions; deterministic given params.  Returns each sentence's arcs
-    and actions, in order.
+    """Greedy decoding of any number of sentences, restricted to legal
+    actions; deterministic given params.  Returns each sentence's arcs and
+    actions, in input order.
 
-    The chunk is encoded in one `encode_batch` pass, and its vectors, one
+    The sentences, in a stable sort by token count, are cut into the fewest
+    groups of at most `PARSE_GROUP`, whose sizes differ by one at most, and
+    each group is decoded in lockstep (`_parse_group`), one at a time; like
+    lengths leave few encoder steps to a group's longest sentences alone.
+    """
+    order = sorted(range(len(token_lists)), key=lambda k: len(token_lists[k]))
+    parsed: list = [None] * len(order)
+    groups = -(-len(order) // PARSE_GROUP)
+    for g in range(groups):
+        group = order[g * len(order) // groups:(g + 1) * len(order) // groups]
+        for k, result in zip(group, _parse_group([token_lists[k] for k in group], params)):
+            parsed[k] = result
+    return parsed
+
+
+def _parse_group(token_lists: Sequence[Sequence[str]], params: ModelParams
+                 ) -> list[tuple[ArcSet, list[Action]]]:
+    """Greedy decoding of a group of sentences in lockstep: each sentence's
+    arcs and actions, in order.
+
+    The group is encoded in one `encode_batch` pass, and its vectors, one
     block of rows, are projected once (`score`).  Each step then scores
     every sentence still running in one `score` step, and each takes its
     best legal action, the lowest index among equal scores.  Scores are
@@ -725,8 +748,6 @@ def parse(token_lists: Sequence[Sequence[str]], params: ModelParams
     exactly.
     """
     vectors = encode_batch(token_lists, params)
-    if not vectors:
-        return []
     firsts = np.cumsum([0] + [len(v) for v in vectors]).tolist()   # each sentence's first row
     scores = score(np.concatenate(vectors), params)
     pad, choices, rule = firsts[-1], params.actions, params.arc_rule

@@ -67,17 +67,17 @@ def test_spans_fire_on_training_and_parsing():
     parsing = calls(lambda: sg.model.greedy_parse(tokens, params))
     for span in ("model.score", "transition.apply"):
         assert parsing[span] > 0, span
-    # a two-chunk input through the commands' parse pass: one `model.parse`
-    # and one `model.score` per chunk, and one `transition.apply` per action
-    batch = sg.cli.PARSE_BATCH
-    texts = [r.phrase for r in sg.corpus.generate_synthetic(batch + 3, seed=2)]
+    # a two-group input through the commands' parse pass: one `model.parse`
+    # per command, one `model.score` per group, and one `transition.apply`
+    # per action; a sentence's actions are the same in every batch of two
+    # or more
+    texts = [r.phrase for r in sg.corpus.generate_synthetic(sg.model.PARSE_GROUP + 3, seed=2)]
     parsing = calls(lambda: list(sg.cli._parse_each(params, texts)))
-    assert parsing["model.parse"] == parsing["model.score"] == 2
+    assert parsing["model.parse"] == 1 and parsing["model.score"] == 2
     assert parsing["transition.legal_actions"] > 0
     token_lists = [sg.cli.tokenize(text) for text in texts]
     assert parsing["transition.apply"] == sum(
-        len(actions) for i in (0, batch)
-        for actions, _ in reference_decoder.parse_chunk(token_lists[i:i + batch], params))
+        len(actions) for actions, _ in reference_decoder.parse_chunk(token_lists, params))
 
 
 def test_instance_spans_count_one_alignment_per_record():
@@ -108,8 +108,7 @@ def test_latency_probes_sample_each_item_once(tmp_path, capsys):
     earlier item's start mark would add up that item's time too."""
     run, probes = _load("run"), _load("probes")
     sg = run.import_sgparse()
-    batch = sg.cli.PARSE_BATCH
-    records = sg.corpus.generate_synthetic(2 * batch + 5, seed=3)   # a part-full last chunk
+    records = sg.corpus.generate_synthetic(sg.model.PARSE_GROUP + 5, seed=3)   # two groups
     vocab = sg.model.Vocab.from_sentences(sg.cli.tokenize(r.phrase) for r in records)
     params = sg.model.ModelParams(vocab, ArcRule.LEFT, emb_dim=12, hidden=8, mlp_hidden=4)
     checkpoint, corpus, lines = tmp_path / "m.ckpt", tmp_path / "c.jsonl", tmp_path / "lines.txt"

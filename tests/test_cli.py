@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgparse import cli as cli_module
 from sgparse import corpus as corpus_module
+from sgparse import model as model_module
 from sgparse import retrieval
 from sgparse.align import SynonymLexicon, tokenize
 from sgparse.cli import main
@@ -313,17 +314,18 @@ def parse_text(params, text):
 class TestParseEach:
     """`cli._parse_each` gives the graph of `parse_text` for every text, in
     order, and tokenizes each text once through `cli.tokenize`, whatever the
-    size of the last chunk."""
+    sizes of the parse groups."""
 
     @pytest.mark.parametrize("extra", [0, 1, 2])
     def test_matches_parse_text(self, extra, trained, monkeypatch):
         corpus, checkpoint = trained
         params, _ = load_checkpoint(checkpoint)
         phrases = [r.phrase for r in load_corpus(corpus)[0]]
-        # an empty line, and one text on both sides of the chunk boundary
+        # an empty line, and one text twice; groups of at most 3 make three
+        # groups of 3 and four groups of 2 or 3
         texts = [phrases[0], "", phrases[1], phrases[1], *phrases[2:7], "a dog",
                  "zyx qqq"][:9 + extra]
-        monkeypatch.setattr(cli_module, "PARSE_BATCH", 3)
+        monkeypatch.setattr(model_module, "PARSE_GROUP", 3)
         calls = []
         tokenize = cli_module.tokenize
         monkeypatch.setattr(cli_module, "tokenize", lambda t: calls.append(t) or tokenize(t))
@@ -334,12 +336,20 @@ class TestParseEach:
 
 
 class TestParseBatchOfOne:
+    """The batched products and the whole-matrix product of a sentence
+    encoded alone lead to the same parses, byte for byte."""
+
     def test_batched_file_equals_one_line_runs(self, trained, tmp_path, capsys):
-        """The batched products and the whole-matrix product of a sentence
-        encoded alone lead to the same parses, byte for byte."""
+        self.assert_file_equals_one_line_runs(40, trained, tmp_path, capsys)
+
+    def test_33_line_file_equals_one_line_runs(self, trained, tmp_path, capsys):
+        # one group of 33 (`n % 32 == 1`): no line of the file is parsed alone
+        self.assert_file_equals_one_line_runs(33, trained, tmp_path, capsys)
+
+    @staticmethod
+    def assert_file_equals_one_line_runs(count, trained, tmp_path, capsys):
         _, checkpoint = trained
-        lines = [r.phrase for r in generate_synthetic(40, seed=17)]
-        assert len(lines) > cli_module.PARSE_BATCH
+        lines = [r.phrase for r in generate_synthetic(count, seed=17)]
         source, out = tmp_path / "lines.txt", tmp_path / "graphs.jsonl"
         source.write_text("".join(line + "\n" for line in lines))
         code, _, _ = run(["parse", "--checkpoint", str(checkpoint), "--input", str(source),

@@ -507,10 +507,15 @@ class TestLeanLSTMForward:
             for direction, seq in (("fwd", xs), ("bwd", xs[::-1])):
                 w = params.tensors[f"lstm{layer}_{direction}_w"]
                 b = params.tensors[f"lstm{layer}_{direction}_b"]
-                hs, saved = ad.lstm(xs[:, None], np.array([len(xs)]), w, b, direction == "bwd")
+                args = (xs[:, None], np.array([len(xs)]), w, b, direction == "bwd")
+                kept: list = []
+                hs = ad.lstm(*args, kept)
+                # without a list to save into, the same states
+                assert np.array_equal(ad.lstm(*args), hs)
                 # the reference runs `seq` in step order; `lstm` stores each
                 # state at its input's row and saves the rest in step order
                 hs = hs[:, 0] if direction == "fwd" else hs[::-1, 0]
+                (saved,) = kept
                 saved = [a[:, 0] for a in saved]
                 ref_hs, ref_saved = reference_lstm_forward(seq, w, b, params.hidden)
                 assert np.array_equal(hs, ref_hs)
@@ -599,83 +604,124 @@ class TestSlotScores:
         self.assert_matches_reference(instance, params)
 
 
-def mixed_chunk_texts():
-    """Texts of 0 to 15 tokens, blank lines among them, for two full parse
-    chunks and a part-full third."""
+def mixed_texts(count=model.PARSE_GROUP + 5):
+    """`count` texts of 0 to 15 tokens, blank lines among them; by default
+    two parse groups' worth."""
     rng = np.random.default_rng(8)
     words = [w for r in generate_synthetic(60, seed=8) for w in tokenize(r.phrase)]
     texts = []
-    for k in range(2 * cli.PARSE_BATCH + 5):
+    for k in range(count):
         start, n = int(rng.integers(len(words) - 15)), 7 * k % 16
         texts.append(" ".join(words[start:start + n]))
     return texts
 
 
-class TestLockstepDecoder:
-    """`parse` decodes a chunk in lockstep, and takes the actions of the
-    per-sentence decoder it replaced (`reference_decoder`), each sentence
-    decoded from the vectors of the same `encode_batch` pass.  Its score
-    rows sum each step's output product in another order than the
-    reference's GEMV, so they agree within a bound set by the dtype: 1e-12
-    in float64, and in float32, whose rounding unit is 6e-8, 1e-6.  The
-    chunks are those of `cli._parse_each` over texts of 0 to 15 tokens,
-    blank lines included: two full, one part full, and a chunk of one
-    sentence, whose encoder runs each step as a GEMV."""
+def assert_parse_matches_reference(token_lists, params, bound):
+    """`parse` of the sentences against the per-sentence decoder it
+    replaced (`reference_decoder`), group by group; returns its results and
+    its groups, as lists of input positions.
 
-    @staticmethod
-    def recorded_parse(token_lists, params):
-        """`parse` of a chunk, and the score rows of each `score` step."""
-        steps = []
+    A group's size is recorded at `_bilstm_stack`, and its sentences are
+    the next ones of the input in a stable sort by token count.  Each
+    group's actions must be the reference's on that group, each step's
+    score rows the reference's within `bound`, and each result's arcs those
+    of its own actions."""
+    sizes, steps = [], []
+    stack = model._bilstm_stack
 
-        def recording_score(vectors, p):
-            step = score(vectors, p)
+    def recording_stack(ids, *args):
+        sizes.append(ids.shape[1])
+        return stack(ids, *args)
 
-            def recorded(slots):
-                hidden, rows = step(slots)
-                steps.append(rows)
-                return hidden, rows
-            return recorded
+    def recording_score(vectors, p):
+        step, group_steps = score(vectors, p), []
+        steps.append(group_steps)
 
-        with mock.patch.object(model, "score", recording_score):
-            return parse(token_lists, params), steps
+        def recorded(slots):
+            hidden, rows = step(slots)
+            group_steps.append(rows)
+            return hidden, rows
+        return recorded
 
-    def assert_matches_reference(self, token_lists, params, bound):
-        parsed, steps = self.recorded_parse(token_lists, params)
-        reference = reference_decoder.parse_chunk(token_lists, params)
-        assert [actions for _, actions in parsed] == [actions for actions, _ in reference]
-        for tokens, (arcs, actions) in zip(token_lists, parsed):
-            c = initial(len(tokens))
-            for a in actions:
-                c = apply(c, a)
-            assert is_terminal(c) and c.arc_set() == arcs
-        # step t scores, in chunk order, each sentence that takes more than t actions
-        assert len(steps) == max(len(actions) for actions, _ in reference)
-        for t, rows in enumerate(steps):
+    with mock.patch.object(model, "_bilstm_stack", recording_stack), \
+            mock.patch.object(model, "score", recording_score):
+        parsed = parse(token_lists, params)
+    order = sorted(range(len(token_lists)), key=lambda k: len(token_lists[k]))
+    cuts = np.cumsum([0] + sizes)
+    groups = [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    assert len(steps) == len(groups) and cuts[-1] == len(token_lists)
+    for group, group_steps in zip(groups, steps):
+        reference = reference_decoder.parse_chunk([token_lists[k] for k in group], params)
+        assert [parsed[k][1] for k in group] == [actions for actions, _ in reference]
+        # step t scores each sentence of the group that takes more than t
+        # actions, one row each, in the group's order
+        assert len(group_steps) == max(len(actions) for actions, _ in reference)
+        for t, rows in enumerate(group_steps):
             wanted = [rows_k[t] for _, rows_k in reference if len(rows_k) > t]
             assert rows.dtype == params.tensors["mlp_w2"].dtype and len(rows) == len(wanted)
             assert np.abs(rows - np.array(wanted)).max() <= bound
+    for tokens, (arcs, actions) in zip(token_lists, parsed):
+        c = initial(len(tokens))
+        for a in actions:
+            c = apply(c, a)
+        assert is_terminal(c) and c.arc_set() == arcs
+    return parsed, groups
+
+
+class TestLockstepDecoder:
+    """`parse` decodes each group in lockstep, and takes the actions of the
+    per-sentence decoder it replaced (`reference_decoder`), each sentence
+    decoded from the vectors of its group's `encode_batch` pass.  Its score
+    rows sum each step's output product in another order than the
+    reference's GEMV, so each sentence's rows agree within a bound set by
+    the dtype: 1e-12 in float64, and in float32, whose rounding unit is
+    6e-8, 1e-6.  The texts have 0 to 15 tokens, blank lines included, and
+    make two groups; a sentence parsed alone makes a group of one, whose
+    encoder runs each step as a GEMV."""
 
     @pytest.mark.parametrize("rule", list(ArcRule))
     def test_drawn_float64_and_loaded_float32(self, rule, tmp_path):
-        texts = mixed_chunk_texts()
+        texts = mixed_texts()
         token_lists = [tokenize(t) for t in texts]
         assert {len(tokens) for tokens in token_lists} == set(range(16)) and "" in texts
         drawn = ModelParams(Vocab.from_sentences(token_lists[::2]), rule, seed=3)
         save_checkpoint(drawn, tmp_path / "model.ckpt")
         loaded, _ = load_checkpoint(tmp_path / "model.ckpt")
-        batch = cli.PARSE_BATCH
-        chunks = [token_lists[i:i + batch] for i in range(0, len(token_lists), batch)]
-        assert [len(chunk) for chunk in chunks] == [batch, batch, 5]
         for params, bound in ((drawn, 1e-12), (loaded, 1e-6)):
-            for chunk in chunks + [token_lists[7:8]]:
-                self.assert_matches_reference(chunk, params, bound)
+            _, groups = assert_parse_matches_reference(token_lists, params, bound)
+            assert sorted(len(group) for group in groups) == [34, 35]
+            _, groups = assert_parse_matches_reference(token_lists[7:8], params, bound)
+            assert groups == [[0]]
 
     def test_equal_scores_go_to_the_lowest_index(self):
-        token_lists = [tokenize(t) for t in mixed_chunk_texts()[:cli.PARSE_BATCH]]
+        token_lists = [tokenize(t) for t in mixed_texts(model.PARSE_GROUP)]
         params = small_params(token_lists, seed=1)
         params.tensors["mlp_w2"][:] = 0.0
         params.tensors["mlp_b2"][:] = 0.0
-        self.assert_matches_reference(token_lists, params, 0.0)
+        assert_parse_matches_reference(token_lists, params, 0.0)
+
+
+class TestParseGroups:
+    """`parse` sorts its sentences by token count and cuts them into the
+    fewest groups of at most `PARSE_GROUP`, of sizes that differ by one at
+    most, so that only a lone sentence is a group of one; each group takes
+    the reference decoder's actions, and each sentence's result comes back
+    at its input position, whatever the input order."""
+
+    @pytest.mark.parametrize("count", [1, 2, 33, 64, 65, 100, 129])
+    def test_group_sizes_order_and_reference(self, count):
+        token_lists = [tokenize(t) for t in mixed_texts(count)]
+        params = small_params(token_lists, seed=2)
+        parsed, groups = assert_parse_matches_reference(token_lists, params, 1e-12)
+        sizes = [len(group) for group in groups]
+        assert len(sizes) == -(-count // model.PARSE_GROUP)
+        assert max(sizes) <= model.PARSE_GROUP and max(sizes) - min(sizes) <= 1
+        assert count == 1 or min(sizes) >= 2
+        shuffle = np.random.default_rng(count).permutation(count)
+        assert parse([token_lists[k] for k in shuffle], params) == [parsed[k] for k in shuffle]
+
+    def test_no_sentence(self):
+        assert parse([], small_params([("a",)])) == []
 
 
 class TestEncodeBatch:
@@ -754,6 +800,36 @@ class TestEncodeBatch:
     @pytest.mark.parametrize("shape, rows", [((1024, 456), 16), ((1024, 768), 8)])
     def test_row_blocks_float32(self, shape, rows):
         self.test_row_blocks(shape, rows, np.float32)
+
+    def test_row_blocks_stay_on_one_thread_at_the_parse_cap(self):
+        """A row-block product of a full parse group at the default size in
+        float32, as parsing from a checkpoint runs, multiplies rows x in x
+        columns = 466,944 on layer 0 and 393,216 on layer 1: at most
+        524,288, up to which OpenBLAS 0.3.31 runs every GEMM on one thread
+        (see `ad._row_blocks`).  At 128 columns layer 0's would be 933,888,
+        which ran on two."""
+        params = ModelParams(Vocab.from_sentences([("a",)]), ArcRule.LEFT)
+        for layer in range(params.layers):
+            w = params.tensors[f"lstm{layer}_fwd_w"].astype(np.float32)
+            _, rows, in_dim = ad._row_blocks(w, model.PARSE_GROUP).shape
+            assert rows * in_dim * model.PARSE_GROUP <= 524_288
+
+    def test_parse_forward_keeps_no_backward_arrays(self):
+        """Over a group that holds one 400-token sentence, `encode_batch`,
+        the parse forward, allocates at its peak under a third of what the
+        training forward `encode` does, which keeps every step's `[x; h]`
+        rows, gates and cells, and gives the same vectors bit for bit."""
+        params, instances = default_size_model()
+        params.tensors = {name: a.astype(np.float32) for name, a in params.tensors.items()}
+        long = ([w for tokens, _, _ in instances for w in tokens] * 5)[:400]
+        token_lists = [long, instances[0][0], instances[1][0]]
+        assert len(long) == 400
+        id_lists = [model.word_ids(tokens, params) for tokens in token_lists]
+        parsing = traced_peak(lambda: encode_batch(token_lists, params))
+        training = traced_peak(lambda: encode(id_lists, params))
+        assert parsing < training / 3
+        trained, _ = encode(id_lists, params)
+        assert all(np.array_equal(a, b) for a, b in zip(encode_batch(token_lists, params), trained))
 
     def test_greedy_parse_from_batch_vectors(self):
         instances, _ = build_instances(generate_synthetic(20, seed=5))
@@ -1109,12 +1185,14 @@ class TestLockstepBPTT:
         dhs = rng.standard_normal((9, 4, hidden))
         valid = np.arange(9)[:, None] < lengths
         xs[~valid], dhs[~valid] = 0.0, 0.0
-        _, saved = ad.lstm(xs, lengths, w, b, reverse)
-        dpre, dxs = ad.lstm_backward(dhs, lengths, w, saved, reverse)
+        saved: list = []
+        ad.lstm(xs, lengths, w, b, reverse, saved)
+        dpre, dxs = ad.lstm_backward(dhs, lengths, w, saved[0], reverse)
         assert not dpre[~valid].any() and not dxs[~valid].any()
         for k, n in enumerate(lengths):
-            _, one = ad.lstm(xs[:n, k:k + 1], lengths[k:k + 1], w, b, reverse)
-            want = ad.lstm_backward(dhs[:n, k:k + 1], lengths[k:k + 1], w, one, reverse)
+            one: list = []
+            ad.lstm(xs[:n, k:k + 1], lengths[k:k + 1], w, b, reverse, one)
+            want = ad.lstm_backward(dhs[:n, k:k + 1], lengths[k:k + 1], w, one[0], reverse)
             for got, expected in zip((dpre[:n, k], dxs[:n, k]), want):
                 assert np.abs(got - expected[:, 0]).max() <= 1e-12 * np.abs(expected).max()
 
