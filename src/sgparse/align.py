@@ -11,11 +11,12 @@ alone, with no second tokenization.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import AlignmentConflict, LexiconCorrupt
 from .graph import (
@@ -57,7 +58,7 @@ def read_text_lines(path: str | Path) -> list[str]:
 class SynonymLexicon:
     """Case-insensitive symmetric synonym table.
 
-    Every word matches itself; entries loaded from file are closed under
+    Every word matches itself; entries are single words, closed under
     symmetry.
     """
 
@@ -69,9 +70,13 @@ class SynonymLexicon:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "SynonymLexicon":
+        """Matching compares one token with one token, so an entry that is
+        empty or not a single word raises LexiconCorrupt."""
         raw: dict[str, set[str]] = {}
         for a, b in pairs:
             a, b = a.lower(), b.lower()
+            if a.split() != [a] or b.split() != [b]:
+                raise LexiconCorrupt(f"{(a, b)!r} is not a pair of single words")
             raw.setdefault(a, set()).add(b)
             raw.setdefault(b, set()).add(a)
         return cls({w: frozenset(s) for w, s in raw.items()})
@@ -80,8 +85,7 @@ class SynonymLexicon:
     def load(cls, path: str | Path) -> "SynonymLexicon":
         """Read `word<TAB>syn1,syn2,...` lines; `#` starts a comment line.
 
-        Every word and synonym must be a single word: matching compares one
-        token with one token, so a multi-word entry could never match.
+        Every word and synonym must be a single word, as in `from_pairs`.
         """
         pairs = []
         for number, line in enumerate(read_text_lines(path), start=1):
@@ -102,6 +106,11 @@ class SynonymLexicon:
     def matches(self, a: str, b: str) -> bool:
         a, b = a.lower(), b.lower()
         return a == b or b in self.table.get(a, frozenset())
+
+    def expansions(self, label: str) -> Iterator[str]:
+        """Lazily, every label that a normalised `label` matches word by word."""
+        choices = ({word} | self.table.get(word, frozenset()) for word in label.split())
+        return map(" ".join, itertools.product(*choices))
 
 
 @dataclass(frozen=True)

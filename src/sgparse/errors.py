@@ -45,7 +45,7 @@ class CheckpointCorrupt(SgparseError):
 
 
 class LexiconCorrupt(SgparseError):
-    """A synonym lexicon line holds a word or synonym that is not a single word."""
+    """A synonym lexicon entry is empty or not a single word."""
 
 
 class ParameterNonFinite(SgparseError):

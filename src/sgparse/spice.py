@@ -4,11 +4,16 @@ A graph decomposes into object tuples, (object, attribute) tuples and
 (subject, relation, object) tuples.  Candidate and reference tuples are
 matched within each category by a maximum bipartite matching, so a tuple on
 one side can never be credited twice; precision, recall and F follow from
-the matched counts.
+the matched counts.  Two tuples are compatible when each slot's words pair
+up as equal or synonymous; a tuple's partners are found by looking up its
+expansions (each word itself or a synonym), or by testing each partner when
+the expansions outnumber them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,7 +24,8 @@ from .pool import parallel_map
 
 @dataclass(frozen=True)
 class TupleBag:
-    """Multisets of semantic tuples extracted from one scene graph."""
+    """Multisets of semantic tuples extracted from one scene graph; slots hold
+    normalised labels (`normalize_label`), as `match_count` looks them up."""
 
     objects: tuple[tuple[str], ...] = ()
     attributes: tuple[tuple[str, str], ...] = ()
@@ -72,15 +78,10 @@ def extract_tuples(graph: SceneGraph) -> TupleBag:
     return TupleBag(objects=objects, attributes=attributes, relations=relations)
 
 
-def _slot_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
-    wa, wb = a.split(), b.split()
-    if len(wa) != len(wb):
-        return False
-    return all(lexicon.matches(x, y) for x, y in zip(wa, wb))
-
-
 def _compatible(a: tuple[str, ...], b: tuple[str, ...], lexicon: SynonymLexicon) -> bool:
-    return len(a) == len(b) and all(_slot_match(x, y, lexicon) for x, y in zip(a, b))
+    return len(a) == len(b) and all(
+        len(x.split()) == len(y.split()) and all(map(lexicon.matches, x.split(), y.split()))
+        for x, y in zip(a, b))
 
 
 def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
@@ -139,26 +140,44 @@ def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
                         via.pop()
 
 
+def _compatible_positions(
+    c: tuple[str, ...], positions: dict[tuple[str, ...], list[int]], lexicon: SynonymLexicon
+) -> list[int]:
+    """Positions of the reference tuples compatible with `c`: by lookup of its
+    expansions, unless those (at most the product of each word's choices)
+    outnumber the distinct reference tuples, which are then tested."""
+    if not lexicon.table:
+        return positions.get(c, [])
+    n_expansions = math.prod(1 + len(lexicon.table.get(w, ())) for s in c for w in s.split())
+    if n_expansions <= len(positions):
+        keys = itertools.product(*map(lexicon.expansions, c))
+        return [j for key in keys for j in positions.get(key, ())]
+    return [j for r, js in positions.items() if _compatible(c, r, lexicon) for j in js]
+
+
 def match_count(
     candidate: TupleBag, reference: TupleBag, lexicon: SynonymLexicon | None = None
 ) -> CategoryCounts:
     """Size of the maximum one-to-one matching per tuple category.
 
-    Compatibility is decided once per distinct (candidate, reference) tuple
-    value, and every instance of a value shares that value's edge list."""
+    Each distinct candidate tuple value finds its compatible reference
+    tuples once (`_compatible_positions`), and every instance of a value
+    shares that value's edge list."""
     lexicon = lexicon or SynonymLexicon.empty()
     counts = {}
     ref_cats = reference.categories()
     for name, cand_tuples in candidate.categories().items():
         ref_tuples = ref_cats[name]
+        if not (cand_tuples and ref_tuples):
+            counts[name] = 0
+            continue
         positions: dict[tuple[str, ...], list[int]] = {}
         for j, r in enumerate(ref_tuples):
             positions.setdefault(r, []).append(j)
         edges: dict[tuple[str, ...], list[int]] = {}
         for c in cand_tuples:
             if c not in edges:
-                edges[c] = [j for r, js in positions.items() if _compatible(c, r, lexicon)
-                            for j in js]
+                edges[c] = _compatible_positions(c, positions, lexicon)
         counts[name] = _max_matching([edges[c] for c in cand_tuples], len(ref_tuples))
     return CategoryCounts(**counts)
 

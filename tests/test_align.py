@@ -69,6 +69,18 @@ class TestSynMatch:
         lex = SynonymLexicon.from_pairs([("man", "guy")])
         assert lex.matches("guy", "man") and lex.matches("man", "guy")
 
+    @pytest.mark.parametrize("pair", [("tv", "television set"), ("", "x"), ("x", " "),
+                                      (" man", "guy")])
+    def test_entry_that_is_not_one_word_rejected(self, pair):
+        with pytest.raises(LexiconCorrupt, match="single words"):
+            SynonymLexicon.from_pairs([pair])
+
+    def test_expansions(self):
+        lex = SynonymLexicon.from_pairs([("man", "guy"), ("old", "aged")])
+        assert sorted(lex.expansions("old man")) == [
+            "aged guy", "aged man", "old guy", "old man"]
+        assert list(SynonymLexicon.empty().expansions("dog")) == ["dog"]
+
 
 class TestLexiconFile:
     def test_load(self, data_dir):

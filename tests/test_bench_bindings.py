@@ -187,3 +187,27 @@ def test_training_item_holds_its_batch_update(tmp_path, capsys):
     assert len(samples) == epochs * (size + 3) and sum(samples) <= wall
     assert len(steps) == epochs * 2
     assert all(any(a <= s and e <= b for a, b in spans) for s, e in steps)
+
+
+def test_spans_fire_on_retrieval(tmp_path, capsys):
+    """One `retrieve` command passes through the spans of its scoring and
+    ground truth: `spice.match_count` under both, `spice.f_score` per scored
+    image and `retrieval.subgraph_of` per candidate truth image."""
+    run, probes = _load("run"), _load("probes")
+    sg = run.import_sgparse()
+    records = sg.corpus.generate_synthetic(20, seed=4)
+    checkpoint, corpus = tmp_path / "m.ckpt", tmp_path / "c.jsonl"
+    sg.corpus.save_corpus(records, corpus)
+    # an untrained model's queries share no object label with any image
+    assert sg.cli.main(["train", "--corpus", str(corpus), "--checkpoint", str(checkpoint),
+                        "--epochs", "1", "--seed", "4"]) == 0
+    tracer, patches = probes.Tracer(), probes.Patches()
+    tracer.install(patches, sg)
+    try:
+        assert sg.cli.main(["retrieve", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                            "--out", str(tmp_path / "r.txt")]) == 0
+    finally:
+        patches.restore()
+    capsys.readouterr()
+    for span in ("spice.match_count", "spice.f_score", "retrieval.subgraph_of"):
+        assert tracer.calls[span] > 0, span

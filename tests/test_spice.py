@@ -1,12 +1,15 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sgparse import spice
 from sgparse.align import SynonymLexicon
 from sgparse.graph import SceneGraph
 from sgparse.spice import (
+    CategoryCounts,
     TupleBag,
     _max_matching,
     corpus_f,
@@ -151,6 +154,83 @@ def kuhn_matching(adjacency, n_right):
         return False
 
     return sum(augment(u, [False] * n_right) for u in range(len(adjacency)))
+
+
+def pairwise_match_count(candidate, reference, lexicon):
+    """The pairwise test that lookup replaced: every candidate tuple against
+    every reference tuple, slot by slot and word by word, then a matching."""
+    def compatible(c, r):
+        return len(c) == len(r) and all(
+            len(x.split()) == len(y.split())
+            and all(lexicon.matches(u, v) for u, v in zip(x.split(), y.split()))
+            for x, y in zip(c, r))
+
+    counts = {}
+    for name, cands in candidate.categories().items():
+        refs = reference.categories()[name]
+        adjacency = [[j for j, r in enumerate(refs) if compatible(c, r)] for c in cands]
+        counts[name] = kuhn_matching(adjacency, len(refs))
+    return CategoryCounts(**counts)
+
+
+WORDS = [f"w{k}" for k in range(48)]
+
+
+@st.composite
+def tuple_bags(draw):
+    """Bags over a few words, in labels of one to three words, with
+    repeated tuples."""
+    label = st.lists(st.sampled_from(WORDS[:6]), min_size=1, max_size=3).map(" ".join)
+    def tuples(width):
+        pool = draw(st.lists(st.tuples(*[label] * width), min_size=1, max_size=4))
+        return tuple(draw(st.lists(st.sampled_from(pool), max_size=6)))
+    return TupleBag(objects=tuples(1), attributes=tuples(2), relations=tuples(3))
+
+
+@st.composite
+def lexicons(draw):
+    """Up to six words with 0-40 synonyms each, closed under symmetry."""
+    pairs = []
+    for word in draw(st.lists(st.sampled_from(WORDS[:6]), unique=True, max_size=6)):
+        pairs += [(word, syn) for syn in draw(st.lists(st.sampled_from(WORDS), max_size=40))]
+    return SynonymLexicon.from_pairs(pairs)
+
+
+class TestLookupAgreesWithPairwise:
+    def test_random_bags_and_lexicons(self):
+        taken = {"lookup": 0, "scan": 0}
+
+        def counted(branch, fn):
+            def wrapper(*args):
+                taken[branch] += 1
+                return fn(*args)
+            return wrapper
+
+        @settings(max_examples=300, deadline=None)
+        @given(candidate=tuple_bags(), reference=tuple_bags(), lexicon=lexicons())
+        def check(candidate, reference, lexicon):
+            assert match_count(candidate, reference, lexicon) == pairwise_match_count(
+                candidate, reference, lexicon)
+
+        with mock.patch.object(SynonymLexicon, "expansions",
+                               counted("lookup", SynonymLexicon.expansions)), \
+                mock.patch.object(spice, "_compatible", counted("scan", spice._compatible)):
+            check()
+        assert taken["lookup"] > 0 and taken["scan"] > 0, taken
+
+    def test_expansions_beyond_1e8_are_not_enumerated(self):
+        # 41 choices for each of five words: 41**5 > 10**8 expansions
+        pairs = [(f"a{k}", f"s{k}_{n}") for k in range(5) for n in range(40)]
+        lexicon = SynonymLexicon.from_pairs(pairs)
+        candidate = TupleBag(relations=(("a0 a1", "a2 a3", "a4"),))
+        synonymous = TupleBag(relations=(("s0_7 a1", "a2 s3_39", "a4"),))
+        unrelated = TupleBag(relations=(("s0_7 a1", "a2 s2_1", "a4"),))
+        for reference, expected in ((synonymous, 1), (unrelated, 0)):
+            with mock.patch.object(SynonymLexicon, "expansions",
+                                   side_effect=AssertionError("expansions enumerated")):
+                counts = match_count(candidate, reference, lexicon)
+            assert counts == pairwise_match_count(candidate, reference, lexicon)
+            assert counts.relations == expected
 
 
 class TestMaxMatching:
