@@ -11,12 +11,11 @@ alone, with no second tokenization.
 
 from __future__ import annotations
 
-import itertools
 import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AlignmentConflict, LexiconCorrupt
 from .graph import (
@@ -106,11 +105,6 @@ class SynonymLexicon:
     def matches(self, a: str, b: str) -> bool:
         a, b = a.lower(), b.lower()
         return a == b or b in self.table.get(a, frozenset())
-
-    def expansions(self, label: str) -> Iterator[str]:
-        """Lazily, every label that a normalised `label` matches word by word."""
-        choices = ({word} | self.table.get(word, frozenset()) for word in label.split())
-        return map(" ".join, itertools.product(*choices))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ multiset contains the query's.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,6 +68,17 @@ def subgraph_of(query: SceneGraph, container: SceneGraph) -> bool:
     return match_count(q, extract_tuples(container)).total() == q.total()
 
 
+def _expand_labels(graph: SceneGraph, lexicon: SynonymLexicon | None = None) -> set[str]:
+    """Every image object label that some object label of `graph` is
+    compatible with: each word may become itself or one of its synonyms."""
+    table = lexicon.table if lexicon is not None else {}
+    expanded = set()
+    for label in object_labels(graph):
+        choices = [{word} | table.get(word, frozenset()) for word in label.split()]
+        expanded.update(" ".join(words) for words in itertools.product(*choices))
+    return expanded
+
+
 def rank_images(
     query_graph: SceneGraph, index: Sequence[ImageEntry], lexicon: SynonymLexicon | None = None
 ) -> list[Hashable]:
@@ -76,9 +88,7 @@ def rank_images(
     without scoring (1.0 when both graphs are empty)."""
     if not index:
         raise ValueError("cannot rank against an empty index")
-    lexicon = lexicon or SynonymLexicon.empty()
-    # every image object label that some query object label is compatible with
-    wanted = {label for own in object_labels(query_graph) for label in lexicon.expansions(own)}
+    wanted = _expand_labels(query_graph, lexicon)
     scored = []
     for entry in index:
         # two empty graphs are the one label-disjoint pair that scores above 0

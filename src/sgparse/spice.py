@@ -5,15 +5,13 @@ A graph decomposes into object tuples, (object, attribute) tuples and
 matched within each category by a maximum bipartite matching, so a tuple on
 one side can never be credited twice; precision, recall and F follow from
 the matched counts.  Two tuples are compatible when each slot's words pair
-up as equal or synonymous; a tuple's partners are found by looking up its
-expansions (each word itself or a synonym), or by testing each partner when
-the expansions outnumber them.
+up as equal or synonymous; without a lexicon that is equality, so a tuple's
+partners are found by one dict lookup, and with one each distinct partner
+is tested.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -78,10 +76,15 @@ def extract_tuples(graph: SceneGraph) -> TupleBag:
     return TupleBag(objects=objects, attributes=attributes, relations=relations)
 
 
+def _slot_match(a: str, b: str, lexicon: SynonymLexicon) -> bool:
+    wa, wb = a.split(), b.split()
+    if len(wa) != len(wb):
+        return False
+    return all(lexicon.matches(x, y) for x, y in zip(wa, wb))
+
+
 def _compatible(a: tuple[str, ...], b: tuple[str, ...], lexicon: SynonymLexicon) -> bool:
-    return len(a) == len(b) and all(
-        len(x.split()) == len(y.split()) and all(map(lexicon.matches, x.split(), y.split()))
-        for x, y in zip(a, b))
+    return len(a) == len(b) and all(_slot_match(x, y, lexicon) for x, y in zip(a, b))
 
 
 def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
@@ -140,44 +143,28 @@ def _max_matching(adjacency: list[list[int]], n_right: int) -> int:
                         via.pop()
 
 
-def _compatible_positions(
-    c: tuple[str, ...], positions: dict[tuple[str, ...], list[int]], lexicon: SynonymLexicon
-) -> list[int]:
-    """Positions of the reference tuples compatible with `c`: by lookup of its
-    expansions, unless those (at most the product of each word's choices)
-    outnumber the distinct reference tuples, which are then tested."""
-    if not lexicon.table:
-        return positions.get(c, [])
-    n_expansions = math.prod(1 + len(lexicon.table.get(w, ())) for s in c for w in s.split())
-    if n_expansions <= len(positions):
-        keys = itertools.product(*map(lexicon.expansions, c))
-        return [j for key in keys for j in positions.get(key, ())]
-    return [j for r, js in positions.items() if _compatible(c, r, lexicon) for j in js]
-
-
 def match_count(
     candidate: TupleBag, reference: TupleBag, lexicon: SynonymLexicon | None = None
 ) -> CategoryCounts:
     """Size of the maximum one-to-one matching per tuple category.
 
     Each distinct candidate tuple value finds its compatible reference
-    tuples once (`_compatible_positions`), and every instance of a value
-    shares that value's edge list."""
+    tuples once: by lookup without a lexicon, else by testing each distinct
+    reference value.  Every instance of a value shares that value's edge
+    list."""
     lexicon = lexicon or SynonymLexicon.empty()
     counts = {}
     ref_cats = reference.categories()
     for name, cand_tuples in candidate.categories().items():
         ref_tuples = ref_cats[name]
-        if not (cand_tuples and ref_tuples):
-            counts[name] = 0
-            continue
         positions: dict[tuple[str, ...], list[int]] = {}
         for j, r in enumerate(ref_tuples):
             positions.setdefault(r, []).append(j)
         edges: dict[tuple[str, ...], list[int]] = {}
         for c in cand_tuples:
             if c not in edges:
-                edges[c] = _compatible_positions(c, positions, lexicon)
+                edges[c] = positions.get(c, []) if not lexicon.table else [
+                    j for r, js in positions.items() if _compatible(c, r, lexicon) for j in js]
         counts[name] = _max_matching([edges[c] for c in cand_tuples], len(ref_tuples))
     return CategoryCounts(**counts)
 

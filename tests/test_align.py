@@ -75,12 +75,6 @@ class TestSynMatch:
         with pytest.raises(LexiconCorrupt, match="single words"):
             SynonymLexicon.from_pairs([pair])
 
-    def test_expansions(self):
-        lex = SynonymLexicon.from_pairs([("man", "guy"), ("old", "aged")])
-        assert sorted(lex.expansions("old man")) == [
-            "aged guy", "aged man", "old guy", "old man"]
-        assert list(SynonymLexicon.empty().expansions("dog")) == ["dog"]
-
 
 class TestLexiconFile:
     def test_load(self, data_dir):
