@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .align import AlignMode, SynonymLexicon, align, aligned_subgraph, derive_gold, tokenize
 from .align import tokenize as _tokenize_batch
@@ -41,7 +41,14 @@ from .model import (
     save_checkpoint,
 )
 from .pool import parallel_map
-from .retrieval import build_index, evaluate_retrieval, format_results, object_labels, subgraph_of
+from .retrieval import (
+    ImageEntry,
+    ImageIndex,
+    build_index,
+    evaluate_retrieval,
+    format_results,
+    subgraph_of,
+)
 from .spice import corpus_f, evaluate_corpus, format_report
 from .transition import format_trace, oracle_parse
 
@@ -277,7 +284,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def ground_truth(query: ImageEntry, index: ImageIndex) -> set[Hashable]:
+    """The query's own image and every other image of `index` that holds the
+    query graph exactly (`subgraph_of`, through this module's name).
+
+    Only the images whose object-label multiset contains the query's, found
+    through the index's postings, are tested; an exact one-to-one match
+    needs every label.  The query's tuples come from its entry, extracted
+    once."""
+    truth = {query.image_id}
+    truth.update(entry.image_id for entry in index.holding(query.labels)
+                 if entry.image_id != query.image_id and subgraph_of(query.bag, entry.bag))
+    return truth
+
+
 def cmd_retrieve(args) -> int:
+    """Rank every image for each record's parsed phrase, against the truth
+    of `ground_truth` over the record's gold graph.
+
+    The index of per-image graphs and each record's gold tuples are built
+    once per command."""
     settings = Settings(args)
     params, _ = load_checkpoint(settings.require("checkpoint"))
     lexicon = _load_lexicon(settings)
@@ -288,17 +314,7 @@ def cmd_retrieve(args) -> int:
     for record in records:
         by_image.setdefault(record.image_id, []).append(record.graph)
     index = build_index(sorted(by_image.items()))
-    truths = []
-    for record in records:
-        # an image can hold the query exactly only if it holds every object label
-        labels = object_labels(record.graph)
-        truth = {record.image_id}
-        truth.update(
-            entry.image_id for entry in index
-            if entry.image_id != record.image_id and labels <= entry.labels
-            and subgraph_of(record.graph, entry.graph)
-        )
-        truths.append(truth)
+    truths = [ground_truth(ImageEntry(record.image_id, record.graph), index) for record in records]
     # the first query read parses every query; each is then ranked as it is read
     queries = zip(_parse_each(params, [r.phrase for r in records]), truths)
     result = evaluate_retrieval(queries, index, lexicon)

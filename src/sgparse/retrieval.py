@@ -12,21 +12,24 @@ matched tuple at all and its F is 0.0 -- unless both graphs are empty, which
 score 1.0.  The query's object labels are expanded through the lexicon on
 the query side only, which is the direction `match_count` compares in.
 Likewise an image can contain a query exactly only if its object-label
-multiset contains the query's.
+multiset contains the query's.  The index finds both sets of images through
+its postings, from each object label to the images holding it, and every
+image's tuples are extracted once, when the index is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .align import SynonymLexicon
-from .graph import SceneGraph, normalize_label
+from .graph import SceneGraph
 from .pool import parallel_map
-from .spice import extract_tuples, f_score, match_count
+from .spice import TupleBag, _slot_match, extract_tuples, f_score, match_count
 
 
 def merge_graphs(graphs: Sequence[SceneGraph]) -> SceneGraph:
@@ -42,63 +45,123 @@ def merge_graphs(graphs: Sequence[SceneGraph]) -> SceneGraph:
     return SceneGraph(objects=tuple(objects), attributes=tuple(attributes), relations=tuple(relations))
 
 
-def object_labels(graph: SceneGraph) -> Counter[str]:
-    """Multiset of the graph's normalised object labels."""
-    return Counter(normalize_label(label) for label in graph.objects)
-
-
 @dataclass(frozen=True)
 class ImageEntry:
+    """An image id and a graph, with the graph's tuple bag and the multiset of
+    its normalised object labels, both made once, when the entry is."""
+
     image_id: Hashable
     graph: SceneGraph
+    bag: TupleBag = field(init=False, repr=False, compare=False)
     labels: Counter[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", object_labels(self.graph))
+        bag = extract_tuples(self.graph)
+        object.__setattr__(self, "bag", bag)
+        object.__setattr__(self, "labels", Counter(label for label, in bag.objects))
 
 
-def build_index(images: Iterable[tuple[Hashable, Sequence[SceneGraph]]]) -> list[ImageEntry]:
-    return [ImageEntry(image_id, merge_graphs(graphs)) for image_id, graphs in images]
+class ImageIndex(list):
+    """The entries of an index, in the order given, with the lookups that
+    ranking and ground truth share, made once:
+
+    * `postings` maps each normalised object label to the ascending
+      positions of the entries that hold it;
+    * `unlabelled` lists the positions of the entries with no object;
+    * `ids` lists every image id in ascending order, ties in position
+      order, and `id_rank` gives each position's place in `ids`.
+
+    The lookups are not updated if the list is changed afterwards."""
+
+    def __init__(self, entries: Iterable[ImageEntry]):
+        super().__init__(entries)
+        self.postings: dict[str, list[int]] = {}
+        for position, entry in enumerate(self):
+            for label in entry.labels:
+                self.postings.setdefault(label, []).append(position)
+        self.unlabelled = [position for position, entry in enumerate(self) if not entry.labels]
+        order = sorted(range(len(self)), key=lambda position: self[position].image_id)
+        self.ids = [self[position].image_id for position in order]
+        self.id_rank = [0] * len(self)
+        for rank, position in enumerate(order):
+            self.id_rank[position] = rank
+
+    def holding(self, labels: Counter[str]) -> list[ImageEntry]:
+        """The entries whose object-label multiset contains `labels`, in
+        index order: those of the shortest posting among its labels that
+        pass the multiset inclusion test, which also checks every other
+        posting."""
+        if not labels:
+            return list(self)
+        shortest = min((self.postings.get(label, []) for label in labels), key=len)
+        return [self[position] for position in shortest if labels <= self[position].labels]
 
 
-def subgraph_of(query: SceneGraph, container: SceneGraph) -> bool:
+def build_index(images: Iterable[tuple[Hashable, Sequence[SceneGraph]]]) -> ImageIndex:
+    """One entry per `(image id, region graphs)` pair, over the union of its
+    graphs, in the order given; each entry's tuples are extracted here."""
+    return ImageIndex(ImageEntry(image_id, merge_graphs(graphs)) for image_id, graphs in images)
+
+
+def subgraph_of(query: SceneGraph | TupleBag, container: SceneGraph | TupleBag) -> bool:
     """True iff every query tuple can be one-to-one matched in the container
     (exact labels, no synonyms)."""
     q = extract_tuples(query)
     return match_count(q, extract_tuples(container)).total() == q.total()
 
 
-def _expand_labels(graph: SceneGraph, lexicon: SynonymLexicon | None = None) -> set[str]:
-    """Every image object label that some object label of `graph` is
-    compatible with: each word may become itself or one of its synonyms."""
-    table = lexicon.table if lexicon is not None else {}
-    expanded = set()
-    for label in object_labels(graph):
-        choices = [{word} | table.get(word, frozenset()) for word in label.split()]
-        expanded.update(" ".join(words) for words in itertools.product(*choices))
-    return expanded
+def _expand_labels(
+    labels: Iterable[str], postings: Mapping[str, list[int]], lexicon: SynonymLexicon | None = None
+) -> set[str]:
+    """The keys of `postings` (image labels) that some query label is
+    compatible with: each of its words may become itself or one of its
+    synonyms, the direction of `lexicon.matches`.
+
+    A label's expansion is the product of its words' choices, built only
+    while it is no larger than the number of image labels; past that, each
+    image label is tested against the query label with `_slot_match`, which
+    finds the same ones."""
+    lexicon = lexicon or SynonymLexicon.empty()
+    found = set()
+    for label in labels:
+        choices = [{word} | lexicon.table.get(word, frozenset()) for word in label.split()]
+        if math.prod(map(len, choices)) <= len(postings):
+            found.update(expanded for words in itertools.product(*choices)
+                         if (expanded := " ".join(words)) in postings)
+        else:
+            found.update(image_label for image_label in postings
+                         if _slot_match(label, image_label, lexicon))
+    return found
 
 
 def rank_images(
-    query_graph: SceneGraph, index: Sequence[ImageEntry], lexicon: SynonymLexicon | None = None
+    query_graph: SceneGraph, index: ImageIndex, lexicon: SynonymLexicon | None = None
 ) -> list[Hashable]:
     """Image ids by descending F score; ties break by ascending image id.
 
-    Images that share no compatible object label with the query get F = 0.0
-    without scoring (1.0 when both graphs are empty)."""
+    The query's tuples are extracted once, and `f_score` compares them with
+    the bags of only the images that the postings of its expanded object
+    labels name; a query with no object is compared with the images that
+    have none, the one label-disjoint pair that scores above 0 (1.0).  Every
+    other image has F = 0.0 and follows in image-id order."""
     if not index:
         raise ValueError("cannot rank against an empty index")
-    wanted = _expand_labels(query_graph, lexicon)
-    scored = []
-    for entry in index:
-        # two empty graphs are the one label-disjoint pair that scores above 0
-        if wanted.isdisjoint(entry.labels) and (wanted or entry.labels):
-            f = 0.0
-        else:
-            f = f_score(query_graph, entry.graph, lexicon).f
-        scored.append((f, entry.image_id))
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [image_id for _, image_id in scored]
+    query = extract_tuples(query_graph)
+    labels = {label for label, in query.objects}
+    if labels:
+        postings = index.postings
+        candidates = sorted({position for label in _expand_labels(labels, postings, lexicon)
+                             for position in postings[label]})
+    else:
+        candidates = index.unlabelled
+    hits = [(f, position) for position in candidates
+            if (f := f_score(query, index[position].bag, lexicon).f) > 0.0]
+    hits.sort(key=lambda hit: (-hit[0], index[hit[1]].image_id))
+    unranked = bytearray(b"\x01") * len(index)
+    for _, position in hits:
+        unranked[index.id_rank[position]] = 0
+    return ([index[position].image_id for _, position in hits]
+            + list(itertools.compress(index.ids, unranked)))
 
 
 class QueryOutcome(NamedTuple):
@@ -118,7 +181,7 @@ class RetrievalResult:
 
 def evaluate_retrieval(
     queries: Iterable[tuple[SceneGraph, set[Hashable]]],
-    index: Sequence[ImageEntry],
+    index: ImageIndex,
     lexicon: SynonymLexicon | None = None,
 ) -> RetrievalResult:
     """Rank every query graph; recall@k is the fraction with a ground-truth

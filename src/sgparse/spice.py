@@ -58,8 +58,14 @@ class ScoreTriple(NamedTuple):
     f: float
 
 
-def extract_tuples(graph: SceneGraph) -> TupleBag:
-    """One tuple per object instance, attribute pair and relation triple."""
+def extract_tuples(graph: SceneGraph | TupleBag) -> TupleBag:
+    """One tuple per object instance, attribute pair and relation triple.
+
+    A `TupleBag` is returned as it is, so the functions that take graphs
+    through here (`f_score`, `retrieval.subgraph_of`) also take a bag that
+    was extracted once, ahead of many comparisons."""
+    if isinstance(graph, TupleBag):
+        return graph
     objects = tuple((normalize_label(label),) for label in graph.objects)
     attributes = tuple(
         (normalize_label(graph.objects[oi]), normalize_label(attr))
@@ -186,9 +192,11 @@ def _prf(matched: int, n_cand: int, n_ref: int) -> ScoreTriple:
 
 
 def f_score(
-    candidate: SceneGraph, reference: SceneGraph, lexicon: SynonymLexicon | None = None
+    candidate: SceneGraph | TupleBag,
+    reference: SceneGraph | TupleBag,
+    lexicon: SynonymLexicon | None = None,
 ) -> ScoreTriple:
-    """Precision/recall/F over all matched tuples.
+    """Precision/recall/F over all matched tuples of two graphs or bags.
 
     Two empty graphs score 1.0 by convention; when exactly one side is empty
     the score is 0.0.

@@ -13,6 +13,7 @@ from sgparse import cli as cli_module
 from sgparse import corpus as corpus_module
 from sgparse import model as model_module
 from sgparse import retrieval
+from sgparse import spice as spice_module
 from sgparse.align import SynonymLexicon, tokenize
 from sgparse.cli import main
 from sgparse.corpus import (RegionRecord, build_instances, generate_synthetic, load_corpus,
@@ -303,6 +304,29 @@ class TestRetrieveWithLexicon:
         monkeypatch.setattr(retrieval, "rank_images", _brute_force_rank)
         expected = retrieval.evaluate_retrieval(queries, index, SynonymLexicon.load(lexicon_path))
         assert out.read_text() == retrieval.format_results(expected)
+
+
+class TestRetrieveExtractsEachGraphOnce:
+    def test_extractions_per_image_and_record(self, trained, tmp_path, capsys, monkeypatch):
+        """`retrieve` extracts each index image's tuples once, and each
+        record's twice (its gold graph for the ground truth and its parsed
+        query for ranking), never once per query-image pair."""
+        _, checkpoint = trained
+        records = generate_synthetic(40, seed=9)
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(records, corpus)
+        extracted = []
+        for module in (spice_module, retrieval):
+            def counting(graph, extract=module.extract_tuples):
+                if isinstance(graph, SceneGraph):
+                    extracted.append(graph)
+                return extract(graph)
+            monkeypatch.setattr(module, "extract_tuples", counting)
+        code, _, _ = run(["retrieve", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                          "--out", str(tmp_path / "results.txt")], capsys)
+        assert code == 0
+        images = len({record.image_id for record in records})
+        assert 0 < len(extracted) <= images + 2 * len(records)
 
 
 def parse_text(params, text):

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from sgparse import retrieval
 from sgparse.align import SynonymLexicon
+from sgparse.cli import ground_truth
 from sgparse.graph import SceneGraph
 from sgparse.retrieval import (
+    ImageEntry,
     build_index,
     evaluate_retrieval,
     format_results,
     merge_graphs,
-    object_labels,
     rank_images,
     subgraph_of,
 )
@@ -196,13 +197,6 @@ def brute_force_truth(query_graph, index):
     return {entry.image_id for entry in index if subgraph_of(query_graph, entry.graph)}
 
 
-def filtered_truth(query_graph, index):
-    """The ground-truth filter of `sgparse retrieve`."""
-    labels = object_labels(query_graph)
-    return {entry.image_id for entry in index
-            if labels <= entry.labels and subgraph_of(query_graph, entry.graph)}
-
-
 # "dog", "big dog" and "large puppy" are linked only through the lexicon;
 # case and spacing variants must normalise to the same label.
 LABELS = ["man", "guy", "person", "dog", "puppy", "tree", "big dog", "large puppy",
@@ -236,8 +230,12 @@ class TestFilteredAgreesWithBruteForce:
     @settings(max_examples=200, deadline=None)
     @given(query=scene_graphs(), regions=images)
     def test_truth_sets_identical(self, query, regions):
+        """`sgparse retrieve`'s ground truth holds the query's own image and
+        every image that the brute-force test finds; -1 is in no index."""
         index = build_index(enumerate(regions))
-        assert filtered_truth(query, index) == brute_force_truth(query, index)
+        expected = brute_force_truth(query, index)
+        assert ground_truth(ImageEntry(-1, query), index) == expected | {-1}
+        assert ground_truth(ImageEntry(0, query), index) == expected | {0}
 
     @pytest.mark.parametrize("lexicon", [None, LEXICON])
     def test_empty_query(self, lexicon):
@@ -245,7 +243,8 @@ class TestFilteredAgreesWithBruteForce:
         query = SceneGraph()
         assert rank_images(query, index, lexicon) == brute_force_rank(query, index, lexicon)
         assert rank_images(query, index, lexicon) == [2, 3, 1]
-        assert filtered_truth(query, index) == brute_force_truth(query, index) == {1, 2, 3}
+        assert brute_force_truth(query, index) == {1, 2, 3}
+        assert ground_truth(ImageEntry(-1, query), index) == {-1, 1, 2, 3}
 
     @pytest.mark.parametrize("lexicon", [None, LEXICON])
     def test_image_with_empty_graph(self, lexicon):
@@ -253,7 +252,8 @@ class TestFilteredAgreesWithBruteForce:
         query = obj_graph("dog")
         assert rank_images(query, index, lexicon) == brute_force_rank(query, index, lexicon)
         assert rank_images(query, index, lexicon) == [3, 1, 2]
-        assert filtered_truth(query, index) == brute_force_truth(query, index) == {3}
+        assert brute_force_truth(query, index) == {3}
+        assert ground_truth(ImageEntry(-1, query), index) == {-1, 3}
 
     def test_multiword_label_through_synonyms(self):
         index = build_index([(1, [obj_graph("large dog")]), (2, [obj_graph("large puppy")]),
@@ -270,7 +270,8 @@ class TestFilteredAgreesWithBruteForce:
         assert rank_images(query, index, LEXICON) == brute_force_rank(query, index, LEXICON)
         assert rank_images(query, index, LEXICON) == [2, 1]
         assert rank_images(query, index) == [1, 2]       # no lexicon: all tie at 0
-        assert filtered_truth(query, index) == brute_force_truth(query, index) == set()
+        assert brute_force_truth(query, index) == set()
+        assert ground_truth(ImageEntry(-1, query), index) == {-1}
 
     def test_all_zero_ties_sort_by_id(self):
         index = build_index([(7, [obj_graph("tree")]), (3, [obj_graph("car")]),
@@ -290,4 +291,31 @@ class TestFilteredAgreesWithBruteForce:
         index = build_index([(1, [obj_graph("man")]), (2, [obj_graph("tree")]),
                              (3, [obj_graph("person", "car")]), (4, [SceneGraph()])])
         assert rank_images(obj_graph("man"), index, LEXICON) == [1, 3, 2, 4]
-        assert scored == [("man",), ("person", "car")]
+        # images 1 and 3, compared through their tuple bags
+        assert scored == [(("man",),), (("person",), ("car",))]
+
+    def test_long_label_tests_image_labels_in_place_of_expanding(self, monkeypatch):
+        """Six words of 40 synonyms each would expand to 41**6 labels; the
+        index's few labels are tested one by one instead, with the same
+        ranking."""
+        words = [f"w{i}" for i in range(6)]
+        lexicon = SynonymLexicon.from_pairs(
+            (word, f"{word}s{j}") for word in words for j in range(40))
+        label = " ".join(words)
+        synonym_label = " ".join(f"{word}s{i * 7}" for i, word in enumerate(words))
+        index = build_index([
+            (1, [obj_graph("tree")]),
+            (2, [SceneGraph(objects=(synonym_label,), attributes=((0, "red"),))]),
+            (3, [obj_graph(label.replace("w5", "tree"))]),
+            (4, [obj_graph(label)]),
+            (5, []),
+        ])
+
+        def refuse(*iterables):
+            raise AssertionError("the label expansion was built")
+
+        monkeypatch.setattr(retrieval.itertools, "product", refuse)
+        query = SceneGraph(objects=(label,), attributes=((0, "red"),))
+        ranking = rank_images(query, index, lexicon)
+        assert ranking == brute_force_rank(query, index, lexicon)
+        assert ranking[:2] == [2, 4]
