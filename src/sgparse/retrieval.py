@@ -19,8 +19,6 @@ image's tuples are extracted once, when the index is built.
 
 from __future__ import annotations
 
-import itertools
-import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -68,8 +66,8 @@ class ImageIndex(list):
     * `postings` maps each normalised object label to the ascending
       positions of the entries that hold it;
     * `unlabelled` lists the positions of the entries with no object;
-    * `ids` lists every image id in ascending order, ties in position
-      order, and `id_rank` gives each position's place in `ids`.
+    * `order` lists every `(image id, position)` pair in ascending image-id
+      order, ties in position order.
 
     The lookups are not updated if the list is changed afterwards."""
 
@@ -80,11 +78,8 @@ class ImageIndex(list):
             for label in entry.labels:
                 self.postings.setdefault(label, []).append(position)
         self.unlabelled = [position for position, entry in enumerate(self) if not entry.labels]
-        order = sorted(range(len(self)), key=lambda position: self[position].image_id)
-        self.ids = [self[position].image_id for position in order]
-        self.id_rank = [0] * len(self)
-        for rank, position in enumerate(order):
-            self.id_rank[position] = rank
+        self.order = sorted(((entry.image_id, position) for position, entry in enumerate(self)),
+                            key=lambda pair: pair[0])
 
     def holding(self, labels: Counter[str]) -> list[ImageEntry]:
         """The entries whose object-label multiset contains `labels`, in
@@ -114,24 +109,14 @@ def _expand_labels(
     labels: Iterable[str], postings: Mapping[str, list[int]], lexicon: SynonymLexicon | None = None
 ) -> set[str]:
     """The keys of `postings` (image labels) that some query label is
-    compatible with: each of its words may become itself or one of its
-    synonyms, the direction of `lexicon.matches`.
-
-    A label's expansion is the product of its words' choices, built only
-    while it is no larger than the number of image labels; past that, each
-    image label is tested against the query label with `_slot_match`, which
-    finds the same ones."""
+    compatible with, in the direction of `lexicon.matches`: by lookup
+    without a lexicon, else by testing each image label with `_slot_match`,
+    so the cost does not grow with the number of synonyms a word has."""
     lexicon = lexicon or SynonymLexicon.empty()
-    found = set()
-    for label in labels:
-        choices = [{word} | lexicon.table.get(word, frozenset()) for word in label.split()]
-        if math.prod(map(len, choices)) <= len(postings):
-            found.update(expanded for words in itertools.product(*choices)
-                         if (expanded := " ".join(words)) in postings)
-        else:
-            found.update(image_label for image_label in postings
-                         if _slot_match(label, image_label, lexicon))
-    return found
+    if not lexicon.table:
+        return set(labels) & postings.keys()
+    return {image_label for image_label in postings for label in labels
+            if _slot_match(label, image_label, lexicon)}
 
 
 def rank_images(
@@ -140,8 +125,8 @@ def rank_images(
     """Image ids by descending F score; ties break by ascending image id.
 
     The query's tuples are extracted once, and `f_score` compares them with
-    the bags of only the images that the postings of its expanded object
-    labels name; a query with no object is compared with the images that
+    the bags of only the images that the postings of the image labels
+    compatible with its object labels name; a query with no object is compared with the images that
     have none, the one label-disjoint pair that scores above 0 (1.0).  Every
     other image has F = 0.0 and follows in image-id order."""
     if not index:
@@ -157,11 +142,9 @@ def rank_images(
     hits = [(f, position) for position in candidates
             if (f := f_score(query, index[position].bag, lexicon).f) > 0.0]
     hits.sort(key=lambda hit: (-hit[0], index[hit[1]].image_id))
-    unranked = bytearray(b"\x01") * len(index)
-    for _, position in hits:
-        unranked[index.id_rank[position]] = 0
+    seen = {position for _, position in hits}
     return ([index[position].image_id for _, position in hits]
-            + list(itertools.compress(index.ids, unranked)))
+            + [image_id for image_id, position in index.order if position not in seen])
 
 
 class QueryOutcome(NamedTuple):

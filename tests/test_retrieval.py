@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,7 +299,7 @@ class TestFilteredAgreesWithBruteForce:
     def test_long_label_tests_image_labels_in_place_of_expanding(self, monkeypatch):
         """Six words of 40 synonyms each would expand to 41**6 labels; the
         index's few labels are tested one by one instead, with the same
-        ranking."""
+        ranking, and no product of the words' choices is built."""
         words = [f"w{i}" for i in range(6)]
         lexicon = SynonymLexicon.from_pairs(
             (word, f"{word}s{j}") for word in words for j in range(40))
@@ -314,7 +316,7 @@ class TestFilteredAgreesWithBruteForce:
         def refuse(*iterables):
             raise AssertionError("the label expansion was built")
 
-        monkeypatch.setattr(retrieval.itertools, "product", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
         query = SceneGraph(objects=(label,), attributes=((0, "red"),))
         ranking = rank_images(query, index, lexicon)
         assert ranking == brute_force_rank(query, index, lexicon)
