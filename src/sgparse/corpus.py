@@ -98,7 +98,9 @@ def record_from_json(data: dict) -> RegionRecord:
 
 
 def load_corpus(path: str | Path) -> tuple[list[RegionRecord], int]:
-    """Stream a corpus file; returns (records, number of skipped records)."""
+    """Stream a corpus file; returns (records, number of skipped records).
+    A line that is not one well-formed record, JSON nested too deeply to
+    decode included, is skipped."""
     records: list[RegionRecord] = []
     seen_regions: set[int] = set()
     skipped = 0
@@ -115,7 +117,8 @@ def load_corpus(path: str | Path) -> tuple[list[RegionRecord], int]:
                 record = record_from_json(json.loads(line))
                 if record.region_id in seen_regions:
                     raise ValueError(f"duplicate region id {record.region_id}")
-            except (ValueError, KeyError, TypeError):
+            # RecursionError: JSON nested deeper than `json.loads` descends
+            except (ValueError, KeyError, TypeError, RecursionError):
                 skipped += 1
                 continue
             seen_regions.add(record.region_id)

@@ -22,9 +22,10 @@ over a sentence.  It trains a batch of `_TRAIN_BATCH` sentences together, on
 the same parameters: one forward over the batch, each sentence's steps
 scored on its own vectors, then one backward with no tape, the MLP head over
 every positive step of the batch and then one lockstep BPTT per LSTM from
-the top layer down.  Each weight gradient is one matmul over the batch,
-written into gradient arrays that the `Trainer` keeps for an epoch, and one
-Adam update follows.
+the top layer down.  Each weight gradient is one matmul over the batch.
+The backward streams each tensor's gradient to Adam as soon as it is final,
+group by group in one scratch buffer, and Adam updates that tensor at once,
+so training never holds a full set of gradients.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +64,8 @@ PAD = "<pad>"
 _GATES = 4
 
 # Elements per block of the Adam update: with the parameters, both moments,
-# the gradient and two scratch buffers, a block's working set is 1.5 MB.
+# the gradient and two scratch buffers, a block's working set is 0.75 MB in
+# float32, as training runs, and 1.5 MB in float64.
 _ADAM_BLOCK = 1 << 15
 
 # Training sentences per Adam update.  A batch runs one forward and one
@@ -221,17 +223,27 @@ class Adam:
         dtype = np.result_type(*self.params.values())
         self._scratch = (np.empty(_ADAM_BLOCK, dtype), np.empty(_ADAM_BLOCK, dtype))
 
-    def step(self, grads: Mapping[str, np.ndarray | None]) -> None:
-        """One update of every tensor from `grads[name]` (zero when None).
+    def step(self, grads: Iterable[tuple[str, np.ndarray | None]]) -> None:
+        """One update of every tensor from its `(name, gradient)` pair (zero
+        when None), each tensor as its pair arrives, so a gradient may be
+        overwritten once the next pair is asked for, as in the stream of
+        `GradientBatch.run`, whose backward then runs inside this step.
 
-        Raises ParameterNonFinite, naming the tensor, when the update leaves
-        one of its values infinite or NaN in float32.
+        Raises ValueError when a tensor's pair is missing or repeated, and
+        ParameterNonFinite, naming the tensor, when the update leaves one of
+        its values infinite or NaN in float32.
         """
         self.t += 1
+        left = dict(self.params)
         # Each block is checked for non-finite values instead of warning.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for name, p in self.params.items():
-                self._update(name, p, grads[name])
+            for name, grad in grads:
+                if name not in left:
+                    raise ValueError(f"Adam step {self.t} got a second gradient, or one of no "
+                                     f"parameter, for {name!r}")
+                self._update(name, left.pop(name), grad)
+        if left:
+            raise ValueError(f"Adam step {self.t} got no gradient for {', '.join(map(repr, left))}")
 
     def _update(self, name: str, p: np.ndarray, grad: np.ndarray | None) -> None:
         b1, b2, lr, eps = _BETA1, _BETA2, self.lr, self.eps
@@ -328,24 +340,30 @@ def encode(id_lists: Sequence[np.ndarray], params: ModelParams) -> tuple[list[np
 
 
 def _encode_backward(dstates: np.ndarray, ids: np.ndarray, lengths: np.ndarray, saved: list,
-                     params: ModelParams, out: Mapping[str, np.ndarray]) -> None:
+                     params: ModelParams, out: Mapping[str, np.ndarray]
+                     ) -> Iterator[tuple[str, np.ndarray]]:
     """Backpropagate the gradient of `encode`'s states, in its steps x batch
     x 2H layout, through each layer's two LSTMs from the top layer down,
-    given the ids, lengths and saved arrays of `encode`'s cache, and write
+    given the ids, lengths and saved arrays of `encode`'s cache, writing
     the `lstm*` and `embeddings` gradients into `out`; the embedding rows'
-    with `np.add.at` at the ids.  Each LSTM's saved arrays are popped from
-    `saved` and freed once its gradients are written, so that fewer are
-    alive at once."""
+    with `np.add.at` at the ids.  Yields each `(name, gradient)` pair once
+    it is written: an LSTM's weight and bias before the next LSTM's
+    backward, which never reads them, and the embeddings' last.  Each
+    LSTM's saved arrays are popped from `saved` and freed once its
+    gradients are written, so that fewer are alive at once."""
     hidden = params.hidden
     for layer in reversed(range(params.layers)):
-        dx_bwd = _lstm_gradients(f"lstm{layer}_bwd", dstates[..., hidden:], lengths, saved.pop(),
-                                 params, out)
-        dx_fwd = _lstm_gradients(f"lstm{layer}_fwd", dstates[..., :hidden], lengths, saved.pop(),
-                                 params, out)
-        dstates = dx_fwd + dx_bwd
+        dxs = {}
+        for direction, dhs in (("bwd", dstates[..., hidden:]), ("fwd", dstates[..., :hidden])):
+            name = f"lstm{layer}_{direction}"
+            dxs[direction] = _lstm_gradients(name, dhs, lengths, saved.pop(), params, out)
+            yield f"{name}_w", out[f"{name}_w"]
+            yield f"{name}_b", out[f"{name}_b"]
+        dstates = dxs["fwd"] + dxs["bwd"]
     valid = np.arange(len(ids))[:, None] < lengths
     out["embeddings"].fill(0.0)
     np.add.at(out["embeddings"], ids[valid], dstates[valid])
+    yield "embeddings", out["embeddings"]
 
 
 def _lstm_gradients(name: str, dhs: np.ndarray, lengths: np.ndarray, saved: tuple,
@@ -535,25 +553,48 @@ def _walk_losses(walks: Sequence[list], vectors: Sequence[np.ndarray], columns: 
     return losses, np.array(slots), np.array(hidden), np.array(pairs)
 
 
+def _gradient_groups(params: ModelParams) -> list[tuple[str, ...]]:
+    """Every tensor's name, in the groups whose gradients the batch backward
+    writes together and in the order it finishes them: the MLP head's and
+    the pad vector's, each LSTM's weight and bias from the top layer down,
+    then the embeddings'."""
+    lstms = [f"lstm{layer}_{direction}"
+             for layer in reversed(range(params.layers)) for direction in ("bwd", "fwd")]
+    return [("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"),
+            *((f"{name}_w", f"{name}_b") for name in lstms), ("embeddings",)]
+
+
 class GradientBatch:
     """Up to `size` training sentences, queued with their word ids and
-    oracle walks, and the gradient arrays, one per tensor in its dtype, into
-    which `run` writes their summed gradients.  The arrays are made once,
-    with the batch.
+    oracle walks, and one scratch buffer, in the parameters' dtype, into
+    which `run`'s backward writes their summed gradients one group of
+    `_gradient_groups` at a time, each tensor's into a view of it.  The
+    buffer holds the largest group and is made once, with the batch.
 
     `run` trains the queued sentences together on the parameters as they
     are: one `encode` over the batch; each sentence's walk scored with
-    `score` on its own vectors, summing its per-step hinge losses; then one
-    head backward over every positive step of the batch, whose rows are the
-    encoder's states and one pad row, and one lockstep encoder backward
-    (`_encode_backward`).  Each weight gradient is one matmul over the whole
-    batch.  A batch of one makes the products of one sentence's backward.
+    `score` on its own vectors, summing its per-step hinge losses; then,
+    as its stream is consumed, one head backward over every positive step
+    of the batch, whose rows are the encoder's states and one pad row, and
+    one lockstep encoder backward (`_encode_backward`).  Each weight
+    gradient is one matmul over the whole batch.  A batch of one makes the
+    products of one sentence's backward.
     """
 
     def __init__(self, params: ModelParams, size: int):
         self.params = params
         self.size = size
-        self.arrays = {name: np.empty_like(t) for name, t in params.tensors.items()}
+        tensors = params.tensors
+        groups = _gradient_groups(params)
+        self._scratch = np.empty(max(sum(tensors[name].size for name in group) for group in groups),
+                                 np.result_type(*tensors.values()))
+        self._views: dict[str, np.ndarray] = {}   # in backward order
+        for group in groups:
+            start = 0
+            for name in group:
+                end = start + tensors[name].size
+                self._views[name] = self._scratch[start:end].reshape(tensors[name].shape)
+                start = end
         self._queued: list[tuple[np.ndarray, list]] = []
 
     @property
@@ -568,11 +609,16 @@ class GradientBatch:
         ids = word_ids(tokens, self.params, rng, dropout_alpha)
         self._queued.append((ids, _oracle_walk(tokens, gold, reduce_set, self.params.arc_rule)))
 
-    def run(self) -> tuple[list[float], dict[str, np.ndarray | None]]:
-        """Train the queued sentences and empty the batch.  Returns each
-        sentence's summed loss, in order, and the arrays holding the batch's
-        summed gradients, every element written, or all None when no step's
-        loss is positive.  The parameter arrays are left unchanged."""
+    def run(self) -> tuple[list[float], Iterator[tuple[str, np.ndarray | None]]]:
+        """Run the queued sentences' forward and empty the batch.  Returns
+        each sentence's summed loss, in order, and a one-shot iterator that
+        runs the backward as it is consumed: one `(name, gradient)` pair per
+        tensor, in the order of `_gradient_groups`, each gradient the
+        batch's sum, every element written, or all None when no step's loss
+        is positive.  A gradient is a view of the scratch buffer, good until
+        the next pair is asked for.  The backward reads no tensor after
+        yielding its pair, so the consumer may update each tensor as its
+        pair arrives, as `Adam.step` does; `run` itself changes none."""
         queued, self._queued = self._queued, []
         params = self.params
         vectors, (states, columns, ids, lengths, saved) = encode(
@@ -580,17 +626,23 @@ class GradientBatch:
         losses, slots, hidden, pairs = _walk_losses([walk for _, walk in queued], vectors,
                                                     columns, states.shape[1], params)
         if not len(pairs):
-            return losses, dict.fromkeys(self.arrays)
-        shape = states.shape
-        rows = np.concatenate([states.reshape(-1, shape[2]), params.tensors["pad"][None]])
-        # `rows` is the states' only copy left, and the head's backward
-        # writes their gradient over it, so fewer arrays are alive in the
-        # backward
-        del vectors, states
-        drows = _head_backward(rows, slots, hidden, pairs, params, self.arrays)
-        self.arrays["pad"][...] = drows[-1]
-        _encode_backward(drows[:-1].reshape(shape), ids, lengths, saved, params, self.arrays)
-        return losses, self.arrays
+            return losses, ((name, None) for name in self._views)
+        # `rows` is the states' only copy left once `run` returns, and the
+        # head's backward writes their gradient over it, so fewer arrays are
+        # alive in the backward
+        rows = np.concatenate([states.reshape(-1, states.shape[2]), params.tensors["pad"][None]])
+        return losses, self._backward(rows, slots, hidden, pairs, states.shape, ids, lengths, saved)
+
+    def _backward(self, rows: np.ndarray, slots: np.ndarray, hidden: np.ndarray,
+                  pairs: np.ndarray, shape: tuple[int, ...], ids: np.ndarray,
+                  lengths: np.ndarray, saved: list) -> Iterator[tuple[str, np.ndarray]]:
+        out = self._views
+        drows = _head_backward(rows, slots, hidden, pairs, self.params, out)
+        out["pad"][...] = drows[-1]
+        for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad"):
+            yield name, out[name]
+        yield from _encode_backward(drows[:-1].reshape(shape), ids, lengths, saved, self.params,
+                                    out)
 
 
 def accumulate_gradients(
@@ -602,14 +654,16 @@ def accumulate_gradients(
     dropout_alpha: float = 0.25,
 ) -> tuple[float, dict[str, np.ndarray | None]]:
     """One sentence's summed loss and gradients, as a `GradientBatch` of one
-    in fresh arrays; the gradients are all None when no step's loss is
-    positive.  The parameter arrays are left unchanged.  A sentence whose
-    oracle is stuck raises OracleStuck.
+    whose stream is copied into fresh arrays, keyed in parameter order; the
+    gradients are all None when no step's loss is positive.  The parameter
+    arrays are left unchanged.  A sentence whose oracle is stuck raises
+    OracleStuck.
     """
     batch = GradientBatch(params, 1)
     batch.add(tokens, gold, reduce_set, rng, dropout_alpha)
-    (total,), grads = batch.run()
-    return total, grads
+    (total,), pairs = batch.run()
+    grads = {name: None if g is None else g.copy() for name, g in pairs}
+    return total, {name: grads[name] for name in params.tensors}
 
 
 class Trainer:
@@ -624,12 +678,14 @@ class Trainer:
     Each `train_sentence` call queues its sentence in the batch, after its
     word-dropout draws; a sentence whose oracle is stuck is skipped and not
     counted.  The call of the sentence that fills the batch, or of the last
-    sentence that `run_epoch` counts, trains the batch (`GradientBatch.run`)
-    on the parameters as they are, and makes the update, so every update
-    falls inside a `train_sentence` call.  The gradient arrays are made by
-    the first `train_sentence` and dropped at the end of `run_epoch`, so
-    they are not alive through what follows an epoch, such as `sgparse
-    train`'s per-epoch eval and checkpoint save.
+    sentence that `run_epoch` counts, runs the batch's forward
+    (`GradientBatch.run`) on the parameters as they are, and makes the
+    update, which runs the backward and updates each tensor as its gradient
+    is streamed, so every update falls inside a `train_sentence` call and
+    at most one group of gradients is alive at once.  The batch, with its
+    scratch buffer, is made by the first `train_sentence` and dropped at
+    the end of `run_epoch`, so it is not alive through what follows an
+    epoch, such as `sgparse train`'s per-epoch eval and checkpoint save.
     """
 
     def __init__(self, params: ModelParams, config: TrainConfig | None = None):
@@ -936,7 +992,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
     The payload is read into one aligned float32 buffer, and each tensor is
     a read-only view of it, for parsing.  Raises CheckpointCorrupt when the
-    header line is unreadable, is not a JSON object, names another format
+    header line is unreadable (not UTF-8 JSON, or nested too deeply to
+    decode), is not a JSON object, names another format
     version, or lacks or garbles an entry, when a dim is not a positive
     integer, when it does not list exactly the tensors, in save order and
     with the shapes, that its dims define, when the payload does not hold
@@ -949,7 +1006,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             if not line.endswith(b"\n"):
                 raise ValueError("no line end")
             header = json.loads(line.decode("utf-8"))
-        except ValueError as err:  # no header line, or one that is not UTF-8 JSON
+        # no header line, one that is not UTF-8 JSON, or JSON nested deeper
+        # than `json.loads` descends
+        except (ValueError, RecursionError) as err:
             raise CheckpointCorrupt(f"{path}: unreadable header ({err})") from err
         if not isinstance(header, dict):
             raise CheckpointCorrupt(f"{path}: header is not a JSON object")

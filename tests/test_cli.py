@@ -919,11 +919,14 @@ class TestErrors:
         assert "error:" in stderr
 
 
+# JSON nested deeper than `json.loads` descends.
+_DEEP = b"[" * 100_000 + b"]" * 100_000
 # Byte runs that a mutation writes into a corpus line or a config file: JSON
-# values of each type, structure, line breaks and bytes that are not UTF-8.
+# values of each type, structure, nesting, line breaks and bytes that are not
+# UTF-8.
 _SPLICES = [b"true", b"null", b"0.7", b"-1", b"1e999", b'"x"', b'""', b"[]", b"{}", b"{", b'"',
             b",", b":", b"=", b"#", b"\n", b"\r", b" ", b"\t", b"\xe9", b"\xff", b"\x80", b"\xc3",
-            b"\x00", "é".encode(), b"\\u00e9", b"\\ud800"]
+            b"\x00", "é".encode(), b"\\u00e9", b"\\ud800", _DEEP]
 # Whole config lines, valid or not, for align's keys and others.
 _CONFIG_LINES = [b"arc_rule = right", b"arc_rule = left", b"align_mode = no-syn",
                  b"align_mode = all-syn", b"align_mode = sideways", b"arc_rule", b"= left",
@@ -999,6 +1002,13 @@ class TestMutatedInputProperty:
         k = data.draw(st.integers(0, len(lines) - 1))
         corpus = b"".join(lines[:k] + [_mutate(data, lines[k])] + lines[k + 1:])
         self.run_align(tmp, corpus, b"")
+
+    def test_deeply_nested_corpus_line(self, align_inputs):
+        """A line nested deeper than `json.loads` descends is one malformed
+        record."""
+        tmp, lines, _ = align_inputs
+        stderr = self.run_align(tmp, b"".join(lines + [_DEEP + b"\n"]), b"")
+        assert f"records={len(lines)} malformed_skipped=1\n" in stderr
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

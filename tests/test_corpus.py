@@ -81,6 +81,14 @@ class TestLoadCorpus:
         assert skipped == 1 and len(records) == 30
         assert all(r.region_id != 999 for r in records)
 
+    def test_deeply_nested_line_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_synthetic(30, seed=1), path)
+        with open(path, "a") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000 + "\n")
+        records, skipped = load_corpus(path)
+        assert skipped == 1 and len(records) == 30
+
     @pytest.mark.parametrize("place", ["image_id", "region_id", "object", "attribute",
                                        "subject", "object_ref"])
     @pytest.mark.parametrize("value", [True, 0.7, 1.0, "1"])

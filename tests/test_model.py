@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,7 @@ from sgparse import autodiff as ad
 from sgparse import cli, model
 from sgparse.align import align, derive_gold, tokenize
 from sgparse.corpus import build_instances, generate_synthetic, save_corpus
-from sgparse.errors import OracleStuck, ParameterNonFinite
+from sgparse.errors import CheckpointCorrupt, OracleStuck, ParameterNonFinite
 from sgparse.graph import Arc, ArcRule, ArcSet, EdgeLabel, SceneGraph
 from sgparse.model import (
     ROOT_WORD,
@@ -348,8 +349,7 @@ def encoder_gradients(dvectors, cache, params):
     for a batch of one, given the gradient of its vectors."""
     out = {name: np.empty_like(t) for name, t in params.tensors.items()
            if name == "embeddings" or name.startswith("lstm")}
-    model._encode_backward(dvectors[:, None], *cache[2:], params, out)
-    return out
+    return dict(model._encode_backward(dvectors[:, None], *cache[2:], params, out))
 
 
 def assert_matches_reference(instance, params):
@@ -1024,8 +1024,9 @@ def traced_peak(fn) -> int:
 
 
 class TestGradientArrays:
-    """`Trainer` writes every sentence's gradients into one array per tensor,
-    made once per epoch; what it trains is what fresh arrays train."""
+    """`Trainer` writes every batch's gradients into one scratch buffer, made
+    once per epoch, and updates each tensor as its gradient is streamed;
+    what it trains is what fresh arrays train."""
 
     @pytest.mark.usefixtures("per_sentence_updates")
     def test_trains_byte_for_byte_as_fresh_arrays(self, fig_instance):
@@ -1049,7 +1050,7 @@ class TestGradientArrays:
 
         def recording(batch):
             losses, grads = original(batch)
-            calls.append((losses, batch.arrays))
+            calls.append((losses, batch._scratch))
             return losses, grads
 
         for _ in range(2):
@@ -1064,12 +1065,12 @@ class TestGradientArrays:
                                                         config.word_dropout_alpha)
                 except OracleStuck:
                     continue
-                optimizer.step(grads)
+                optimizer.step(grads.items())
                 losses.append(total)
             assert [batch_losses for batch_losses, _ in calls] == [[total] for total in losses]
             assert [total > 0.0 for total in losses] == [True, False, True, True, False, True]
             assert mean == float(np.mean(losses))
-            assert len({id(out) for _, out in calls}) == 1   # one set of arrays per epoch
+            assert len({id(out) for _, out in calls}) == 1   # one scratch buffer per epoch
             for name in params.tensors:
                 assert params.tensors[name].tobytes() == fresh.tensors[name].tobytes(), name
                 assert trainer.optimizer.m[name].tobytes() == optimizer.m[name].tobytes(), name
@@ -1082,16 +1083,109 @@ class TestGradientArrays:
         params, instances = default_size_model()
         size = model._TRAIN_BATCH
         trainer = Trainer(params)
-        for instance in instances[:size]:   # the first batch makes the arrays
+        for instance in instances[:size]:   # the first batch makes the scratch buffer
             trainer.train_sentence(*instance)
-        losses, peaks = [], []
-        with mock.patch.object(trainer.optimizer, "step", wraps=trainer.optimizer.step) as step:
+        losses, peaks, given = [], [], []
+        update = trainer.optimizer.step
+
+        def noted(pairs):   # the stream, passed through, noting each gradient that came
+            for name, grad in pairs:
+                given.append(grad is not None)
+                yield name, grad
+
+        with mock.patch.object(trainer.optimizer, "step",
+                               side_effect=lambda pairs: update(noted(pairs))) as step:
             for instance in instances[size: 2 * size]:
                 peaks.append(traced_peak(lambda: losses.extend(trainer.train_sentence(*instance))))
                 assert step.call_count == (len(peaks) == size)
-        assert step.call_args.args[0]["mlp_w1"] is not None
+        assert len(given) == len(params.tensors) and all(given)
         assert len(losses) == size and max(losses) > 0.0
         assert max(peaks) < max(t.nbytes for t in params.tensors.values())
+
+    def test_cold_batch_allocates_less_than_the_parameters(self):
+        """The calls of a cold epoch up to its first update, which make the
+        batch and its scratch buffer and train it, allocate less than the
+        parameters take; one gradient array per tensor would take as much."""
+        params, instances = default_size_model()
+        size = model._TRAIN_BATCH
+        trainer = Trainer(params)
+        losses = []
+
+        def first_batch():
+            for instance in instances[:size]:
+                losses.extend(trainer.train_sentence(*instance))
+
+        peak = traced_peak(first_batch)
+        assert trainer.optimizer.t == 1 and len(losses) == size and max(losses) > 0.0
+        assert peak < sum(t.nbytes for t in params.tensors.values())
+
+
+class TestGradientStream:
+    """`GradientBatch.run` streams each tensor's gradient once, in backward
+    order, and its backward reads no tensor after yielding its pair; so
+    updating each tensor as its pair comes trains what collecting every
+    gradient first trains, byte for byte."""
+
+    ORDER = ["mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "pad",
+             "lstm1_bwd_w", "lstm1_bwd_b", "lstm1_fwd_w", "lstm1_fwd_b",
+             "lstm0_bwd_w", "lstm0_bwd_b", "lstm0_fwd_w", "lstm0_fwd_b", "embeddings"]
+
+    def test_overwriting_consumer_gets_what_a_copying_one_gets(self, fig_instance):
+        instances = TestTrainBatch.batch_instances(fig_instance)
+        words = [inst[0] for inst in instances]
+        streams = []
+        for overwrite in (False, True):
+            params = small_params(words, seed=6)
+            _, pairs = TestLockstepBPTT.queue(instances, params).run()
+            grads = {}
+            for name, grad in pairs:
+                assert name not in grads
+                grads[name] = grad.copy()
+                if overwrite:   # as an update would, before the next pair
+                    params.tensors[name] += 1.0
+            streams.append(grads)
+        assert list(streams[0]) == list(streams[1]) == self.ORDER
+        assert sorted(self.ORDER) == sorted(params.tensors)
+        for name in self.ORDER:
+            assert streams[0][name].tobytes() == streams[1][name].tobytes(), name
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_two_epochs_match_collected_gradients(self, fig_instance, monkeypatch, size):
+        """`Trainer` against a reference that copies every gradient of a
+        batch, then makes the whole-tensor update: the same parameter and
+        moment bytes after two epochs, with a stuck and a zero-loss
+        sentence among them."""
+        monkeypatch.setattr(model, "_TRAIN_BATCH", size)
+        instances = TestTrainBatch.batch_instances(fig_instance)   # the last one is counted
+        words = [inst[0] for inst in instances]
+        config = TrainConfig(rng_seed=4, learning_rate=0.01)
+        trainer = Trainer(small_params(words, seed=4), config)
+        fresh = small_params(words, seed=4)
+        fresh.tensors = {name: t.astype(np.float32) for name, t in fresh.tensors.items()}
+        reference = Adam(fresh.tensors, lr=config.learning_rate, eps=config.adam_epsilon)
+        rng = np.random.default_rng(config.rng_seed)
+        for _ in range(2):
+            trainer.run_epoch(instances)
+            batch = model.GradientBatch(fresh, size)
+            for position, instance in enumerate(instances, 1):
+                try:
+                    batch.add(*instance, rng, config.word_dropout_alpha)
+                except OracleStuck:
+                    continue
+                if batch.sentences == size or position == len(instances):
+                    _, pairs = batch.run()
+                    reference_adam_step(reference, copied(pairs))
+        assert trainer.optimizer.t == reference.t == 2 * math.ceil(9 / size)
+        for name, t in trainer.params.tensors.items():
+            assert t.tobytes() == fresh.tensors[name].tobytes(), name
+            assert trainer.optimizer.m[name].tobytes() == reference.m[name].tobytes(), name
+            assert trainer.optimizer.v[name].tobytes() == reference.v[name].tobytes(), name
+
+
+def copied(pairs):
+    """A gradient stream's pairs, copied out of its scratch buffer as they
+    come, by name."""
+    return {name: None if g is None else g.copy() for name, g in pairs}
 
 
 def summed_gradients(instances, params):
@@ -1113,7 +1207,8 @@ def assert_batch_matches_sentences(batch, instances, params):
     """`batch.run` against `accumulate_gradients` sentence by sentence, in
     float64: each counted sentence's loss to 1e-12, and the batch's
     gradients equal to the summed sentence gradients to 1e-12 relative."""
-    losses, grads = batch.run()
+    losses, pairs = batch.run()
+    grads = copied(pairs)
     want = []
     for instance in instances:
         try:
@@ -1231,7 +1326,8 @@ class TestTrainBatch:
         batch = model.GradientBatch(params, 2)
         batch.add(*empty)
         batch.add(*empty)
-        assert batch.run() == ([0.0, 0.0], dict.fromkeys(params.tensors))
+        losses, pairs = batch.run()
+        assert losses == [0.0, 0.0] and dict(pairs) == dict.fromkeys(params.tensors)
         assert batch.sentences == 0
 
     @pytest.mark.parametrize("size", [1, 2, 3, 8])
@@ -1302,7 +1398,7 @@ class TestFloat32Training:
         assert bptts.call_count == 2 * 2 * params.layers
         made += [*params.tensors.values(), *trainer.optimizer._scratch]
         made += [*trainer.optimizer.m.values(), *trainer.optimizer.v.values()]
-        made += [a for call in runs.call_args_list for a in call.args[0].arrays.values()]
+        made += [call.args[0]._scratch for call in runs.call_args_list]
         assert {a.dtype for a in made} == {np.dtype(np.float32)}
 
     def test_float32_gradients_agree_with_float64(self):
@@ -1339,7 +1435,8 @@ class TestFloat32Training:
         narrow.tensors = {name: t.astype(np.float32) for name, t in narrow.tensors.items()}
         wide.tensors = {name: t.astype(np.float64) for name, t in narrow.tensors.items()}
         batch = TestLockstepBPTT.queue(instances[:8], narrow)
-        losses, grads = batch.run()
+        losses, pairs = batch.run()
+        grads = copied(pairs)
         wanted = [accumulate_gradients(*instance, wide)[0] for instance in instances[:8]]
         assert all(abs(got - want) <= 1e-6 * abs(want) for got, want in zip(losses, wanted))
         for name, g64 in summed_gradients(instances[:8], wide).items():
@@ -1433,10 +1530,13 @@ class TestGradCheck:
 
 
 def reference_adam_step(opt, grads):
-    """The whole-tensor update that the blocked `Adam.step` replaced."""
+    """The whole-tensor update that the blocked `Adam.step` replaced, from a
+    dict of every tensor's gradient."""
     opt.t += 1
     for name, p in opt.params.items():
-        g = grads[name] if grads[name] is not None else 0.0
+        # zeros in the tensor's dtype: `np.square(0.0)` would be a float64
+        # scalar and widen float32 moments
+        g = grads[name] if grads[name] is not None else np.zeros_like(p)
         b1, b2 = model._BETA1, model._BETA2
         opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
         opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * np.square(g)
@@ -1464,7 +1564,7 @@ class TestAdam:
                 none = name == "never_grad" or (name == "gaps" and step % 2)
                 grads[name] = (None if none else
                                rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3))
-            opt.step({name: None if g is None else g.copy() for name, g in grads.items()})
+            opt.step((name, None if g is None else g.copy()) for name, g in grads.items())
             reference_adam_step(ref, grads)
             for name in shapes:
                 assert np.array_equal(blocked[name], whole[name]), name
@@ -1476,13 +1576,13 @@ class TestAdam:
         opt = Adam({"a": np.ones(3), "b": np.ones(4)}, lr=0.1)
         grads = {"a": np.ones(3), "b": np.array([0.0, np.inf, 0.0, 0.0])}
         with pytest.raises(ParameterNonFinite, match="'b'"):
-            opt.step(grads)
+            opt.step(grads.items())
 
     def test_value_beyond_float32_range_is_non_finite(self):
         # finite in float64, but a checkpoint would store it as infinite
         opt = Adam({"a": np.ones(3)}, lr=1e300)
         with pytest.raises(ParameterNonFinite, match="'a' became non-finite at Adam step 1"):
-            opt.step({"a": np.ones(3)})
+            opt.step([("a", np.ones(3))])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the loss is inf - inf
     def test_trainer_adds_the_sentence_position(self, fig_instance):
@@ -1501,7 +1601,7 @@ class TestAdam:
         g = rng.standard_normal(4)
         start = p.copy()
         opt = Adam({"p": p}, lr=0.1, eps=0.01)
-        opt.step({"p": g.copy()})
+        opt.step([("p", g.copy())])
         m = 0.1 * g
         v = 0.001 * g * g
         m_hat = m / (1 - 0.9)
@@ -1509,10 +1609,20 @@ class TestAdam:
         expected = start - 0.1 * m_hat / (np.sqrt(v_hat) + 0.01)
         assert np.allclose(p, expected)
 
+    @pytest.mark.parametrize("pairs, named", [
+        ([("a", None)], "no gradient for 'b'"),
+        ([("a", None), ("b", None), ("a", None)], "second gradient.*'a'"),
+        ([("a", None), ("b", None), ("c", None)], "second gradient.*'c'"),
+    ])
+    def test_each_tensor_takes_exactly_one_pair(self, pairs, named):
+        opt = Adam({"a": np.ones(3), "b": np.ones(4)}, lr=0.1)
+        with pytest.raises(ValueError, match=named):
+            opt.step(pairs)
+
     def test_step_without_gradients_is_noop_at_start(self):
         p = np.ones(3)
         opt = Adam({"p": p}, lr=0.1)
-        opt.step({"p": None})
+        opt.step([("p", None)])
         assert np.array_equal(p, np.ones(3))
 
 
@@ -1558,6 +1668,14 @@ class TestCheckpoint:
         params, _ = default_size_model()
         peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "model.ckpt"))
         assert peak < 2 * 4 * max(t.size for t in params.tensors.values())
+
+    def test_deeply_nested_header_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_params([("dog",)]), path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n" + payload)
+        with pytest.raises(CheckpointCorrupt, match=f"^{re.escape(str(path))}: unreadable header"):
+            load_checkpoint(path)
 
     def test_header_is_self_describing(self, tmp_path):
         params = small_params([("dog",)])
